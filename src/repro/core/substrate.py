@@ -41,12 +41,13 @@ draws identical whether or not churn is active at other steps.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Dict, Iterable, Optional, Set, Tuple, Union
 
 import numpy as np
 
-from repro.errors import GraphConstructionError, ProcessError
+from repro.errors import ProcessError
 from repro.graphs.graph import Graph
 from repro.rng import make_rng
 
@@ -82,12 +83,18 @@ class ChurnPlan:
     events: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ProcessError(f"churn period must be >= 1, got {self.period}")
-        if self.swaps < 1:
-            raise ProcessError(f"churn swaps must be >= 1, got {self.swaps}")
-        if self.events is not None and self.events < 0:
-            raise ProcessError(f"churn events must be >= 0, got {self.events}")
+        _check_count("period", self.period, 1)
+        _check_count("swaps", self.swaps, 1)
+        if self.events is not None:
+            _check_count("events", self.events, 0)
+
+
+def _check_count(field: str, value: object, minimum: int) -> None:
+    # ``bool`` is an ``int`` subclass but never a meaningful count.
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ProcessError(f"churn {field} must be an integer, got {value!r}")
+    if value < minimum:
+        raise ProcessError(f"churn {field} must be >= {minimum}, got {value}")
 
 
 def rewire_edges(graph: Graph, rng: np.random.Generator, swaps: int) -> Graph:
@@ -97,22 +104,48 @@ def rewire_edges(graph: Graph, rng: np.random.Generator, swaps: int) -> Graph:
     ``{a, d}, {c, b}`` — every vertex keeps its degree.  An attempt is
     skipped (not retried) when it would create a self-loop or a
     duplicate edge, so the procedure is a deterministic function of the
-    generator state.  Returns a new :class:`Graph`; the input is never
-    mutated.
+    generator state.  Returns a new :class:`Graph` (or ``graph`` itself
+    when every attempt was skipped); the input is never mutated.
+
+    Cost is O(swaps·d) plus O(m) array copies: presence is tested by
+    binary search in the event-start CSR rows under a small overlay of
+    this event's additions and removals, each accepted swap patches the
+    four affected rows of a copy of ``indices``, and only the touched
+    rows are re-sorted and checked.  ``indptr`` and ``degrees`` are
+    shared with ``graph`` since swaps preserve degree.  Rows stay sorted
+    and ``edge_array`` stays lexicographically sorted (moved rows are
+    re-inserted in order), so every later draw hits exactly the vertex
+    or edge a full rebuild of the graph would give.
     """
     m = graph.m
     if m < 2:
         return graph
+    indptr, base = graph.indptr, graph.indices
+    indices = base.copy()
     edges = graph.edge_array.copy()
-    present = {(int(u), int(v)) for u, v in edges}
-    changed = False
+    # Presence of the edges this event added or removed, over ``base``.
+    overlay: Dict[Tuple[int, int], bool] = {}
+    moved: Set[int] = set()  # positions in ``edges`` that were rewritten
+    touched: Set[int] = set()  # vertices whose ``indices`` row was patched
+
+    def present(u: int, v: int) -> bool:
+        if (u, v) in overlay:
+            return overlay[(u, v)]
+        lo, hi = indptr[u], indptr[u + 1]
+        pos = lo + int(base[lo:hi].searchsorted(v))
+        return bool(pos < hi and base[pos] == v)
+
+    def patch(v: int, old: int, new: int) -> None:
+        row = indices[indptr[v]:indptr[v + 1]]
+        row[row.tolist().index(old)] = new
+
     for _ in range(swaps):
-        i, j = (int(x) for x in rng.integers(0, m, size=2))
+        i, j = rng.integers(0, m, size=2).tolist()
         flip = int(rng.integers(0, 2))
         if i == j:
             continue
-        a, b = int(edges[i, 0]), int(edges[i, 1])
-        c, d = int(edges[j, 0]), int(edges[j, 1])
+        a, b = edges[i].tolist()
+        c, d = edges[j].tolist()
         if flip:
             c, d = d, c
         # Propose {a, d} and {c, b}.
@@ -120,21 +153,64 @@ def rewire_edges(graph: Graph, rng: np.random.Generator, swaps: int) -> Graph:
             continue
         e1 = (min(a, d), max(a, d))
         e2 = (min(c, b), max(c, b))
-        if e1 == e2 or e1 in present or e2 in present:
+        if e1 == e2 or present(*e1) or present(*e2):
             continue
-        present.discard((min(a, b), max(a, b)))
-        present.discard((min(c, d), max(c, d)))
-        present.add(e1)
-        present.add(e2)
+        overlay[(min(a, b), max(a, b))] = False
+        overlay[(min(c, d), max(c, d))] = False
+        overlay[e1] = True
+        overlay[e2] = True
         edges[i] = e1
         edges[j] = e2
-        changed = True
-    if not changed:
+        patch(a, b, d)
+        patch(b, a, c)
+        patch(c, d, b)
+        patch(d, c, a)
+        moved.update((i, j))
+        touched.update((a, b, c, d))
+    if not moved:
         return graph
-    try:
-        return Graph(graph.n, edges, name=graph.name)
-    except GraphConstructionError as exc:  # pragma: no cover - defensive
-        raise ProcessError(f"churn produced an invalid graph: {exc}") from exc
+    _sort_rows(indptr, indices, touched)
+    return Graph._from_csr(
+        graph.n,
+        indptr,
+        indices,
+        _reinsert_sorted(edges, moved, graph.n),
+        graph.degrees,
+        graph.name,
+    )
+
+
+def _sort_rows(indptr: np.ndarray, indices: np.ndarray, rows: Iterable[int]) -> None:
+    """Sort the CSR ``rows`` of ``indices`` in place and check they are simple.
+
+    Raises :class:`ProcessError` when a row holds a duplicate neighbour
+    or its own vertex (a self-loop).  All rows are handled in one
+    vectorised pass: a key ``row·n + neighbour`` sorts them together.
+    """
+    n = indptr.size - 1
+    rows = np.sort(np.fromiter(rows, dtype=np.int64))
+    starts = indptr[rows]
+    lengths = indptr[rows + 1] - starts
+    owner = np.repeat(rows, lengths)
+    slots = np.arange(owner.size) + np.repeat(starts - (np.cumsum(lengths) - lengths), lengths)
+    keys = np.sort(owner * n + indices[slots])
+    neighbours = keys - owner * n
+    if np.any(neighbours == owner) or np.any(np.diff(keys) == 0):
+        raise ProcessError(
+            "churn produced an invalid graph: a rewired row has a self-loop "
+            "or a duplicate neighbour"
+        )
+    indices[slots] = neighbours
+
+
+def _reinsert_sorted(edges: np.ndarray, positions: Iterable[int], n: int) -> np.ndarray:
+    """``edges`` in lexicographic order, given only the rows at ``positions`` are out of place."""
+    keys = edges[:, 0] * n + edges[:, 1]
+    moved = np.fromiter(positions, dtype=np.int64)
+    moved = moved[np.argsort(keys[moved])]
+    at = np.searchsorted(np.delete(keys, moved), keys[moved])
+    order = np.insert(np.delete(np.arange(edges.shape[0]), moved), at, moved)
+    return np.take(edges, order, axis=0)
 
 
 class Substrate:

@@ -9,7 +9,7 @@ mutate the topology — which lets spectral quantities be cached safely.
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,9 +65,6 @@ class Graph:
             raise GraphConstructionError("duplicate edges are not allowed")
 
         m = edge_list.shape[0]
-        self._n = int(n)
-        self._m = int(m)
-        self.name = name or f"graph(n={n},m={m})"
 
         # Build CSR: lexsort the doubled edge list by (source, target) so
         # each adjacency slice comes out sorted without per-vertex sorts.
@@ -79,15 +76,51 @@ class Graph:
         indptr = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=indptr[1:])
 
-        self._indptr = indptr
-        self._indices = indices
-        self._indptr.setflags(write=False)
-        self._indices.setflags(write=False)
-        self._degrees = None
         edge_array = np.stack([lo, hi], axis=1) if m else np.empty((0, 2), dtype=np.int64)
         order = np.lexsort((edge_array[:, 1], edge_array[:, 0])) if m else np.array([], dtype=np.int64)
-        self._edge_array = edge_array[order]
-        self._edge_array.setflags(write=False)
+        self._adopt(n, indptr, indices, edge_array[order], None, name or f"graph(n={n},m={m})")
+
+    @classmethod
+    def _from_csr(
+        cls,
+        n: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        edge_array: np.ndarray,
+        degrees: Optional[np.ndarray],
+        name: str,
+    ) -> "Graph":
+        """Adopt canonical CSR arrays as they are, skipping canonicalisation.
+
+        For internal producers that already hold canonical arrays — every
+        ``indices`` row sorted, ``edge_array`` lexicographically sorted
+        ``u < v`` rows — such as churn, which patches a few rows of a
+        parent graph and shares its ``indptr`` and ``degrees``.  The
+        caller is responsible for their validity; outside input goes
+        through the validating public constructor.
+        """
+        graph = cls.__new__(cls)
+        graph._adopt(n, indptr, indices, edge_array, degrees, name)
+        return graph
+
+    def _adopt(
+        self,
+        n: int,
+        indptr: np.ndarray,
+        indices: np.ndarray,
+        edge_array: np.ndarray,
+        degrees: Optional[np.ndarray],
+        name: str,
+    ) -> None:
+        self._n = int(n)
+        self._m = int(edge_array.shape[0])
+        self.name = name
+        self._indptr = indptr
+        self._indices = indices
+        self._edge_array = edge_array
+        self._degrees = degrees
+        for array in (indptr, indices, edge_array):
+            array.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Basic properties

@@ -4,6 +4,10 @@
 #
 # Runs E1 (--quick) once per backend — loop, block, compiled — and
 # byte-compares the JSON reports pairwise against the loop reference.
+# E1 runs on the count engine, so E11 (run_div on star and lollipop
+# graphs) adds a static-graph run_div report: under block its runs
+# commit whole windows around run_div's two-adjacent mark, under loop
+# they step one pair at a time, and the reports must not differ.
 # Then repeats the comparison for the non-static substrate scenarios:
 # E17 (zealots: frozen vertices through every commit path) and E18
 # (edge churn: epoch-crossing runs with scheduler cache rebuilds) —
@@ -29,9 +33,10 @@ else
     say "numba not installed - compiled leg skipped (would resolve to block)"
 fi
 
-# E1: the static-substrate reference comparison. E17/E18: zealots and
-# edge churn — the scenario legs added with the substrate contract.
-EXPERIMENTS="E1 E17 E18"
+# E1 and E11: the static-substrate reference comparisons (count engine
+# and run_div). E17/E18: zealots and edge churn — the scenario legs
+# added with the substrate contract.
+EXPERIMENTS="E1 E11 E17 E18"
 
 for experiment in $EXPERIMENTS; do
     for kernel in $KERNELS; do

@@ -17,7 +17,12 @@ from repro.core.observers import EngineObserver, FirstTimeTracker
 from repro.core.results import BaseRunResult
 from repro.core.schedulers import make_scheduler
 from repro.core.state import OpinionState
-from repro.core.stopping import StopLike, frozen_consensus, make_stop_condition
+from repro.core.stopping import (
+    StopLike,
+    frozen_consensus,
+    make_stop_condition,
+    two_adjacent,
+)
 from repro.core.substrate import SubstrateLike, as_substrate
 from repro.graphs.graph import Graph
 from repro.rng import RngLike
@@ -97,9 +102,11 @@ def run_div(
         Extra observers, e.g. :class:`~repro.core.observers.WeightTrace`.
     kernel:
         Execution backend (``"auto"``, ``"loop"`` or ``"block"``); see
-        :func:`repro.core.engine.run_dynamics`. Note ``run_div`` always
-        tracks the two-adjacent hitting time through a change observer,
-        so the block kernel runs in its exact replay mode here.
+        :func:`repro.core.engine.run_dynamics`. ``run_div`` tracks the
+        two-adjacent hitting time with a :class:`FirstTimeTracker` mark,
+        which the block kernel reconstructs from its committed windows,
+        so plain runs stay on its vectorized path (an opaque change
+        observer in ``observers`` still forces its replay mode).
     frozen:
         Optional zealot specification — a boolean mask of length ``n``
         or a sequence of vertex ids whose opinions never change (see
@@ -118,7 +125,7 @@ def run_div(
         stop = frozen_consensus(state)
     initial_mean = state.mean()
     initial_weighted_mean = state.weighted_mean()
-    tracker = FirstTimeTracker(lambda s: s.is_two_adjacent, label="two_adjacent")
+    tracker = FirstTimeTracker(two_adjacent, label="two_adjacent")
     result = run_dynamics(
         state,
         make_scheduler(substrate, process),

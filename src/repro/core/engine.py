@@ -93,8 +93,8 @@ def run_dynamics(
     rng:
         Seed or generator; ``None`` draws fresh entropy.
     max_steps:
-        Hard step budget. Mandatory when ``stop`` can never fire
-        (e.g. ``"never"``).
+        Hard step budget (``>= 0``). Mandatory when ``stop`` can never
+        fire (e.g. ``"never"``).
     observers:
         Objects implementing the sampled and/or change observer hooks.
     block_size:
@@ -113,6 +113,8 @@ def run_dynamics(
     generator = make_rng(rng)
     if block_size < 1:
         raise ProcessError(f"block_size must be >= 1, got {block_size}")
+    if max_steps is not None and max_steps < 0:
+        raise ProcessError(f"max_steps must be >= 0, got {max_steps}")
 
     sampled = [obs for obs in observers if hasattr(obs, "sample")]
     change_observers = [obs for obs in observers if hasattr(obs, "on_change")]

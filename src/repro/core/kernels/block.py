@@ -36,7 +36,10 @@ still vectorized and whose no-change steps are skipped, but each
 segment's changes are committed one at a time with observers and the
 stop condition evaluated in between — exact for any observer or
 condition.  Sampled observers are handled without replay by clipping
-windows and segments at their next due step.
+windows and segments at their next due step, and *marks* — change
+observers that publish :class:`StopTerm` clauses plus a ``mark(step)``
+hook, like ``run_div``'s two-adjacent tracker — by finding their first
+firing change in the same timeline the stop is reconstructed from.
 """
 
 from __future__ import annotations
@@ -145,6 +148,24 @@ def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     return False
 
 
+def _is_mark(observer) -> bool:
+    """Whether ``observer`` follows the mark contract.
+
+    A mark publishes ``support_range_terms`` and a ``mark(step)`` hook
+    (see :class:`~repro.core.observers.FirstTimeTracker`): the kernel
+    reconstructs its first firing step from each committed window's
+    support/width timeline instead of replaying every change to it.
+    """
+    return support_range_terms(observer) is not None and callable(
+        getattr(observer, "mark", None)
+    )
+
+
+def _gate_terms(terms: Sequence[StopTerm], pending_marks) -> List[StopTerm]:
+    """The clauses a window must be able to fire to need its timeline."""
+    return list(terms) + [term for _, mark_terms in pending_marks for term in mark_terms]
+
+
 class BlockKernel:
     """Vectorized execution of conflict-free scheduler windows."""
 
@@ -160,9 +181,9 @@ class BlockKernel:
         block_size = ctx.block_size
         sampled = ctx.sampled
         intervals = ctx.intervals
-        change_observers = ctx.change_observers
         terms = support_range_terms(stop_condition)
-        replay = bool(change_observers) or terms is None
+        marks = [obs for obs in ctx.change_observers if _is_mark(obs)]
+        replay = terms is None or len(marks) < len(ctx.change_observers)
 
         for obs in sampled:
             obs.sample(0, state)
@@ -181,10 +202,15 @@ class BlockKernel:
         mask_v = np.empty(block_size, dtype=np.bool_)
         mask_w = np.empty(block_size, dtype=np.bool_)
         lookahead = _MIN_LOOKAHEAD
-        # Without sampled observers nothing can read the degree-weighted
-        # aggregates mid-run, so their bookkeeping is deferred to the
-        # first read after the run (bit-identical, see apply_block).
-        defer_weights = not sampled
+        # Unless a sampled observer can read the degree-weighted
+        # aggregates mid-run (marks read only support and width), their
+        # bookkeeping is deferred to the first read after the run
+        # (bit-identical, see apply_block).
+        defer_weights = all(_is_mark(obs) for obs in sampled)
+        # Unfired marks, each with its clauses; a mark leaves the list
+        # once its first firing step is recorded.
+        pending_marks = [(obs, support_range_terms(obs)) for obs in marks]
+        gate_terms = [] if replay else _gate_terms(terms, pending_marks)
 
         reason = stop_condition(state)
         step = 0
@@ -275,7 +301,7 @@ class BlockKernel:
                         new_values = new_values[:kept]
                 pending = int(targets.size)
                 if pending:
-                    if _may_fire(state, pending, terms):
+                    if _may_fire(state, pending, gate_terms):
                         old_values = state.values[targets]
                         support_sizes, range_widths = state.support_range_timeline(
                             old_values, new_values
@@ -283,6 +309,22 @@ class BlockKernel:
                         fire_index, fire_reason = _first_fire(
                             terms, support_sizes, range_widths
                         )
+                        if pending_marks:
+                            # Marks see only the changes that commit; one
+                            # firing at the stop's own change is recorded,
+                            # as the loop calls on_change before the stop.
+                            end = pending if fire_index is None else fire_index + 1
+                            unfired = []
+                            for obs, mark_terms in pending_marks:
+                                mark_index, _ = _first_fire(
+                                    mark_terms, support_sizes[:end], range_widths[:end]
+                                )
+                                if mark_index is None:
+                                    unfired.append((obs, mark_terms))
+                                else:
+                                    obs.mark(base + pos + int(positions[mark_index]) + 1)
+                            pending_marks = unfired
+                            gate_terms = _gate_terms(terms, pending_marks)
                         if fire_index is not None:
                             kept = fire_index + 1
                             state.apply_block(

@@ -20,6 +20,7 @@ from typing import Iterator, List, Optional, Protocol, Tuple, Union, runtime_che
 import numpy as np
 
 from repro.core.state import OpinionState
+from repro.core.stopping import support_range_terms
 from repro.errors import ProcessError
 
 #: Interval so large that sampled hooks fire only at step 0 and the end.
@@ -319,6 +320,28 @@ class FirstTimeTracker:
 
     Example: time to reach the two-adjacent stage (the ``τ`` of
     Theorem 1) on a run that continues to full consensus.
+
+    ``predicate`` is any truthy-on-hit callable of the state — a plain
+    boolean predicate or a stopping condition, whose reason string
+    counts as a hit.  Built from a stopping condition that publishes
+    :class:`~repro.core.stopping.StopTerm` clauses (e.g.
+    :func:`repro.core.stopping.two_adjacent`), the tracker is a
+    *mark*: it exposes those clauses as ``support_range_terms`` next
+    to its :meth:`mark` hook.  The mark contract, which the block
+    kernel relies on to keep such runs off its per-change replay path:
+
+    * the clauses fire exactly where ``predicate`` holds, so the
+      kernel can find the first firing change inside a committed
+      window from the support/width timeline and call ``mark(step)``
+      instead of ``on_change`` after every change;
+    * ``mark(step)`` records the step only if none was recorded yet
+      (the endpoint ``sample`` checks step 0, so a kernel may report
+      a later hit of an already-marked predicate);
+    * every hook reads only the state's support size and range width,
+      so the kernel may keep deferring degree-weight bookkeeping.
+
+    Kernels without a window fast path simply call ``on_change``, which
+    records the same step.
     """
 
     interval = ENDPOINTS_ONLY
@@ -327,12 +350,20 @@ class FirstTimeTracker:
         self.predicate = predicate
         self.label = label
         self.first_step: Optional[int] = None
+        terms = support_range_terms(predicate)
+        if terms is not None:
+            self.support_range_terms = terms
 
     def sample(self, step: int, state: OpinionState) -> None:
         self._check(step, state)
 
     def on_change(self, step: int, v: int, w: int, state: OpinionState) -> None:
         self._check(step, state)
+
+    def mark(self, step: int) -> None:
+        """Record ``step`` as the first hit unless one is recorded."""
+        if self.first_step is None:
+            self.first_step = step
 
     def _check(self, step: int, state: OpinionState) -> None:
         if self.first_step is None and self.predicate(state):

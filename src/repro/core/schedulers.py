@@ -31,6 +31,7 @@ bit-for-bit kernel-equivalence guarantee (see ``docs/scenarios.md``).
 
 from __future__ import annotations
 
+import math
 from typing import Optional, Protocol, Tuple
 
 import numpy as np
@@ -159,8 +160,8 @@ class BiasedScheduler(_EpochCached):
     def __init__(
         self, source: SubstrateLike, state: OpinionState, bias: float = 1.0
     ) -> None:
-        if bias < -1.0:
-            raise ProcessError(f"bias must be >= -1 (got {bias}): "
+        if not math.isfinite(bias) or bias < -1.0:
+            raise ProcessError(f"bias must be finite and >= -1 (got {bias}): "
                                "weights 1 + bias·dist must stay non-negative")
         self.state = state
         self.bias = float(bias)

@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import WeightTrace, run_div
 from repro.core.div import counts_to_opinions, expected_consensus_average
+from repro.errors import ProcessError
 from repro.graphs import complete_graph, star_graph
 
 
@@ -37,6 +38,14 @@ class TestRunDiv:
         assert result.steps == 13
         assert result.stop_reason == "max_steps"
         assert result.winner is None
+
+    def test_negative_max_steps_rejected(self, small_complete):
+        with pytest.raises(ProcessError, match="max_steps"):
+            run_div(small_complete, [1, 2] * 4, max_steps=-5, rng=1)
+
+    def test_zero_max_steps_is_legal(self, small_complete):
+        result = run_div(small_complete, [1, 2] * 4, max_steps=0, rng=1)
+        assert (result.steps, result.stop_reason) == (0, "max_steps")
 
     def test_deterministic(self, small_complete):
         opinions = [1, 2, 3, 4, 1, 2, 3, 4]

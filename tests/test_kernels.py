@@ -33,6 +33,7 @@ from repro.core import (
     frozen_consensus,
     run_dynamics,
 )
+from repro.core.div import run_div
 from repro.core.kernels import (
     BlockKernel,
     CompiledKernel,
@@ -58,7 +59,13 @@ from repro.core.stopping import (
     two_adjacent,
 )
 from repro.errors import ProcessError
-from repro.graphs import complete_graph, random_regular_graph
+from repro.graphs import (
+    complete_graph,
+    cycle_graph,
+    lollipop_graph,
+    random_regular_graph,
+    star_graph,
+)
 from repro.rng import make_rng
 
 
@@ -350,6 +357,145 @@ class TestScenarioEquivalenceSweep:
             np.testing.assert_array_equal(
                 other.state.values, reference.state.values
             )
+
+
+#: Topologies of the mark sweep: an expander, a hub (windows of about
+#: one pair), a clique-plus-path and a slow-mixing cycle.
+MARK_GRAPHS = [
+    pytest.param(lambda: random_regular_graph(40, 4, rng=2), id="regular40"),
+    pytest.param(lambda: star_graph(25), id="star25"),
+    pytest.param(lambda: lollipop_graph(7, 9), id="lollipop7_9"),
+    pytest.param(lambda: cycle_graph(18), id="cycle18"),
+]
+
+
+def _mark_case(case, graph, seed):
+    """``(graph, opinions, run_div kwargs, extra observer factories)``."""
+    opinions = make_rng(seed).integers(0, 6, size=graph.n)
+    kwargs, extra = {}, ()
+    if case == "adjacent_at_start":
+        opinions = 3 + (opinions % 2)
+    elif case == "stop_two_adjacent":
+        # The mark fires at the very change that stops the run.
+        kwargs["stop"] = "two_adjacent"
+    elif case == "max_steps_cut":
+        opinions = np.where(np.arange(graph.n) % 2 == 0, 0, 8)
+        kwargs["max_steps"] = 7
+    elif case == "zealots":
+        opinions[[0, graph.n - 1]] = [2, 3]
+        kwargs.update(frozen=[0, graph.n - 1], stop="frozen_consensus")
+    elif case == "churn":
+        graph = Substrate(graph, ChurnPlan(period=60, swaps=4, seed=seed + 5))
+    elif case == "never":
+        kwargs.update(stop="never", max_steps=3_000)
+    elif case == "change_log":
+        extra = (ChangeLog,)
+    return graph, opinions, kwargs, extra
+
+
+def run_div_all_kernels(graph_factory, process, case, seed):
+    """One ``run_div`` configuration under every kernel: the outcomes
+    plus each run's extra observers."""
+    outcomes, observer_sets = [], []
+    with interpreted_compiled():
+        for kernel in SWEEP_KERNELS:
+            graph, opinions, kwargs, extra = _mark_case(case, graph_factory(), seed)
+            observers = [factory() for factory in extra]
+            result = run_div(
+                graph,
+                opinions,
+                process=process,
+                rng=seed + 1,
+                observers=observers,
+                kernel=kernel,
+                **kwargs,
+            )
+            outcomes.append(
+                (
+                    result.steps,
+                    result.stop_reason,
+                    result.winner,
+                    result.two_adjacent_step,
+                    result.state.values.tolist(),
+                )
+            )
+            observer_sets.append(observers)
+    return outcomes, observer_sets
+
+
+class TestMarkEquivalence:
+    """``run_div``'s two-adjacent tracker is a *mark*: the block kernel
+    reconstructs its first firing step from committed windows instead
+    of replaying every change, and must agree with the loop anyway."""
+
+    @pytest.mark.parametrize("graph_factory", MARK_GRAPHS)
+    @pytest.mark.parametrize("process", ["vertex", "edge"])
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "consensus",
+            "adjacent_at_start",
+            "stop_two_adjacent",
+            "max_steps_cut",
+            "zealots",
+            "churn",
+            "never",
+            "change_log",
+        ],
+    )
+    def test_run_div_bit_identical_across_kernels(self, graph_factory, process, case):
+        outcomes, observer_sets = run_div_all_kernels(graph_factory, process, case, seed=3)
+        assert outcomes[1:] == outcomes[:1] * (len(outcomes) - 1)
+        steps, reason, _, two_adjacent_step, _ = outcomes[0]
+        if case == "adjacent_at_start":
+            assert two_adjacent_step == 0
+        elif case == "max_steps_cut":
+            assert (reason, two_adjacent_step) == ("max_steps", None)
+        elif case == "stop_two_adjacent":
+            assert two_adjacent_step == steps
+        elif reason != "max_steps":
+            assert two_adjacent_step is not None
+            assert two_adjacent_step <= steps
+        if case == "change_log":
+            logs = [observers[0].entries for observers in observer_sets]
+            assert logs[0] and logs[1:] == logs[:1] * (len(logs) - 1)
+
+    def test_mark_in_same_window_as_consensus(self, monkeypatch):
+        # Lone holders of 1 and 3 among 2s: the first to step inward
+        # fires the mark, the other consensus; neither reads the other,
+        # so both changes can commit in one window.
+        timelines = []
+        timeline = OpinionState.support_range_timeline
+
+        def recording(self, old_values, new_values):
+            sizes, widths = timeline(self, old_values, new_values)
+            timelines.append(sizes.tolist())
+            return sizes, widths
+
+        monkeypatch.setattr(OpinionState, "support_range_timeline", recording)
+        graph = complete_graph(30)
+        opinions = [1] + [2] * 28 + [3]
+        loop = run_div(graph, opinions, rng=0, kernel="loop")
+        block = run_div(graph, opinions, rng=0, kernel="block")
+        assert timelines == [[2, 1]]
+        assert 0 < loop.two_adjacent_step < loop.steps
+        assert (block.steps, block.two_adjacent_step, block.winner) == (
+            loop.steps,
+            loop.two_adjacent_step,
+            loop.winner,
+        )
+
+    @pytest.mark.parametrize("process", ["vertex", "edge"])
+    def test_plain_run_div_never_replays(self, monkeypatch, process):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("run_div fell back to per-change replay")
+
+        monkeypatch.setattr(BlockKernel, "_replay_segment", staticmethod(forbidden))
+        graph = random_regular_graph(40, 4, rng=2)
+        opinions = make_rng(1).integers(0, 6, size=graph.n)
+        result = run_div(graph, opinions, process=process, rng=4, kernel="block")
+        assert result.stop_reason == "consensus"
+        assert result.two_adjacent_step is not None
 
 
 class TestConflictFreeBounds:

@@ -203,6 +203,12 @@ class TestBiasedScheduler:
         with pytest.raises(ProcessError, match="bias"):
             BiasedScheduler(small_complete, state, bias=-1.5)
 
+    @pytest.mark.parametrize("bias", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_non_finite_bias(self, small_complete, bias):
+        state = OpinionState(small_complete, [1] * 8)
+        with pytest.raises(ProcessError, match="bias"):
+            BiasedScheduler(small_complete, state, bias=bias)
+
 
 class TestAdversarialScheduler:
     def test_pairs_are_adjacent(self, any_graph, rng):

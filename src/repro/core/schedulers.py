@@ -138,7 +138,23 @@ class EdgeScheduler(_EpochCached):
         return f"EdgeScheduler({self.graph.name})"
 
 
-class BiasedScheduler(_EpochCached):
+class _StateBound(_EpochCached):
+    """A vertex-process scheduler that reads the engine's live state."""
+
+    def __init__(self, source: SubstrateLike, state: OpinionState) -> None:
+        self.state = state
+        super().__init__(source)
+        if state.n != self.substrate.graph.n:
+            raise ProcessError(
+                f"{type(self).__name__} was given a state over {state.n} "
+                f"vertices but its graph has {self.substrate.graph.n}; bind "
+                f"it to the engine's live state on the same graph"
+            )
+
+    _rebuild = VertexScheduler._rebuild
+
+
+class BiasedScheduler(_StateBound):
     """A vertex process whose updating vertex is biased toward extremes.
 
     The updating vertex ``v`` is drawn with probability proportional to
@@ -163,15 +179,8 @@ class BiasedScheduler(_EpochCached):
         if not math.isfinite(bias) or bias < -1.0:
             raise ProcessError(f"bias must be finite and >= -1 (got {bias}): "
                                "weights 1 + bias·dist must stay non-negative")
-        self.state = state
         self.bias = float(bias)
-        super().__init__(source)
-
-    def _rebuild(self, graph: Graph) -> None:
-        if graph.m == 0 or np.any(graph.degrees == 0):
-            raise ProcessError("the vertex process needs every vertex to have a neighbour")
-        self._cached = graph
-        self._degrees = graph.degrees
+        super().__init__(source, state)
 
     def draw_block(
         self, rng: np.random.Generator, size: int
@@ -198,7 +207,7 @@ class BiasedScheduler(_EpochCached):
         return f"BiasedScheduler({self.graph.name}, bias={self.bias})"
 
 
-class AdversarialScheduler(_EpochCached):
+class AdversarialScheduler(_StateBound):
     """A worst-case probe: interior vertices are shown extreme neighbours.
 
     Starts from a plain vertex-process draw; then, independently with
@@ -214,6 +223,12 @@ class AdversarialScheduler(_EpochCached):
     consumes engine randomness, the redirect target is a deterministic
     function of the state, and every kernel sees the same state at every
     block draw.
+
+    The redirect targets of a whole block are found in one vectorized
+    pass — a segmented argmax over the redirected vertices' CSR rows —
+    so the tie rule is exactly "first neighbour in CSR order" on every
+    graph, regular or not.  Targets are read from the state as it stands
+    when the block is drawn, not when each pair is applied.
     """
 
     def __init__(
@@ -221,15 +236,8 @@ class AdversarialScheduler(_EpochCached):
     ) -> None:
         if not 0.0 <= strength <= 1.0:
             raise ProcessError(f"strength must be in [0, 1], got {strength}")
-        self.state = state
         self.strength = float(strength)
-        super().__init__(source)
-
-    def _rebuild(self, graph: Graph) -> None:
-        if graph.m == 0 or np.any(graph.degrees == 0):
-            raise ProcessError("the vertex process needs every vertex to have a neighbour")
-        self._cached = graph
-        self._degrees = graph.degrees
+        super().__init__(source, state)
 
     def draw_block(
         self, rng: np.random.Generator, size: int
@@ -243,19 +251,30 @@ class AdversarialScheduler(_EpochCached):
             redirect = rng.random(size) < self.strength
             hits = np.flatnonzero(redirect)
             if hits.size:
-                state = self.state
-                values = state.values
-                centre = state.min_opinion + state.max_opinion
-                indptr = graph.indptr
-                indices = graph.indices
-                w = w.copy() if not w.flags.writeable else w
-                for idx in hits.tolist():
-                    nbrs = indices[indptr[v[idx]] : indptr[v[idx] + 1]]
-                    # Farthest-from-centre neighbour; argmax takes the
-                    # first on ties, keeping the choice deterministic.
-                    extremity = np.abs(2 * values[nbrs] - centre)
-                    w[idx] = nbrs[int(np.argmax(extremity))]
+                w[hits] = self._farthest_neighbours(graph, v[hits])
         return v, w
+
+    def _farthest_neighbours(self, graph: Graph, vertices: np.ndarray) -> np.ndarray:
+        """Each vertex's farthest-from-centre neighbour, first in CSR order on ties.
+
+        One segmented argmax over the concatenated CSR rows: the rows'
+        extremities are reduced per row with ``maximum.reduceat``, then
+        ``minimum.reduceat`` over the positions holding that maximum
+        picks each row's first one — ``argmax``'s tie rule.
+        """
+        state = self.state
+        centre = state.min_opinion + state.max_opinion
+        lengths = self._degrees[vertices]
+        ends = np.cumsum(lengths)
+        row_start = ends - lengths
+        # flat[row_start[r] + j] is the CSR position of row r's j-th neighbour.
+        flat = np.arange(ends[-1]) + np.repeat(graph.indptr[vertices] - row_start, lengths)
+        extremity = np.abs(2 * state.values[graph.indices[flat]] - centre)
+        row_max = np.maximum.reduceat(extremity, row_start)
+        is_max = extremity == np.repeat(row_max, lengths)
+        # Non-maximal positions get a sentinel past every CSR position.
+        first = np.minimum.reduceat(np.where(is_max, flat, graph.indices.size), row_start)
+        return graph.indices[first]
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"AdversarialScheduler({self.graph.name}, strength={self.strength})"
@@ -270,16 +289,20 @@ def make_scheduler(
 ) -> Scheduler:
     """Build the scheduler for a process name.
 
-    ``"vertex"`` and ``"edge"`` are the paper's neutral rules and need
-    no state.  ``"biased"`` and ``"adversarial"`` are the scenario
-    probes; they require ``state`` (the engine's live state) and accept
+    ``"vertex"`` and ``"edge"`` are the paper's neutral rules; they need
+    no state and refuse ``strength``.  ``"biased"`` and ``"adversarial"``
+    are the scenario probes; they require ``state`` (the engine's live
+    state, over the same vertex set as ``source``) and accept
     ``strength`` — the bias coefficient for ``"biased"``, the redirect
     probability for ``"adversarial"``.
     """
-    if process == "vertex":
-        return VertexScheduler(source)
-    if process == "edge":
-        return EdgeScheduler(source)
+    if process in ("vertex", "edge"):
+        if strength is not None:
+            raise ProcessError(
+                f"the {process!r} process is one of the paper's neutral rules "
+                f"and takes no strength (got {strength})"
+            )
+        return VertexScheduler(source) if process == "vertex" else EdgeScheduler(source)
     if process in ("biased", "adversarial"):
         if state is None:
             raise ProcessError(

@@ -18,7 +18,14 @@ from repro.core import (
     make_scheduler,
 )
 from repro.errors import ProcessError
-from repro.graphs import Graph, lollipop_graph, path_graph, star_graph
+from repro.graphs import (
+    Graph,
+    complete_graph,
+    lollipop_graph,
+    path_graph,
+    random_regular_graph,
+    star_graph,
+)
 from repro.rng import make_rng
 
 
@@ -111,6 +118,11 @@ class TestFactory:
         for process in ("biased", "adversarial"):
             with pytest.raises(ProcessError, match="state"):
                 make_scheduler(small_complete, process)
+
+    @pytest.mark.parametrize("process", ["vertex", "edge"])
+    def test_neutral_processes_refuse_strength(self, small_complete, process):
+        with pytest.raises(ProcessError, match="strength"):
+            make_scheduler(small_complete, process, strength=0.9)
 
     def test_scenario_schedulers_constructed(self, small_complete):
         state = OpinionState(small_complete, [1, 2, 3, 4, 5, 1, 2, 3])
@@ -250,6 +262,96 @@ class TestAdversarialScheduler:
         state = OpinionState(small_complete, [1] * 8)
         with pytest.raises(ProcessError, match="strength"):
             AdversarialScheduler(small_complete, state, strength=1.2)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda graph, state: BiasedScheduler(graph, state, bias=1.0),
+        lambda graph, state: AdversarialScheduler(graph, state, strength=0.5),
+    ],
+    ids=["biased", "adversarial"],
+)
+def test_state_bound_scheduler_rejects_foreign_vertex_set(build):
+    state = OpinionState(complete_graph(9), [1, 2, 3, 4, 5, 1, 2, 3, 4])
+    with pytest.raises(ProcessError, match="9 vertices"):
+        build(complete_graph(8), state)
+
+
+def reference_adversarial_draw(scheduler, rng, size):
+    """The per-pair redirect loop, kept as the naive reference.
+
+    Same RNG calls in the same order as ``AdversarialScheduler``; each
+    redirected pair scans its CSR row and takes ``argmax``'s first
+    farthest-from-centre neighbour.
+    """
+    graph = scheduler.graph
+    v = rng.integers(0, graph.n, size=size)
+    offsets = rng.integers(0, graph.degrees[v])
+    w = graph.indices[graph.indptr[v] + offsets]
+    redirect = rng.random(size) < scheduler.strength
+    values = scheduler.state.values
+    centre = scheduler.state.min_opinion + scheduler.state.max_opinion
+    for idx in np.flatnonzero(redirect).tolist():
+        nbrs = graph.indices[graph.indptr[v[idx]] : graph.indptr[v[idx] + 1]]
+        w[idx] = nbrs[int(np.argmax(np.abs(2 * values[nbrs] - centre)))]
+    return v, w
+
+
+def churned_regular():
+    """RR(40, 6) after a few ChurnPlan rewirings; the scheduler's
+    construction-time rebuild() snapshots the rewired epoch."""
+    substrate = Substrate(
+        random_regular_graph(40, 6, rng=5), ChurnPlan(period=10, swaps=12, seed=3)
+    )
+    for step in range(10, 60, 10):
+        substrate.advance_to(step)
+    assert substrate.epoch > 0
+    return substrate
+
+
+class TestAdversarialRedirectDifferential:
+    """The vectorized redirect against the per-pair loop, draw for draw."""
+
+    GRAPHS = {
+        "star": lambda: star_graph(9),
+        "lollipop": lambda: lollipop_graph(6, 5),
+        "path": lambda: path_graph(12),
+        "complete": lambda: complete_graph(10),
+        "churned_rr": churned_regular,
+    }
+
+    @staticmethod
+    def _opinions(kind, n):
+        if kind == "spread":
+            return make_rng(n).integers(1, 8, size=n)
+        if kind == "extremes":  # every opinion at one of the two extremes
+            return np.where(np.arange(n) % 3 == 0, 1, 7)
+        return np.full(n, 4)  # a single opinion: min == max
+
+    @pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+    @pytest.mark.parametrize("opinions", ["spread", "extremes", "single"])
+    @pytest.mark.parametrize("strength", [0.3, 1.0])
+    def test_matches_per_pair_loop(self, graph_name, opinions, strength):
+        source = self.GRAPHS[graph_name]()
+        graph = source.graph if isinstance(source, Substrate) else source
+        state = OpinionState(graph, self._opinions(opinions, graph.n))
+        scheduler = AdversarialScheduler(source, state, strength=strength)
+        for size in (1, 7, 8192):
+            v, w = scheduler.draw_block(make_rng(size), size)
+            v_ref, w_ref = reference_adversarial_draw(scheduler, make_rng(size), size)
+            assert np.array_equal(v, v_ref)
+            assert np.array_equal(w, w_ref), (graph_name, opinions, strength, size)
+
+    def test_tie_shows_first_neighbour_in_csr_order(self):
+        # Hub 0 sits at the centre; its leaves alternate between the two
+        # extremes, so every neighbour is equally far from the centre.
+        graph = star_graph(7)
+        state = OpinionState(graph, [4, 1, 7, 1, 7, 1, 7])
+        scheduler = AdversarialScheduler(graph, state, strength=1.0)
+        v, w = scheduler.draw_block(make_rng(0), 2000)
+        assert np.any(v == 0)
+        assert np.all(w[v == 0] == graph.indices[graph.indptr[0]])
 
 
 class TestEpochStaleness:

@@ -33,11 +33,11 @@ ENV_VAR = "DIV_REPRO_BENCH_JSONL"
 _REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
-def git_sha():
-    """Short commit hash of the benchmarked tree, or None outside git."""
+def _git(*args):
+    """Stdout of one git command in the repo root, or None outside git."""
     try:
         completed = subprocess.run(
-            ["git", "rev-parse", "--short", "HEAD"],
+            ["git", *args],
             capture_output=True,
             text=True,
             cwd=_REPO_ROOT,
@@ -45,8 +45,23 @@ def git_sha():
         )
     except (OSError, subprocess.SubprocessError):
         return None
-    sha = completed.stdout.strip()
+    return completed.stdout if completed.returncode == 0 else None
+
+
+def git_sha():
+    """Short commit hash of the benchmarked tree, or None outside git."""
+    sha = (_git("rev-parse", "--short", "HEAD") or "").strip()
     return sha or None
+
+
+def git_dirty():
+    """Whether tracked files differ from ``HEAD`` (None outside git).
+
+    A dirty tree is not the commit ``git_sha`` names, so a snapshot
+    taken from one must say so.
+    """
+    status = _git("status", "--porcelain", "--untracked-files=no")
+    return None if status is None else bool(status.strip())
 
 
 def emit(name, *, wall_seconds, mean_seconds=None, params=None, steps=None):
@@ -108,6 +123,7 @@ def consolidate(records_path, out_path):
         "format": "div-repro-bench-snapshot",
         "generated": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": git_sha(),
+        "dirty": git_dirty(),
         "benchmarks": records,
     }
     Path(out_path).write_text(
@@ -121,7 +137,7 @@ def main(argv):
         payload = consolidate(argv[2], argv[3])
         print(
             f"[wrote {argv[3]}: {len(payload['benchmarks'])} benchmark(s) "
-            f"at {payload['git_sha']}]"
+            f"at {payload['git_sha']}{' (dirty)' if payload['dirty'] else ''}]"
         )
         return 0
     print(

@@ -2,12 +2,16 @@
 # Kernel-equivalence drill: the same experiment must produce
 # byte-identical reports under every execution kernel.
 #
-# Runs E1 (--quick) once per backend — loop, block, compiled — and
-# byte-compares the JSON reports pairwise against the loop reference.
-# E1 runs on the count engine, so E11 (run_div on star and lollipop
-# graphs) adds a static-graph run_div report: under block its runs
-# commit whole windows around run_div's two-adjacent mark, under loop
-# they step one pair at a time, and the reports must not differ.
+# Runs E1 (--quick) once per backend — loop, block, auto, compiled —
+# and byte-compares the JSON reports pairwise against the loop
+# reference. The auto leg picks loop or block per run by the
+# scheduler's expected window (`RunResult.kernel_reason` says which and
+# why), so its reports must match the fixed legs byte for byte; E2
+# runs DIV on every graph class. E1 runs on the count engine, so E11
+# (run_div on star and lollipop graphs) adds a static-graph run_div
+# report: under block its runs commit whole windows around run_div's
+# two-adjacent mark, under loop they step one pair at a time, and the
+# reports must not differ.
 # Then repeats the comparison for the non-static substrate scenarios:
 # E17 (zealots: frozen vertices through every commit path) and E18
 # (edge churn: epoch-crossing runs with scheduler cache rebuilds) —
@@ -30,17 +34,18 @@ export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 
 say() { echo "[kernel-drill] $*"; }
 
-KERNELS="loop block"
+KERNELS="loop block auto"
 if python -c "import sys; from repro.core.kernels import NUMBA_AVAILABLE; sys.exit(0 if NUMBA_AVAILABLE else 1)"; then
     KERNELS="$KERNELS compiled"
 else
     say "numba not installed - compiled leg skipped (would resolve to block)"
 fi
 
-# E1 and E11: the static-substrate reference comparisons (count engine
-# and run_div). E17/E18: zealots and edge churn — the scenario legs
-# added with the substrate contract.
-EXPERIMENTS="E1 E11 E17 E18 E19"
+# E1, E2 and E11: the static-substrate reference comparisons (count
+# engine, DIV across graph classes, and run_div on hubs). E17/E18:
+# zealots and edge churn — the scenario legs added with the substrate
+# contract.
+EXPERIMENTS="E1 E2 E11 E17 E18 E19"
 
 # Rewrite a report without its tables' `kernel` column (which must exist).
 strip_kernel_column() {

@@ -101,8 +101,8 @@ def run_div(
     observers:
         Extra observers, e.g. :class:`~repro.core.observers.WeightTrace`.
     kernel:
-        Execution backend (``"auto"``, ``"loop"`` or ``"block"``); see
-        :func:`repro.core.engine.run_dynamics`. ``run_div`` tracks the
+        Execution backend (``"auto"``, ``"loop"``, ``"block"`` or
+        ``"compiled"``); see :func:`repro.core.engine.run_dynamics`. ``run_div`` tracks the
         two-adjacent hitting time with a :class:`FirstTimeTracker` mark,
         which the block kernel reconstructs from its committed windows,
         so plain runs stay on its vectorized path (an opaque change

@@ -58,11 +58,19 @@ class RunResult(BaseRunResult):
         ``"block"`` or ``"compiled"`` — the resolved backend, never
         ``"auto"``; a kernel that delegated the run mid-execution
         reports the delegate, see :class:`KernelRun`).
+    kernel_reason:
+        Why that kernel ran: the origin of the choice (an explicit
+        ``kernel=``, an ambient ``use_kernel``, or ``"auto"``'s cost
+        estimate) followed by each degradation applied, e.g.
+        ``"auto: window 3.0 < 10"`` or
+        ``"kernel='block'; dynamics has no step_block"``; see
+        :func:`repro.core.kernels.resolve_kernel`.
     """
 
     steps: int
     state: OpinionState
     kernel: str = "loop"
+    kernel_reason: str = ""
 
 
 def run_dynamics(
@@ -99,14 +107,23 @@ def run_dynamics(
         Objects implementing the sampled and/or change observer hooks.
     block_size:
         Interaction pairs drawn per RNG block (identical across kernels,
-        which is what keeps their random streams in lockstep).
+        which is what keeps their random streams in lockstep). It is not
+        a pure RNG grouping for the state-bound schedulers
+        (:class:`~repro.core.schedulers.BiasedScheduler`,
+        :class:`~repro.core.schedulers.AdversarialScheduler`): they read
+        the state once per drawn block, so their pairs follow the state
+        as it stood at the block's first step.
     kernel:
         Execution backend: ``"loop"``, ``"block"``, ``"compiled"`` or
         ``"auto"`` (the default — honours the ambient
-        :func:`repro.core.kernels.use_kernel` override, then picks
-        ``"block"`` whenever the dynamics supports it). Unsatisfiable
+        :func:`repro.core.kernels.use_kernel` override, then picks by
+        cost: ``"loop"`` where the scheduler's expected conflict-free
+        window is shorter than
+        :data:`~repro.core.kernels.BLOCK_MIN_WINDOW` pairs, else
+        ``"block"`` when the dynamics supports it). Unsatisfiable
         requests degrade ``compiled -> block -> loop``; kernels are
-        bit-identical; see ``docs/kernels.md``.
+        bit-identical; the choice and its reason are recorded on the
+        result; see ``docs/kernels.md``.
     """
     dynamics = make_dynamics(dynamics)
     stop_condition: StopCondition = make_stop_condition(stop)
@@ -149,7 +166,7 @@ def run_dynamics(
     intervals = [resolve_interval(obs) for obs in sampled]
 
     engine_kernel = resolve_kernel(
-        kernel, dynamics, state=state, substrate=substrate
+        kernel, dynamics, state=state, substrate=substrate, scheduler=scheduler
     )
     ctx = KernelContext(
         state=state,
@@ -178,10 +195,14 @@ def run_dynamics(
         run = engine_kernel.execute(ctx)
 
         executed_kernel = run.kernel or engine_kernel.name
+        kernel_reason = engine_kernel.reason
+        if executed_kernel != engine_kernel.name:
+            kernel_reason += f"; {engine_kernel.name} delegated to {executed_kernel}"
         if span is not None:
             span.set(
                 engine="generic",
                 kernel=executed_kernel,
+                kernel_reason=kernel_reason,
                 steps=run.steps,
                 stop_reason=run.stop_reason,
                 opinion_changes=run.changes,
@@ -200,4 +221,5 @@ def run_dynamics(
         stop_reason=run.stop_reason,
         state=state,
         kernel=executed_kernel,
+        kernel_reason=kernel_reason,
     )

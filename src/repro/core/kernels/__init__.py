@@ -28,14 +28,19 @@ whole campaign::
         run_trials(...)        # every engine call resolves "auto" -> block
 
 mirroring how :mod:`repro.obs.metrics` scopes its active sink. The
-default ``"auto"`` resolves to the block kernel whenever the dynamics
-supports it.
+default ``"auto"`` picks by cost: the block kernel's per-window numpy
+overhead only pays off when a conflict-free window holds enough pairs,
+so ``"auto"`` runs the loop wherever the scheduler's expected window
+(its ``expected_window()``) is below :data:`BLOCK_MIN_WINDOW`, and the
+block kernel elsewhere when the dynamics supports it. The resolved
+kernel carries a one-line ``reason`` for its choice, which the engine
+records as ``RunResult.kernel_reason``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Tuple
 
 from repro.core.dynamics import Dynamics, supports_substrate
 from repro.core.kernels.base import (
@@ -57,6 +62,7 @@ from repro.core.kernels.loop import LoopKernel
 from repro.errors import ProcessError
 
 __all__ = [
+    "BLOCK_MIN_WINDOW",
     "KERNEL_NAMES",
     "NUMBA_AVAILABLE",
     "BlockKernel",
@@ -85,6 +91,27 @@ _KERNELS = {
 
 #: Kernel specs accepted by the engine entry points.
 KERNEL_NAMES = ("auto",) + tuple(sorted(_KERNELS))
+
+#: Expected window length (pairs) from which ``"auto"`` picks the block
+#: kernel over the loop. Calibrated on ``run_div`` to consensus, k=5,
+#: 2-vCPU host; windows from the schedulers' ``expected_window()``:
+#:
+#: ================  =======  ==========================
+#: graph             window   block ÷ loop, µs per step
+#: ================  =======  ==========================
+#: star(61)          1.0      1.8–4.9
+#: lollipop(12,24)   2.3–3.0  1.0–1.5
+#: K_10              1.6      3.1–3.5
+#: K_64, RR(64,10)   4.0      2.2–2.5
+#: RR(128,10)        5.7      1.5–1.7
+#: RR(256,10)        8.0      1.08–1.13
+#: RR(512,10)        11.3     0.71–0.73
+#: RR(1000,10)       15.8     0.51
+#: RR(2000,10)       22.4     0.38
+#: ================  =======  ==========================
+#:
+#: The crossover lies between 8 and 11.3.
+BLOCK_MIN_WINDOW = 10
 
 # Ambient kernel override for ``kernel="auto"`` calls, innermost wins —
 # same scoping idiom as ``repro.obs.metrics._ACTIVE``. Note this stack
@@ -135,20 +162,28 @@ def resolve_kernel(
     *,
     state=None,
     substrate=None,
+    scheduler=None,
 ) -> ExecutionKernel:
     """Resolve a kernel spec against a concrete dynamics.
 
     ``"auto"`` consults the ambient :func:`use_kernel` override first and
-    otherwise picks the block kernel whenever the dynamics supports it
-    (``"compiled"`` is opt-in: its speed-up depends on numba being
-    installed, so ``"auto"`` stays dependency-free and predictable).
+    otherwise picks by cost. A dynamics without :meth:`step_block` runs
+    the loop. Otherwise, when ``scheduler`` has an ``expected_window()``
+    (every built-in scheduler does; the state-bound probes report the
+    neutral vertex law they propose from), a window shorter than
+    :data:`BLOCK_MIN_WINDOW` pairs runs the loop — on hubs and small
+    graphs the block kernel's fixed cost per window outweighs the
+    per-step loop — and a longer one the block kernel. Without a
+    scheduler or an estimate, ``"auto"`` picks block. ``"compiled"`` is
+    opt-in: its speed-up depends on numba being installed, so ``"auto"``
+    stays dependency-free and predictable.
+
     Unsatisfiable requests degrade transparently down the chain
     ``compiled -> block -> loop``: ``"compiled"`` without an importable
     numba or without a ``compiled_id`` on the dynamics becomes
     ``"block"``; ``"block"`` for a dynamics without :meth:`step_block`
     (per-step RNG draws or whole-neighbourhood polls cannot be replayed
-    vectorized) becomes ``"loop"``.  Check the resolved name on the
-    result (``RunResult.kernel``) when it matters.
+    vectorized) becomes ``"loop"``.
 
     ``state`` and ``substrate`` carry the run's scenario features: when
     zealots are frozen on the state or the substrate churns, a dynamics
@@ -156,28 +191,55 @@ def resolve_kernel(
     (see :func:`repro.core.dynamics.supports_substrate`) degrades to the
     reference loop — the loop's per-step :meth:`OpinionState.apply`
     honours the mask regardless of the dynamics, so it is the one
-    backend that is exact for undeclared code.  The degradation is
-    recorded on ``RunResult.kernel`` like every other, so scenario runs
-    never silently diverge across kernels (lint rule KER005 enforces
-    the declaration on new fast-path dynamics).
+    backend that is exact for undeclared code (lint rule KER005
+    enforces the declaration on new fast-path dynamics).
+
+    The returned kernel's ``reason`` says why it was chosen: the origin
+    of the choice (``"kernel='block'"``, ``"use_kernel('loop')"`` or
+    ``"auto: window 3.0 < 10"``) followed by each degradation applied,
+    e.g. ``"kernel='block'; dynamics has no step_block"``. The engine
+    records the name as ``RunResult.kernel`` and the reason as
+    ``RunResult.kernel_reason``, so scenario runs never silently
+    diverge across kernels.
     """
-    name = spec
+    name, reason = spec, f"kernel={spec!r}"
+    ambient = active_kernel()
+    if name == "auto" and ambient not in (None, "auto"):
+        name, reason = ambient, f"use_kernel({ambient!r})"
     if name == "auto":
-        name = active_kernel() or "auto"
-    if name == "auto":
-        name = "block" if supports_block(dynamics) else "loop"
+        name, reason = _by_cost(dynamics, scheduler)
     if name != "loop":
         needs = []
         if state is not None and state.has_frozen:
             needs.append("frozen")
         if substrate is not None and not substrate.is_static:
             needs.append("churn")
-        if any(not supports_substrate(dynamics, f) for f in needs):
+        undeclared = [f for f in needs if not supports_substrate(dynamics, f)]
+        if undeclared:
             name = "loop"
-    if name == "compiled" and not (
-        compiled_runtime_available() and supports_compiled(dynamics)
-    ):
+            reason += f"; dynamics does not declare {'+'.join(undeclared)}"
+    if name == "compiled" and not compiled_runtime_available():
         name = "block"
+        reason += "; numba is not available"
+    elif name == "compiled" and not supports_compiled(dynamics):
+        name = "block"
+        reason += "; dynamics has no compiled_id"
     if name == "block" and not supports_block(dynamics):
         name = "loop"
-    return make_kernel(name)
+        reason += "; dynamics has no step_block"
+    kernel = make_kernel(name)
+    kernel.reason = reason
+    return kernel
+
+
+def _by_cost(dynamics: Dynamics, scheduler) -> Tuple[str, str]:
+    """``"auto"``'s ``(name, reason)``: loop where block windows are short."""
+    if not supports_block(dynamics):
+        return "loop", "auto: dynamics has no step_block"
+    expected_window = getattr(scheduler, "expected_window", None)
+    if expected_window is None:
+        return "block", "auto: no window estimate"
+    window = expected_window()
+    if window < BLOCK_MIN_WINDOW:
+        return "loop", f"auto: window {window:.1f} < {BLOCK_MIN_WINDOW}"
+    return "block", f"auto: window {window:.1f} >= {BLOCK_MIN_WINDOW}"

@@ -85,9 +85,15 @@ class KernelRun:
 
 
 class ExecutionKernel(Protocol):
-    """One execution strategy for the asynchronous engine."""
+    """One execution strategy for the asynchronous engine.
+
+    ``reason`` is filled in by
+    :func:`~repro.core.kernels.resolve_kernel`: why this kernel was
+    chosen for the run (empty on a kernel built directly).
+    """
 
     name: str
+    reason: str
 
     def execute(self, ctx: KernelContext) -> KernelRun:
         """Run to the stopping condition or the step budget."""

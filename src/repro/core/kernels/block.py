@@ -170,6 +170,7 @@ class BlockKernel:
     """Vectorized execution of conflict-free scheduler windows."""
 
     name = "block"
+    reason = ""
 
     def execute(self, ctx: KernelContext) -> KernelRun:
         state = ctx.state

@@ -214,6 +214,7 @@ class CompiledKernel:
     """Machine-code execution of the sequential per-pair recurrence."""
 
     name = "compiled"
+    reason = ""
 
     def execute(self, ctx: KernelContext) -> KernelRun:
         thresholds = _term_thresholds(support_range_terms(ctx.stop_condition))

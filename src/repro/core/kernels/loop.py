@@ -18,6 +18,7 @@ class LoopKernel:
     """Reference execution: one Python-level step per interaction."""
 
     name = "loop"
+    reason = ""
 
     def execute(self, ctx: KernelContext) -> KernelRun:
         state = ctx.state

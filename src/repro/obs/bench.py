@@ -39,6 +39,7 @@ __all__ = [
     "BenchDelta",
     "compare_snapshots",
     "load_snapshot",
+    "snapshot_origin",
 ]
 
 #: ``format`` tag required in a snapshot file (written by _emit.py).
@@ -72,6 +73,18 @@ def load_snapshot(path: Union[str, Path]) -> dict:
         if not isinstance(entry, dict) or "name" not in entry:
             raise BenchCompareError(f"{source} has a malformed benchmark entry")
     return payload
+
+
+def snapshot_origin(snapshot: dict) -> str:
+    """The tree a snapshot measured: its git sha and dirty flag.
+
+    ``dirty`` is true when the tree had uncommitted changes to tracked
+    files, so the sha names the commit the change was made on, not the
+    code measured; snapshots older than the flag read ``dirty unknown``.
+    """
+    dirty = snapshot.get("dirty")
+    flag = {True: "dirty", False: "clean"}.get(dirty, "dirty unknown")
+    return f"{snapshot.get('git_sha') or 'unknown sha'} ({flag})"
 
 
 @dataclass(frozen=True)

@@ -31,6 +31,7 @@ from repro.core import (
     Substrate,
     VertexScheduler,
     frozen_consensus,
+    make_scheduler,
     run_dynamics,
 )
 from repro.core.div import run_div
@@ -666,13 +667,20 @@ class TestKernelSelection:
                 pass  # pragma: no cover
 
     def test_result_records_resolved_kernel(self):
-        graph = complete_graph(10)
-        for kernel, expected in (("auto", "block"), ("loop", "loop")):
+        # "auto" picks by the scheduler's expected window: K_10's 1.6
+        # pairs run the loop, RR(2000,10)'s 22.4 the block kernel.
+        expander = random_regular_graph(2000, 10, rng=1)
+        for graph, kernel, expected in (
+            (complete_graph(10), "auto", "loop"),
+            (complete_graph(10), "loop", "loop"),
+            (expander, "auto", "block"),
+        ):
             result = run_dynamics(
                 initial_state(graph, 1),
                 VertexScheduler(graph),
                 IncrementalVoting(),
                 rng=2,
+                max_steps=2000,
                 kernel=kernel,
             )
             assert result.kernel == expected
@@ -701,6 +709,151 @@ class TestKernelSelection:
             kernel="compiled",
         )
         assert result.kernel == "block"
+
+
+class _NoWindowScheduler(VertexScheduler):
+    """A user scheduler that publishes no ``expected_window``."""
+
+    expected_window = None
+
+
+class _Undeclared(IncrementalVoting):
+    """Block-capable dynamics that declares no substrate feature."""
+
+    substrate_compat = ()
+
+
+def run_div_dynamics(graph, process="vertex", **kwargs):
+    """One DIV run through the engine, returning its :class:`RunResult`."""
+    return run_dynamics(
+        initial_state(graph, 4, k=5),
+        make_scheduler(graph, process),
+        IncrementalVoting(),
+        rng=5,
+        **kwargs,
+    )
+
+
+class TestAutoByCost:
+    """``"auto"`` runs the loop where a block window would hold few pairs."""
+
+    def test_regular_window_is_half_root_n(self):
+        for n, d in ((64, 10), (256, 10), (2000, 10)):
+            graph = random_regular_graph(n, d, rng=3)
+            for scheduler in (VertexScheduler(graph), EdgeScheduler(graph)):
+                assert scheduler.expected_window() == pytest.approx(np.sqrt(n) / 2)
+
+    def test_star_window_at_most_one(self):
+        graph = star_graph(61)
+        assert VertexScheduler(graph).expected_window() <= 1.0
+        assert EdgeScheduler(graph).expected_window() <= 1.0
+
+    @pytest.mark.parametrize(
+        "graph, expected",
+        [
+            (star_graph(61), "loop"),
+            (lollipop_graph(12, 24), "loop"),
+            (random_regular_graph(2000, 10, rng=1), "block"),
+        ],
+        ids=["star", "lollipop", "expander"],
+    )
+    @pytest.mark.parametrize("process", ["vertex", "edge"])
+    def test_auto_choice(self, graph, expected, process):
+        result = run_div_dynamics(graph, process, max_steps=3000)
+        assert result.kernel == expected
+        assert result.kernel_reason.startswith("auto: window ")
+
+    def test_explicit_and_ambient_block_still_run_block(self):
+        graph = star_graph(61)
+        explicit = run_div_dynamics(graph, kernel="block")
+        assert (explicit.kernel, explicit.kernel_reason) == ("block", "kernel='block'")
+        with use_kernel("block"):
+            ambient = run_div_dynamics(graph)
+        assert (ambient.kernel, ambient.kernel_reason) == (
+            "block",
+            "use_kernel('block')",
+        )
+        assert ambient.steps == explicit.steps
+
+    def test_without_scheduler_auto_is_block(self):
+        kernel = resolve_kernel("auto", IncrementalVoting())
+        assert isinstance(kernel, BlockKernel)
+        assert kernel.reason == "auto: no window estimate"
+
+    def test_scheduler_without_estimate_keeps_block(self):
+        graph = star_graph(61)
+        kernel = resolve_kernel(
+            "auto", IncrementalVoting(), scheduler=_NoWindowScheduler(graph)
+        )
+        assert kernel.name == "block"
+
+    def test_state_bound_schedulers_use_vertex_law(self):
+        graph = lollipop_graph(12, 24)
+        state = initial_state(graph, 1)
+        vertex = VertexScheduler(graph).expected_window()
+        assert EdgeScheduler(graph).expected_window() != pytest.approx(vertex)
+        for scheduler in (
+            BiasedScheduler(graph, state, bias=0.5),
+            AdversarialScheduler(graph, state, strength=0.3),
+        ):
+            assert scheduler.expected_window() == vertex
+            assert resolve_kernel(
+                "auto", IncrementalVoting(), scheduler=scheduler
+            ).reason == f"auto: window {vertex:.1f} < 10"
+
+    def test_reason_for_every_branch(self):
+        star = star_graph(61)
+        expander = random_regular_graph(2000, 10, rng=1)
+        frozen = OpinionState(star, np.ones(star.n, dtype=np.int64), frozen=[0])
+        churn = Substrate(star, ChurnPlan(period=50, swaps=2, seed=1))
+        undeclared = _Undeclared()
+        cases = [
+            (("auto", IncrementalVoting()), {"scheduler": VertexScheduler(star)},
+             "loop", "auto: window 1.0 < 10"),
+            (("auto", IncrementalVoting()), {"scheduler": EdgeScheduler(expander)},
+             "block", "auto: window 22.4 >= 10"),
+            (("auto", MedianVoting()), {"scheduler": VertexScheduler(expander)},
+             "loop", "auto: dynamics has no step_block"),
+            (("loop", IncrementalVoting()), {}, "loop", "kernel='loop'"),
+            (("block", MedianVoting()), {},
+             "loop", "kernel='block'; dynamics has no step_block"),
+            (("block", undeclared), {"state": frozen},
+             "loop", "kernel='block'; dynamics does not declare frozen"),
+            (("block", undeclared), {"state": frozen, "substrate": churn},
+             "loop", "kernel='block'; dynamics does not declare frozen+churn"),
+        ]
+        for args, kwargs, name, reason in cases:
+            kernel = resolve_kernel(*args, **kwargs)
+            assert (kernel.name, kernel.reason) == (name, reason)
+
+    def test_compiled_degradation_reasons(self, monkeypatch):
+        with interpreted_compiled():
+            kernel = resolve_kernel("compiled", MedianVoting())
+        assert (kernel.name, kernel.reason) == (
+            "loop",
+            "kernel='compiled'; dynamics has no compiled_id; "
+            "dynamics has no step_block",
+        )
+        monkeypatch.setattr("repro.core.kernels.compiled.NUMBA_AVAILABLE", False)
+        kernel = resolve_kernel("compiled", IncrementalVoting())
+        assert (kernel.name, kernel.reason) == (
+            "block",
+            "kernel='compiled'; numba is not available",
+        )
+
+    def test_run_time_delegation_is_recorded(self):
+        graph = complete_graph(12)
+        with interpreted_compiled():
+            result = run_dynamics(
+                initial_state(graph, 3),
+                VertexScheduler(graph),
+                IncrementalVoting(),
+                rng=4,
+                observers=[ChangeLog()],
+                kernel="compiled",
+            )
+        assert result.kernel == "block"
+        assert result.kernel_reason == "kernel='compiled'; compiled delegated to block"
 
 
 class TestCompiledKernel:

@@ -12,10 +12,12 @@ and the bench-compare perf gate's edge cases.
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import multiprocessing
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -24,7 +26,12 @@ from repro.checkpoint import CheckpointJournal, campaign
 from repro.errors import BenchCompareError, ExperimentError, TelemetryError
 from repro.faults import FaultPlan
 from repro.cli import main as cli_main
-from repro.obs.bench import BenchDelta, compare_snapshots, load_snapshot
+from repro.obs.bench import (
+    BenchDelta,
+    compare_snapshots,
+    load_snapshot,
+    snapshot_origin,
+)
 from repro.obs.metrics import active_metrics, collecting
 from repro.obs.telemetry import (
     FEED_FORMAT,
@@ -884,6 +891,37 @@ class TestBenchCompare:
             == 0
         )
         capsys.readouterr()
+
+    def test_cli_prints_both_sides_sha_and_dirty_flag(self, tmp_path, capsys):
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(
+            json.dumps(dict(make_snapshot({"a": 1.0}), git_sha="abc1234", dirty=False))
+        )
+        new.write_text(
+            json.dumps(dict(make_snapshot({"a": 1.0}), git_sha="def5678", dirty=True))
+        )
+        assert cli_main(["bench", "compare", str(old), str(new)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == f"old: abc1234 (clean)  {old}"
+        assert lines[1] == f"new: def5678 (dirty)  {new}"
+        assert snapshot_origin(make_snapshot({})) == "unknown sha (dirty unknown)"
+
+    def test_consolidate_stamps_dirty_tree(self, tmp_path, monkeypatch):
+        source = Path(__file__).resolve().parent.parent / "benchmarks" / "_emit.py"
+        spec = importlib.util.spec_from_file_location("bench_emit", source)
+        emit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(emit)
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"name": "a", "mean_seconds": 1.0}) + "\n")
+        for status, dirty in ((" M src/x.py\n", True), ("", False), (None, None)):
+            monkeypatch.setattr(
+                emit,
+                "_git",
+                lambda *args, status=status: "abc1234\n" if args[0] == "rev-parse" else status,
+            )
+            payload = emit.consolidate(records, tmp_path / "BENCH.json")
+            assert payload["dirty"] is dirty
+            assert load_snapshot(tmp_path / "BENCH.json")["dirty"] is dirty
 
     def test_cli_malformed_snapshot_is_usage_error(self, tmp_path, capsys):
         old = write_snapshot(tmp_path / "old.json", {"a": 1.0})

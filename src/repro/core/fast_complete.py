@@ -2,23 +2,52 @@
 
 On ``K_n`` the holders of each opinion are exchangeable, so DIV is a
 Markov chain on the opinion counts ``(N_1, ..., N_k)`` alone. Simulating
-that chain costs O(active range) per step instead of O(n) memory traffic
-and lets the scaling experiment E3 reach vertex counts far beyond the
-generic engine. On ``K_n`` the vertex and edge processes coincide
-(regular graph), so the engine serves both.
+that chain costs one bisection over the opinion range per step instead
+of O(n) memory traffic, and lets the scaling experiment E3 reach vertex
+counts far beyond the generic engine. On ``K_n`` the vertex and edge
+processes coincide (regular graph), so the engine serves both.
 
 The chain: pick the updating vertex's opinion ``i`` with probability
 ``N_i / n``, then the observed vertex's opinion ``j`` with probability
 ``N_j / (n-1)`` (``(N_i - 1)/(n-1)`` for ``j = i``), and move one holder
 of ``i`` one unit toward ``j``.
+
+How a step is computed:
+
+- **Draws.** Each block of ``_BLOCK`` steps makes the same two
+  ``generator.random(block)`` calls as the float form of the chain:
+  ``u1`` picks the updater, ``u2`` the observed vertex. Inverse-CDF
+  sampling takes the first opinion whose prefix count ``C`` exceeds
+  ``u1 * n``. ``C`` is an integer, so ``u1 * n < C`` iff
+  ``floor(u1 * n) < C``, and the engine compares the integers
+  ``a = floor(u1 * n)`` and ``b = floor(u2 * (n - 1))`` instead. numpy
+  forms the same IEEE products as Python, so every seed keeps its
+  outcome; ``tests/complete_reference.py`` keeps the float form and the
+  tests hold the engine to it bit for bit. Since ``u < 1``,
+  ``a <= n - 1`` and ``b <= n - 2``.
+- **General phase.** The state is the prefix-sum list ``cum`` over the
+  slots of the opinion range (``cum[0] = 0``). The updater's slot is
+  ``i = bisect_right(cum, a)``. The observed vertex is one of the other
+  ``n - 1``, so its slot is below ``i`` iff ``b < cum[i - 1]`` and above
+  iff ``b >= cum[i] - 1``. Moving one holder from ``i`` to ``i ± 1``
+  changes one entry: ``cum[i] -= 1`` for up, ``cum[i - 1] += 1`` for
+  down. A step costs one bisection and O(1) updates.
+- **Endgame.** Once only two adjacent opinions remain, which is where
+  most of a consensus run is spent, the chain is a lazy ±1 walk on the
+  lower opinion's count ``x``: it falls iff ``a < x <= b + 1`` and rises
+  iff ``b < x <= a``. A tight loop runs that walk until ``x`` hits 0 or
+  ``n``, the block ends or the next ``S(t)`` sample step comes.
 """
 
 from __future__ import annotations
 
 import time
+from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional
+
+import numpy as np
 
 from repro.core.results import BaseRunResult
 from repro.core.stopping import MAX_STEPS_REASON
@@ -28,7 +57,7 @@ from repro.obs.profile import active_profiler
 from repro.obs.tracing import current_tracer
 from repro.rng import RngLike, make_rng
 
-#: Uniform draws pre-generated per RNG block.
+#: Steps per RNG block; each block draws this many uniforms twice.
 _BLOCK = 16384
 
 
@@ -90,40 +119,44 @@ def run_div_complete(
         raise ProcessError(f"K_n needs n >= 2, got {n}")
     if any(c < 0 for c in initial_counts.values()):
         raise ProcessError("negative opinion count")
+    if max_steps is not None and max_steps < 0:
+        raise ProcessError(f"max_steps must be >= 0, got {max_steps}")
+    if weight_interval is not None and weight_interval <= 0:
+        raise ProcessError(
+            f"non-positive sample interval {weight_interval}; "
+            "weight_interval must be >= 1"
+        )
     if sum(initial_counts.values()) != n:
         raise ProcessError(
             f"counts sum to {sum(initial_counts.values())}, expected n={n}"
         )
 
     present = sorted(o for o, c in initial_counts.items() if c > 0)
-    if not present:
-        raise ProcessError("initial counts are empty")
-    offset = present[0]
-    width = present[-1] - offset + 1
-    counts = [0] * width
+    # Slot p in 1..width holds opinion offset + p, and cum[p] is the
+    # number of holders of slots 1..p. cum[0] = 0 is a sentinel, so
+    # cum[i - 1] is defined for every occupied slot i.
+    offset = present[0] - 1
+    width = present[-1] - offset
+    cum = [0] * (width + 1)
     for opinion, count in initial_counts.items():
         if count > 0:
-            counts[opinion - offset] = count
+            cum[opinion - offset] = count
+    for p in range(1, width + 1):
+        cum[p] += cum[p - 1]
+    lo, hi = 1, width
+    # S(t) = sum_p (offset + p) * N_p = top - sum(cum).
+    top = (offset + width + 1) * n
 
     generator = make_rng(rng)
-    lo, hi = 0, width - 1
-    total = 0  # S(t) relative to offset*n
-    for idx, count in enumerate(counts):
-        total += idx * count
     step = 0
     two_adjacent_step: Optional[int] = 0 if hi - lo <= 1 else None
     weight_steps: List[int] = []
     weights: List[int] = []
+    next_sample = 0  # no sampling; steps start at 1
     if weight_interval is not None:
         weight_steps.append(0)
-        weights.append(total + offset * n)
-
-    def stopped() -> Optional[str]:
-        if hi == lo:
-            return "consensus"
-        if stop == "two_adjacent" and hi - lo == 1:
-            return "two_adjacent"
-        return None
+        weights.append(top - sum(cum))
+        next_sample = weight_interval
 
     tracer = current_tracer()
     metrics = active_metrics()
@@ -162,7 +195,11 @@ def run_div_complete(
             stack.enter_context(profiler.section("engine.run_complete"))
         started = time.perf_counter()
 
-        reason = stopped()
+        reason: Optional[str] = None
+        if hi == lo:
+            reason = "consensus"
+        elif hi - lo == 1 and stop == "two_adjacent":
+            reason = "two_adjacent"
         nm1 = n - 1
         blocks = 0
         changes = 0
@@ -173,78 +210,98 @@ def run_div_complete(
                 if block <= 0:
                     reason = MAX_STEPS_REASON
                     break
-            u1 = generator.random(block).tolist()
-            u2 = generator.random(block).tolist()
+            # Integer thresholds: u*n < c  <=>  floor(u*n) < c for integer c.
+            draws_i = (generator.random(block) * n).astype(np.int64).tolist()
+            draws_j = (generator.random(block) * nm1).astype(np.int64).tolist()
             blocks += 1
-            for b in range(block):
-                step += 1
-                # Opinion of the updating vertex: P(i) = N_i / n.
-                target = u1[b] * n
-                acc = 0.0
-                i = lo
-                for idx in range(lo, hi + 1):
-                    acc += counts[idx]
-                    if target < acc:
-                        i = idx
-                        break
-                else:  # pragma: no cover - floating-point guard
-                    i = hi
-                # Opinion of the observed vertex among the other n-1 vertices.
-                target = u2[b] * nm1
-                acc = 0.0
-                j = lo
-                for idx in range(lo, hi + 1):
-                    acc += counts[idx] - (1 if idx == i else 0)
-                    if target < acc:
-                        j = idx
-                        break
-                else:  # pragma: no cover - floating-point guard
-                    j = hi
-                if j > i:
-                    dest = i + 1
-                    counts[i] -= 1
-                    counts[dest] += 1
-                    total += 1
-                elif j < i:
-                    dest = i - 1
-                    counts[i] -= 1
-                    counts[dest] += 1
-                    total -= 1
+            # One segment per pass: it ends at the block's end, at the
+            # next S(t) sample step, or where the run changes phase.
+            k = 0
+            while k < block and reason is None:
+                start = k
+                end = block
+                if next_sample:
+                    end = min(block, start + next_sample - step)
+                if hi - lo > 1:
+                    # General phase. The updater's slot i is the first with
+                    # a < cum[i]. The observed slot j is the first with
+                    # b < cum[j] - [j >= i] (the updater observes one of
+                    # the other n - 1), so j < i iff b < cum[i - 1] and
+                    # j > i iff b >= cum[i] - 1. A move changes one entry.
+                    for k in range(start, end):
+                        step += 1
+                        i = bisect_right(cum, draws_i[k])
+                        v = draws_j[k]
+                        if v >= cum[i] - 1:
+                            cum[i] -= 1
+                            dest = i + 1
+                        elif v < cum[i - 1]:
+                            cum[i - 1] += 1
+                            dest = i - 1
+                        else:
+                            continue
+                        changes += 1
+                        emptied = cum[i] == cum[i - 1]
+                        if track:
+                            new_support = (
+                                support
+                                + (1 if cum[dest] - cum[dest - 1] == 1 else 0)
+                                - (1 if emptied else 0)
+                            )
+                            if new_support != support:
+                                accrue(step)
+                                transitions.append((step, new_support))
+                                support = new_support
+                        if emptied:
+                            if i == lo:
+                                lo = dest
+                            elif i == hi:
+                                hi = dest
+                            if hi - lo == 1:
+                                two_adjacent_step = step
+                                if stop == "two_adjacent":
+                                    reason = "two_adjacent"
+                                break
                 else:
-                    if weight_interval is not None and step % weight_interval == 0:
-                        weight_steps.append(step)
-                        weights.append(total + offset * n)
-                    continue
-                changes += 1
-                if track:
-                    new_support = (
-                        support
-                        + (1 if counts[dest] == 1 else 0)
-                        - (1 if counts[i] == 0 else 0)
-                    )
-                    if new_support != support:
-                        accrue(step)
-                        transitions.append((step, new_support))
-                        support = new_support
-                while counts[lo] == 0 and lo < hi:
-                    lo += 1
-                while counts[hi] == 0 and hi > lo:
-                    hi -= 1
-                if two_adjacent_step is None and hi - lo <= 1:
-                    two_adjacent_step = step
-                if weight_interval is not None and step % weight_interval == 0:
+                    # Endgame: opinions lo and lo + 1 only, x = N_lo. The
+                    # updater holds lo iff a < x; it then moves up iff it
+                    # sees a hi-holder, b >= x - 1. A hi-holder moves down
+                    # iff it sees a lo-holder, b < x. So x does a lazy +-1
+                    # walk until it hits 0 or n.
+                    x = cum[lo]
+                    for k in range(start, end):
+                        if draws_i[k] < x:
+                            if draws_j[k] >= x - 1:
+                                x -= 1
+                                changes += 1
+                                if x == 0:
+                                    break
+                        elif draws_j[k] < x:
+                            x += 1
+                            changes += 1
+                            if x == n:
+                                break
+                    step += k + 1 - start
+                    cum[lo] = x
+                    if x == 0 or x == n:
+                        lo = hi = hi if x == 0 else lo
+                        reason = "consensus"
+                        if track:
+                            accrue(step)
+                            transitions.append((step, 1))
+                            support = 1
+                k += 1  # both loops leave k on the last draw they used
+                if step == next_sample:
                     weight_steps.append(step)
-                    weights.append(total + offset * n)
-                reason = stopped()
-                if reason is not None:
-                    break
+                    weights.append(top - sum(cum))
+                    next_sample += weight_interval
 
         # Always close the S(t) trace at the stopping step, matching the
         # generic engine's final-sample guarantee (the stop step is usually
         # not divisible by weight_interval).
         if weight_interval is not None and weight_steps[-1] != step:
             weight_steps.append(step)
-            weights.append(total + offset * n)
+            weights.append(top - sum(cum))
 
         if span is not None:
             accrue(step)
@@ -276,7 +333,9 @@ def run_div_complete(
             metrics.observe("engine.run_seconds", time.perf_counter() - started)
 
     final_counts = {
-        idx + offset: counts[idx] for idx in range(width) if counts[idx] > 0
+        p + offset: cum[p] - cum[p - 1]
+        for p in range(1, width + 1)
+        if cum[p] > cum[p - 1]
     }
     return CompleteRunResult(
         n=n,

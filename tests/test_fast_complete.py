@@ -2,12 +2,19 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from repro.analysis.gof import chi_square_gof
 from repro.analysis.montecarlo import run_trials
 from repro.core.fast_complete import run_div_complete
 from repro.errors import ProcessError
+from repro.obs import Tracer, activate, collecting
+from tests.complete_reference import reference_run_div_complete
 
 
 class TestValidation:
@@ -30,6 +37,19 @@ class TestValidation:
     def test_empty_counts(self):
         with pytest.raises(ProcessError):
             run_div_complete(4, {1: 0, 2: 0})
+
+    @pytest.mark.parametrize("interval", [0, -3])
+    def test_non_positive_weight_interval(self, interval):
+        with pytest.raises(ProcessError, match="non-positive sample interval"):
+            run_div_complete(10, {1: 5, 4: 5}, rng=0, weight_interval=interval)
+
+    def test_negative_max_steps(self):
+        with pytest.raises(ProcessError, match="max_steps must be >= 0"):
+            run_div_complete(10, {1: 5, 4: 5}, rng=0, max_steps=-5)
+
+    def test_zero_max_steps_is_valid(self):
+        result = run_div_complete(10, {1: 5, 4: 5}, rng=0, max_steps=0)
+        assert (result.steps, result.stop_reason) == (0, "max_steps")
 
 
 class TestBasicRuns:
@@ -140,6 +160,32 @@ class TestAgainstTheory:
         p_generic = generic.frequency(lambda w: w == 2)
         assert p_fast == pytest.approx(p_generic, abs=0.12)
 
+    def test_winner_law_matches_generic_engine_under_gof(self):
+        # Chi-square GoF of the count engine's winners against the
+        # generic engine's winner frequencies on K_n, pooled over every
+        # cell. The generic sample is 2x larger, so its frequencies
+        # serve as the predicted law.
+        from repro.core.div import run_div
+        from repro.graphs import complete_graph
+
+        n = 20
+        counts = {1: 8, 2: 6, 3: 6}  # c = 1.9
+        opinions = [o for o, c in sorted(counts.items()) for _ in range(c)]
+        graph = complete_graph(n)
+
+        def fast_trial(i, rng):
+            return run_div_complete(n, counts, rng=rng).winner
+
+        def generic_trial(i, rng):
+            return run_div(graph, opinions, rng=rng).winner
+
+        generic = run_trials(1600, generic_trial, seed=21).outcomes
+        fast = run_trials(800, fast_trial, seed=22).outcomes
+        predicted = {w: generic.count(w) / len(generic) for w in set(generic)}
+        result = chi_square_gof(fast, predicted, min_expected=5.0)
+        assert result.dof >= 2
+        assert not result.rejects(alpha=0.01), result
+
 
 class TestWeightTraceClosesAtStop:
     def test_final_weight_recorded_at_stopping_step(self):
@@ -164,3 +210,185 @@ class TestWeightTraceClosesAtStop:
             steps = result.weight_steps
             assert steps == sorted(set(steps))
             assert steps[-1] == result.steps
+
+
+def _trace_digest(result):
+    trace = repr((result.weight_steps, result.weights)).encode()
+    return hashlib.sha256(trace).hexdigest()[:16]
+
+
+# (n, counts, stop, max_steps, weight_interval, seed) ->
+# (steps, stop_reason, counts, two_adjacent_step, S(t) trace digest).
+# Pinned from the float-scan engine; any change to the draws or to the
+# chain's transition rule moves these.
+GOLDEN = [
+    ((2, {0: 1, 1: 1}, "consensus", None, None, 0),
+     (1, "consensus", {0: 2}, 0, "1391876e63685b7d")),
+    ((10, {4: 10}, "consensus", None, 1, 1),
+     (0, "consensus", {4: 10}, 0, "7a9c6c50083f4b52")),
+    ((12, {1: 4, 2: 4, 5: 4}, "consensus", None, 1, 2),
+     (169, "consensus", {3: 12}, 65, "553fe8564dc52e9c")),
+    ((30, {-2: 15, 3: 15}, "consensus", None, 7, 3),
+     (644, "consensus", {1: 30}, 473, "1ad6f25bc128ae7a")),
+    ((40, {-5: 10, -1: 10, 0: 10, 6: 10}, "two_adjacent", None, None, 4),
+     (475, "two_adjacent", {-2: 4, -1: 36}, 475, "1391876e63685b7d")),
+    ((50, {1: 25, 9: 25}, "consensus", 0, 7, 5),
+     (0, "max_steps", {1: 25, 9: 25}, None, "be3dc80838b3a989")),
+    ((50, {1: 25, 9: 25}, "consensus", 1, 1, 6),
+     (1, "max_steps", {1: 25, 8: 1, 9: 24}, None, "33e211f10029cdc1")),
+    ((50, {1: 20, 2: 10, 5: 20}, "consensus", 37, None, 7),
+     (37, "max_steps", {1: 12, 2: 16, 3: 5, 4: 4, 5: 13}, None, "1391876e63685b7d")),
+    ((64, {0: 1, 7: 63}, "two_adjacent", None, 1000, 8),
+     (695, "two_adjacent", {6: 6, 7: 58}, 695, "6133b4f3ef036036")),
+    ((100, {0: 30, 1: 40, 2: 30}, "consensus", None, 1000, 9),
+     (6688, "consensus", {1: 100}, 1472, "6fb1e1038f288438")),
+    ((300, {0: 150, 1: 150}, "consensus", None, 1000, 10),
+     (25716, "consensus", {0: 300}, 0, "e2432ed768e86693")),
+    ((300, {-3: 100, 0: 100, 4: 100}, "consensus", 20000, 7, 11),
+     (13783, "consensus", {0: 300}, 5564, "5f25888020919172")),
+    ((257, {1: 100, 3: 57, 10: 100}, "consensus", 16384, 16384, 12),
+     (12118, "consensus", {5: 257}, 4904, "13ec2099cc99be64")),
+    ((2000, {1: 1000, 5: 1000}, "two_adjacent", 40000, None, 13),
+     (40000, "max_steps", {2: 20, 3: 1725, 4: 255}, None, "1391876e63685b7d")),
+    ((500, {0: 250, 1: 250}, "consensus", None, 7, 14),
+     (137938, "consensus", {1: 500}, 0, "d62f19def83637b5")),
+    ((1000, {2: 400, 6: 600}, "consensus", 16385, 16384, 15),
+     (16385, "max_steps", {4: 751, 5: 249}, 15925, "b3c637a29d7b5c1c")),
+]
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("case, expected", GOLDEN, ids=lambda v: None)
+    def test_pinned_outcome(self, case, expected):
+        n, counts, stop, max_steps, weight_interval, seed = case
+        result = run_div_complete(
+            n,
+            counts,
+            stop=stop,
+            max_steps=max_steps,
+            weight_interval=weight_interval,
+            rng=seed,
+        )
+        observed = (
+            result.steps,
+            result.stop_reason,
+            result.counts,
+            result.two_adjacent_step,
+            _trace_digest(result),
+        )
+        assert observed == expected
+
+
+@st.composite
+def count_runs(draw):
+    """Arguments for one count-engine run, inputs valid by construction."""
+    n = draw(st.integers(min_value=2, max_value=200))
+    k = draw(st.integers(min_value=1, max_value=min(6, n)))
+    opinions = draw(
+        st.lists(
+            st.integers(min_value=-20, max_value=20),
+            min_size=k,
+            max_size=k,
+            unique=True,
+        )
+    )
+    cuts = sorted(
+        draw(
+            st.lists(
+                st.integers(min_value=1, max_value=n - 1),
+                min_size=k - 1,
+                max_size=k - 1,
+                unique=True,
+            )
+        )
+    )
+    bounds = [0] + cuts + [n]
+    counts = {o: bounds[i + 1] - bounds[i] for i, o in enumerate(opinions)}
+    return dict(
+        n=n,
+        initial_counts=counts,
+        stop=draw(st.sampled_from(["consensus", "two_adjacent"])),
+        max_steps=draw(
+            st.one_of(
+                st.none(),
+                st.sampled_from([0, 1, 16384, 16385]),
+                st.integers(min_value=2, max_value=40000),
+            )
+        ),
+        weight_interval=draw(st.sampled_from([None, 1, 7, 1000])),
+        rng=draw(st.integers(min_value=0, max_value=2**32 - 1)),
+    )
+
+
+def _outcome(result):
+    return (
+        result.steps,
+        result.stop_reason,
+        result.counts,
+        result.two_adjacent_step,
+        result.weight_steps,
+        result.weights,
+    )
+
+
+class TestDifferentialAgainstReference:
+    @settings(
+        max_examples=60,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow],
+    )
+    @given(count_runs())
+    def test_engine_matches_float_scan_model(self, kwargs):
+        expected = reference_run_div_complete(**kwargs)
+        assert _outcome(run_div_complete(**kwargs)) == _outcome(expected)
+
+
+def _traced(engine, kwargs):
+    """Run under a tracer and a metrics registry; return what they saw."""
+    tracer = Tracer()
+    with collecting() as registry, activate(tracer):
+        result = engine(**kwargs)
+    records = tracer.records()
+    (span,) = [r for r in records if r.get("name") == "engine.run_complete"]
+    fields = {
+        key: span[key]
+        for key in (
+            "steps",
+            "stop_reason",
+            "opinion_changes",
+            "rng_blocks",
+            "initial_support",
+            "phase_transitions",
+        )
+    }
+    fields["phases"] = [(p["support"], p["steps"]) for p in span["phases"]]
+    events = [
+        (r["step"], r["support"]) for r in records if r.get("name") == "phase.transition"
+    ]
+    counters = {
+        name: value
+        for name, value in registry.snapshot().counters.items()
+        if name.startswith("engine.")
+    }
+    return _outcome(result), fields, events, counters
+
+
+class TestTracingParity:
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=12, initial_counts={1: 4, 2: 4, 5: 4}, rng=0),
+            dict(n=40, initial_counts={-5: 10, -1: 10, 0: 10, 6: 10}, rng=3),
+            dict(n=40, initial_counts={1: 20, 5: 20}, stop="two_adjacent", rng=11),
+            dict(n=300, initial_counts={0: 150, 1: 150}, rng=10, weight_interval=7),
+            dict(n=257, initial_counts={1: 100, 3: 57, 10: 100}, rng=12),
+            dict(n=2000, initial_counts={1: 1000, 5: 1000}, max_steps=20000, rng=1),
+            dict(n=50, initial_counts={1: 25, 9: 25}, max_steps=0, rng=5),
+            dict(n=10, initial_counts={4: 10}, rng=1),
+        ],
+        ids=lambda kw: f"n{kw['n']}",
+    )
+    def test_span_events_and_counters_match_reference(self, kwargs):
+        assert _traced(run_div_complete, kwargs) == _traced(
+            reference_run_div_complete, kwargs
+        )

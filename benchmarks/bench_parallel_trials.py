@@ -7,20 +7,10 @@ pure dispatch overhead vs multi-core speedup: on a multi-core runner the
 4-worker round should come in at >= 2x the serial throughput, while a
 single-core runner only shows the pool overhead.
 
-The journal-executor round runs the same batch through the lease-based
-cooperative backend against a fresh single-launcher campaign journal, so
-its delta over the 2-worker pool round is the lease-protocol overhead
-(claim/heartbeat/release plus per-trial journal writes).
-
 Compare rounds with ``pytest benchmarks/bench_parallel_trials.py``.
 """
 
-import shutil
-import tempfile
-from pathlib import Path
-
 from repro.analysis.montecarlo import run_trials
-from repro.checkpoint import CheckpointJournal, campaign
 from repro.core.fast_complete import run_div_complete
 
 _TRIALS = 32
@@ -65,26 +55,3 @@ def test_trials_parallel_2_workers(benchmark):
 def test_trials_parallel_4_workers(benchmark):
     benchmark.extra_info.update(trials=_TRIALS, n=_N, workers=4)
     benchmark.pedantic(lambda: _run_batch(4), rounds=3, iterations=1)
-
-
-def _run_journal_batch():
-    # A fresh journal per round: the benchmark measures a cold
-    # single-launcher drain (claims + journal writes), not cache hits.
-    scratch = Path(tempfile.mkdtemp(prefix="bench-journal-"))
-    try:
-        journal = CheckpointJournal(scratch / "campaign")
-        journal.open(fingerprint="bench-parallel-trials")
-        with campaign(journal, executor="journal"):
-            batch = run_trials(_TRIALS, engine_trial, seed=_SEED, workers=2)
-        assert batch.outcomes == _serial_baseline()
-        assert batch.executor == "journal"
-        return batch
-    finally:
-        shutil.rmtree(scratch, ignore_errors=True)
-
-
-def test_trials_journal_executor_2_workers(benchmark):
-    benchmark.extra_info.update(
-        trials=_TRIALS, n=_N, workers=2, executor="journal"
-    )
-    benchmark.pedantic(_run_journal_batch, rounds=3, iterations=1)

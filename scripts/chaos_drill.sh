@@ -6,15 +6,15 @@
 #      checkpoint directory produces a report byte-identical to an
 #      uninterrupted serial run, and a journal bit-identical to the
 #      uninterrupted run's journal;
-#   2. fault drill — the same equality holds for a parallel campaign with
+#   2. pool kill-and-resume — the same holds for a --workers 2 campaign
+#      SIGKILLed mid-batch: the pool journals each chunk as it finishes,
+#      so the kill keeps finished chunks and a serial resume completes
+#      the campaign to the identical report and journal;
+#   3. fault drill — the same equality holds for a parallel campaign with
 #      injected worker crashes and chunk timeouts (crash@I:1 / hang@I:1);
-#   3. corruption drill — a corrupted checkpoint record aborts the resume
-#      with a one-line error (exit 2), and --discard-corrupt recovers to
-#      the identical report;
-#   4. journal-executor drill — two concurrent launchers with injected
-#      lease faults (steal/abort on one, stale/partial on the other)
-#      cooperatively drain one campaign to a journal bit-identical to
-#      the serial reference, and `campaign status` reads the directory.
+#   4. corruption drill — a corrupted checkpoint record aborts the resume
+#      with a one-line error (exit 2), --discard-corrupt recovers to the
+#      identical report, and `campaign status` reads the directory.
 #
 # Usage: scripts/chaos_drill.sh   (override the CLI with DIV_REPRO=...)
 set -euo pipefail
@@ -63,6 +63,41 @@ say "OK: resumed report is byte-identical to the uninterrupted run"
 $RUN checkpoint diff "$WORK/ckpt-ref/$EXPERIMENT_LOWER" "$WORK/ckpt-kill/$EXPERIMENT_LOWER" > /dev/null
 say "OK: resumed journal is bit-identical to the uninterrupted journal"
 
+# ----------------------------------------------------- pool kill-and-resume
+say "pool kill-and-resume: starting a --workers 2 campaign, will SIGKILL mid-batch"
+# E1 runs its whole grid as one batch. slow@300 stalls the worker that
+# runs trial 300 (outcomes are unaffected), so the batch is still running
+# when the first chunks reach the journal and the kill lands. The campaign
+# runs in its own process group so the kill takes its pool workers too;
+# workers orphaned by a SIGKILLed parent would otherwise linger.
+setsid $RUN run "$EXPERIMENT" --quick --seed "$SEED" --workers 2 \
+    --checkpoint-dir "$WORK/ckpt-pool-kill" --json "$WORK/out-pool-kill" \
+    --inject-faults 'slow@300:3' > /dev/null 2>&1 &
+VICTIM=$!
+for _ in $(seq 1 2000); do
+    COUNT=$( (find "$WORK/ckpt-pool-kill" -name 't*.rec' 2>/dev/null || true) | wc -l)
+    if [ "$COUNT" -ge 10 ]; then break; fi
+    sleep 0.01
+done
+kill -9 -- "-$VICTIM" 2>/dev/null || true
+wait "$VICTIM" 2>/dev/null || true
+COUNT=$(find "$WORK/ckpt-pool-kill" -name 't*.rec' | wc -l)
+say "SIGKILL delivered with $COUNT/$TOTAL_TRIALS trials journaled"
+if [ "$COUNT" -lt 10 ] || [ "$COUNT" -ge "$TOTAL_TRIALS" ] \
+    || [ -f "$WORK/out-pool-kill/$EXPERIMENT_LOWER.json" ]; then
+    say "FAIL: the kill did not land mid-batch with finished chunks journaled"
+    exit 1
+fi
+
+say "resuming the killed pool campaign serially"
+$RUN run "$EXPERIMENT" --quick --seed "$SEED" \
+    --checkpoint-dir "$WORK/ckpt-pool-kill" --resume \
+    --json "$WORK/out-pool-kill" > /dev/null
+cmp "$WORK/ref/$EXPERIMENT_LOWER.json" "$WORK/out-pool-kill/$EXPERIMENT_LOWER.json"
+say "OK: resumed pool campaign's report is byte-identical to the serial run"
+$RUN checkpoint diff "$WORK/ckpt-ref/$EXPERIMENT_LOWER" "$WORK/ckpt-pool-kill/$EXPERIMENT_LOWER" > /dev/null
+say "OK: resumed pool campaign's journal is bit-identical to the serial journal"
+
 # ------------------------------------------------- crash + timeout faults
 say "fault drill: workers=2 with injected crash + hang faults"
 $RUN run "$EXPERIMENT" --quick --seed "$SEED" --workers 2 \
@@ -106,46 +141,7 @@ $RUN run "$EXPERIMENT" --quick --seed "$SEED" \
     --json "$WORK/out-corrupt" > /dev/null
 cmp "$WORK/ref/$EXPERIMENT_LOWER.json" "$WORK/out-corrupt/$EXPERIMENT_LOWER.json"
 say "OK: --discard-corrupt re-ran the damaged trial to an identical report"
-
-# ------------------------------------------------ journal-executor drill
-say "journal drill: two concurrent launchers with injected lease faults"
-# Launcher A aborts after a forced steal; its leftover lease goes stale
-# and launcher B (or a resumed A) reclaims the chunk. B also exercises
-# the stale-heartbeat and torn-write paths. Either launcher alone can
-# drain the campaign, so the drill tolerates A dying by design.
-$RUN run "$EXPERIMENT" --quick --seed "$SEED" --workers 2 \
-    --checkpoint-dir "$WORK/ckpt-journal" --resume \
-    --executor journal --lease-ttl 2 \
-    --inject-faults 'lease-steal@5;lease-abort@5' \
-    > /dev/null 2>&1 &
-LAUNCHER_A=$!
-$RUN run "$EXPERIMENT" --quick --seed "$SEED" --workers 2 \
-    --checkpoint-dir "$WORK/ckpt-journal" --resume \
-    --executor journal --lease-ttl 2 \
-    --inject-faults 'lease-stale@95;lease-partial@185' \
-    --json "$WORK/out-journal" > /dev/null 2>&1 &
-LAUNCHER_B=$!
-wait "$LAUNCHER_A" || say "launcher A died from its injected abort (expected)"
-wait "$LAUNCHER_B"
-$RUN checkpoint diff "$WORK/ckpt-ref/$EXPERIMENT_LOWER" "$WORK/ckpt-journal/$EXPERIMENT_LOWER" > /dev/null
-say "OK: cooperatively drained journal is bit-identical to the serial journal"
-python - "$WORK/ref/$EXPERIMENT_LOWER.json" "$WORK/out-journal/$EXPERIMENT_LOWER.json" <<'EOF'
-import json, sys
-
-def load(path):
-    with open(path, encoding="utf-8") as handle:
-        report = json.load(handle)
-    for table in report["tables"]:
-        table["notes"] = [
-            n for n in table["notes"] if not n.startswith("trial execution:")
-        ]
-    return report
-
-left, right = load(sys.argv[1]), load(sys.argv[2])
-assert left == right, "journal-executor report diverged from serial report"
-EOF
-say "OK: journal-executor report matches the serial report"
-$RUN campaign status "$WORK/ckpt-journal" > /dev/null
-say "OK: campaign status reads the shared checkpoint directory"
+$RUN campaign status "$WORK/ckpt-corrupt" > /dev/null
+say "OK: campaign status reads the recovered checkpoint directory"
 
 say "all drills passed"

@@ -11,9 +11,11 @@
 #      E10 report: support-*size* transitions are a subset of the
 #      support-*set* changes the report counts as stages, so
 #      mean(transitions) + 1 <= mean(#stages);
-#   4. two concurrent --telemetry journal launchers leave feeds whose
-#      merged timeline reconciles exactly with the checkpoint journal,
-#      and `campaign watch --once` / `timeline report` render them;
+#   4. two --telemetry launchers in sequence on one campaign — the first
+#      aborted by an injected fault, the second resuming it — leave feeds
+#      whose merged timeline reconciles exactly with the checkpoint
+#      journal, and `campaign watch --once` / `timeline report` render
+#      them;
 #   5. `bench compare` passes on a snapshot against itself and catches a
 #      seeded >=50% regression with a nonzero exit (the CI perf gate).
 #
@@ -70,19 +72,14 @@ print(f"[trace-drill] OK: {summary.engine_spans} engine spans, "
 EOF
 
 # ------------------------------------------------------- telemetry drill
-say "telemetry drill: two concurrent --telemetry launchers on one campaign"
-$RUN run E10 --quick --seed 0 --workers 2 \
-    --checkpoint-dir "$WORK/ckpt" --resume \
-    --executor journal --lease-ttl 2 --telemetry \
-    > /dev/null 2>&1 &
-LAUNCHER_A=$!
-$RUN run E10 --quick --seed 0 --workers 2 \
-    --checkpoint-dir "$WORK/ckpt" --resume \
-    --executor journal --lease-ttl 2 --telemetry \
-    > /dev/null 2>&1 &
-LAUNCHER_B=$!
-wait "$LAUNCHER_A"
-wait "$LAUNCHER_B"
+say "telemetry drill: an aborted --telemetry launcher, then its resumer"
+if $RUN run E10 --quick --seed 0 --checkpoint-dir "$WORK/ckpt" --telemetry \
+    --inject-faults 'abort@40' > /dev/null 2>&1; then
+    say "FAIL: the injected abort did not stop the first launcher"
+    exit 1
+fi
+$RUN run E10 --quick --seed 0 --checkpoint-dir "$WORK/ckpt" --telemetry \
+    --resume > /dev/null
 
 say "rendering the live view and the post-hoc report"
 $RUN campaign watch "$WORK/ckpt" --once
@@ -101,11 +98,13 @@ timeline = load_timeline(campaign_dir)
 journaled = sum(1 for _ in CheckpointJournal(campaign_dir).iter_records())
 
 assert len(timeline.launchers) == 2, sorted(timeline.launchers)
-assert all(l.closed for l in timeline.launchers.values()), "unclosed feed"
+# The aborted launcher never closed its feed; the resumer closed its own.
+aborted, resumer = sorted(timeline.launchers.values(), key=lambda l: l.started)
+assert not aborted.closed, aborted.name
+assert resumer.closed, resumer.name
 assert journaled == 80, journaled  # E10 --quick trials
 # Journal truth and telemetry truth must agree exactly: every journaled
-# trial appears exactly once as timeline progress; steal/peer double
-# work only ever shows up as contention, never as progress.
+# trial appears exactly once as timeline progress.
 assert timeline.completed == journaled, (timeline.completed, journaled)
 assert timeline.total == journaled, (timeline.total, journaled)
 assert timeline.executed >= timeline.completed - timeline.duplicates

@@ -67,10 +67,10 @@ class TrialSet(Generic[T]):
     outcomes: List[T]
     timings: Optional[TrialTimings] = None
     metrics: Optional[MetricsSnapshot] = None
-    #: Resolved executor backend the batch ran through, including any
-    #: degradation path (``"serial"``, ``"pool"``, ``"pool->serial"``,
-    #: ``"journal"``, ``"journal->serial"`` …). Mirrors
-    #: ``RunResult.kernel``: what actually executed, not what was asked.
+    #: Resolved executor the batch ran through, including any
+    #: degradation path (``"serial"``, ``"pool"``, ``"pool->serial"``).
+    #: Mirrors ``RunResult.kernel``: what actually executed, not what
+    #: was asked.
     executor: Optional[str] = None
 
     @property
@@ -122,13 +122,13 @@ def run_trials(
     calls that leave ``kernel="auto"`` pick it up. Outcomes are
     identical across kernels; this is a wall-clock knob only.
 
-    ``executor`` selects the execution backend (``"auto"``, ``"serial"``,
-    ``"pool"``, ``"journal"``; see :mod:`repro.parallel.executors`);
-    unset, it falls back to the ambient campaign session's choice and
-    then to ``"auto"``. Any explicit backend routes the batch through
-    :func:`repro.parallel.execute_tasks` even with ``workers=None``
-    (the ``journal`` backend parallelizes across peer *launchers*, not
-    local workers). Outcomes never depend on the backend.
+    ``executor`` selects how the batch runs (``"auto"``, ``"serial"``
+    or ``"pool"``; see :func:`repro.parallel.execute_tasks`); unset, it
+    falls back to the ambient campaign session's choice and then to
+    ``"auto"``. An explicit ``"serial"`` or ``"pool"`` routes the batch
+    through :func:`repro.parallel.execute_tasks` even with
+    ``workers=None`` (one worker). Outcomes never depend on the
+    executor.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
@@ -196,7 +196,6 @@ def run_trials(
             collect_metrics=parent_metrics is not None,
             kernel=active_kernel(),
             executor=executor,
-            **_journal_kwargs(session, batch, executor),
             **_parallel_kwargs(chunk_size, timeout, max_retries),
         )
         _trace_records(tracer, records)
@@ -342,7 +341,6 @@ def run_trials_over(
             collect_metrics=parent_metrics is not None,
             kernel=active_kernel(),
             executor=executor,
-            **_journal_kwargs(session, grid_key, executor),
             **_parallel_kwargs(chunk_size, timeout, max_retries),
         )
         _trace_records(tracer, records)
@@ -505,45 +503,6 @@ def _session_overrides(
         )
         executor = executor if executor is not None else session.executor
     return fault_plan, timeout, max_retries, executor
-
-
-class _JournalStore:
-    """Adapt the campaign journal to the parallel layer's ``OutcomeStore``.
-
-    The parallel layer may not import the checkpoint layer (it sits
-    below it), so the journal executor sees peer-journaled outcomes
-    only through this two-method shim bound to one batch.
-    """
-
-    def __init__(self, journal, batch: str):
-        self._journal = journal
-        self._batch = batch
-
-    def has(self, index: int) -> bool:
-        return self._journal.has_record(self._batch, index)
-
-    def load(self, index: int) -> object:
-        return self._journal.load_record(self._batch, index)
-
-
-def _journal_kwargs(
-    session: Optional[CampaignSession],
-    batch: Optional[str],
-    executor: Optional[str],
-) -> dict:
-    """Journal-executor wiring for ``execute_tasks``.
-
-    Empty unless the ``journal`` backend was requested *and* a campaign
-    journal is active; without a journal, ``execute_tasks`` warns and
-    degrades to local execution on its own.
-    """
-    if executor != "journal" or session is None or session.journal is None:
-        return {}
-    return {
-        "store": _JournalStore(session.journal, batch),
-        "lease_dir": session.journal.lease_dir(batch),
-        "lease_config": session.lease_config,
-    }
 
 
 def _recorder(session: Optional[CampaignSession], batch: Optional[str]):

@@ -11,8 +11,10 @@ Layout of a campaign directory::
 
     <dir>/manifest.json            campaign identity + config fingerprint
     <dir>/trials/<batch>/t<i>.rec  one record per completed trial
-    <dir>/leases/<batch>/c<i>.lease  in-flight chunk claims (journal
-                                     executor only; advisory, transient)
+    <dir>/telemetry/*.jsonl        progress feeds (``run --telemetry``)
+
+Any other entry in a campaign directory is ignored, so directories left
+by older versions keep resuming.
 
 Determinism guarantee
 ---------------------
@@ -68,7 +70,6 @@ FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
 TRIALS_DIRNAME = "trials"
-LEASES_DIRNAME = "leases"
 
 #: Record files are ``t<index>.rec`` inside their batch directory.
 _RECORD_NAME = re.compile(r"^t(\d+)\.rec$")
@@ -284,46 +285,6 @@ class CheckpointJournal:
                 path.unlink()
         return outcomes
 
-    def has_record(self, batch: str, index: int) -> bool:
-        """Whether trial ``index`` of ``batch`` has a journaled record.
-
-        A pure existence probe — the record is *not* validated (a
-        corrupt one surfaces via :meth:`load_record` / :meth:`completed`
-        per the ``on_corrupt`` policy).
-        """
-        return self._record_path(batch, index).is_file()
-
-    def load_record(self, batch: str, index: int) -> object:
-        """Outcome of trial ``index`` of ``batch``.
-
-        Raises :class:`KeyError` when the record is absent — including
-        a damaged record that ``on_corrupt="discard"`` just deleted, so
-        callers (the journal executor's peer-outcome path) simply
-        re-run the trial. With ``on_corrupt="raise"`` damage surfaces
-        as :class:`CheckpointCorruptError`.
-        """
-        path = self._record_path(batch, index)
-        try:
-            blob = path.read_bytes()
-        except FileNotFoundError:
-            raise KeyError(f"{batch}/t{index}") from None
-        try:
-            return _decode_record(path, blob)
-        except CheckpointCorruptError:
-            if self.on_corrupt == "raise":
-                raise
-            path.unlink(missing_ok=True)
-            raise KeyError(f"{batch}/t{index}") from None
-
-    def lease_dir(self, batch: str) -> Path:
-        """Directory the journal executor keeps ``batch``'s leases in.
-
-        Lives next to (never inside) the trial journal, so lease churn
-        can never be confused with records by :meth:`iter_records` or
-        :func:`diff_journals`.
-        """
-        return self.directory / LEASES_DIRNAME / batch
-
     def has_records(self) -> bool:
         for _ in self.iter_records():
             return True
@@ -394,10 +355,6 @@ class CampaignSession:
     #: Requested executor backend name (``"auto"``/``None`` = resolve
     #: from the worker count; see ``repro.parallel.execute_tasks``).
     executor: Optional[str] = None
-    #: Lease-protocol tuning for the journal executor. Typed loosely:
-    #: the checkpoint layer sits below the parallel layer and only
-    #: ferries this object through to ``execute_tasks``.
-    lease_config: Optional[object] = None
     _next_batch: int = field(default=0, repr=False)
 
     def begin_batch(self, kind: str, size: int) -> str:
@@ -456,7 +413,6 @@ def campaign(
     timeout: Optional[float] = None,
     max_retries: Optional[int] = None,
     executor: Optional[str] = None,
-    lease_config: Optional[object] = None,
 ) -> Iterator[CampaignSession]:
     """Install a campaign session for the enclosed driver run.
 
@@ -470,7 +426,6 @@ def campaign(
         timeout=timeout,
         max_retries=max_retries,
         executor=executor,
-        lease_config=lease_config,
     )
     _ACTIVE.append(session)
     try:

@@ -13,18 +13,16 @@ Commands
     ``--checkpoint-dir DIR`` journals every completed trial so a killed
     campaign can continue with ``--resume``; ``--inject-faults SPEC``
     runs a deterministic chaos drill (see ``docs/robustness.md``).
-    ``--executor journal`` lets several launcher processes pointed at
-    the same ``--checkpoint-dir`` drain one campaign cooperatively via
-    lease files (``--lease-ttl`` tunes dead-launcher reclaim).
+    ``--executor serial|pool`` forces how trials run (default ``auto``:
+    serial for one worker, a process pool otherwise).
 ``campaign status DIR`` / ``campaign watch DIR [--interval S] [--once]``
-    Per-batch progress and live/stale lease ownership of a campaign
-    being drained by journal-executor launchers. ``watch`` follows the
-    campaign live through its telemetry feeds (``run --telemetry``):
-    per-launcher throughput, completed-vs-total per batch, ETA, and
-    stale-lease / dead-launcher warnings.
+    Per-batch journaled-trial counts of a checkpointed campaign.
+    ``watch`` follows the campaign live through its telemetry feeds
+    (``run --telemetry``): per-launcher throughput, completed-vs-total
+    per batch, ETA, and dead-launcher warnings.
 ``timeline report DIR [--trace PATH] [--bin S]``
     Post-hoc analysis of a telemetered campaign: per-launcher
-    utilization and contention, throughput-over-time, merged metrics,
+    utilization, throughput-over-time, merged metrics,
     and per-phase attribution joined from ``--trace-dir`` traces.
 ``bench compare OLD.json NEW.json [--threshold R]``
     Diff two committed ``BENCH_*.json`` snapshots per benchmark; exits
@@ -144,22 +142,12 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--executor",
-        choices=("auto", "serial", "pool", "journal"),
+        choices=("auto", "serial", "pool"),
         default="auto",
-        help="trial execution backend: 'serial' (in-process), 'pool' "
-        "(local process pool), 'journal' (several launchers sharing "
-        "--checkpoint-dir drain the campaign cooperatively via lease "
-        "files) or 'auto' (default; serial/pool from --workers). "
+        help="trial execution: 'serial' (in-process), 'pool' (local "
+        "process pool) or 'auto' (default; serial/pool from --workers). "
         "Outcomes are bit-for-bit identical across executors "
         "(docs/robustness.md)",
-    )
-    run.add_argument(
-        "--lease-ttl",
-        type=float,
-        default=None,
-        metavar="SECONDS",
-        help="journal executor only: heartbeat TTL after which a dead "
-        "launcher's chunk claims are reclaimed by peers",
     )
     run.add_argument(
         "--max-retries",
@@ -290,20 +278,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
     campaign = sub.add_parser(
         "campaign",
-        help="inspect live multi-launcher campaigns (journal executor)",
+        help="inspect checkpointed campaigns, live or finished",
     )
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
     status = campaign_sub.add_parser(
         "status",
-        help="per-batch progress and lease ownership of a campaign "
-        "directory being drained by journal-executor launchers",
+        help="per-batch journaled-trial counts of a campaign directory, "
+        "plus a telemetry summary when it has feeds",
     )
     status.add_argument("directory", help="campaign dir (or a parent of several)")
     watch = campaign_sub.add_parser(
         "watch",
         help="follow a telemetered campaign live: per-launcher "
-        "throughput, batch progress, ETA, stale-lease and "
-        "dead-launcher warnings (campaigns run with --telemetry)",
+        "throughput, batch progress, ETA and dead-launcher warnings "
+        "(campaigns run with --telemetry)",
     )
     watch.add_argument("directory", help="campaign dir (or a parent of several)")
     watch.add_argument(
@@ -326,7 +314,7 @@ def _build_parser() -> argparse.ArgumentParser:
     timeline_sub = timeline.add_subparsers(dest="timeline_command", required=True)
     tl_report = timeline_sub.add_parser(
         "report",
-        help="per-launcher utilization, contention, throughput-over-time "
+        help="per-launcher utilization, throughput-over-time "
         "and merged metrics of a campaign run with --telemetry",
     )
     tl_report.add_argument("directory", help="campaign dir (or a parent of several)")
@@ -413,13 +401,6 @@ def _cmd_run(args) -> int:
         from repro.errors import CheckpointError
 
         raise CheckpointError("--resume requires --checkpoint-dir")
-    if args.executor == "journal" and args.checkpoint_dir is None:
-        from repro.errors import CheckpointError
-
-        raise CheckpointError(
-            "--executor journal coordinates launchers through the "
-            "campaign journal; it requires --checkpoint-dir"
-        )
     if args.telemetry and args.checkpoint_dir is None:
         from repro.errors import CheckpointError
 
@@ -436,7 +417,6 @@ def _cmd_run(args) -> int:
         max_retries=args.max_retries,
         kernel=None if args.kernel == "auto" else args.kernel,
         executor=None if args.executor == "auto" else args.executor,
-        lease_ttl=args.lease_ttl,
         telemetry=args.telemetry,
     )
     if any(e.lower() == "all" for e in ids):
@@ -688,16 +668,15 @@ def _cmd_trace_summarize(path: str) -> int:
 
 
 def _campaign_snapshot(campaign_dir):
-    """One campaign's merged state: journal truth, leases, telemetry.
+    """One campaign's merged state: journal truth and telemetry.
 
     The single code path behind both ``campaign status`` and ``campaign
     watch`` — the timeline is ``None`` when the campaign was not run
     with ``--telemetry`` (or has produced no feeds yet).
     """
-    from repro.checkpoint import LEASES_DIRNAME, MANIFEST_NAME, CheckpointJournal
+    from repro.checkpoint import MANIFEST_NAME, CheckpointJournal
     from repro.obs.telemetry import TELEMETRY_DIRNAME
     from repro.obs.timeline import load_timeline
-    from repro.parallel import scan_leases, summarize_leases
 
     manifest = {}
     per_batch = {}
@@ -706,7 +685,6 @@ def _campaign_snapshot(campaign_dir):
         manifest = journal.read_manifest()
         for batch, _, _ in journal.iter_records():
             per_batch[batch] = per_batch.get(batch, 0) + 1
-    leases = scan_leases(campaign_dir / LEASES_DIRNAME)
     timeline = None
     if (campaign_dir / TELEMETRY_DIRNAME).is_dir() or (
         campaign_dir.name == TELEMETRY_DIRNAME and campaign_dir.is_dir()
@@ -716,35 +694,14 @@ def _campaign_snapshot(campaign_dir):
         "dir": campaign_dir,
         "manifest": manifest,
         "per_batch": per_batch,
-        "leases": leases,
-        "lease_split": summarize_leases(leases),
         "timeline": timeline,
     }
 
 
-def _lease_lines(snapshot) -> list:
-    """Per-batch journal/lease lines shared by status and watch.
-
-    Heartbeat ages are clamped at zero: a peer whose clock runs ahead
-    of ours writes heartbeats "from the future", and a raw negative age
-    reads like corruption when it is only skew.
-    """
-    lines = []
-    by_batch = {}
-    for lease in snapshot["leases"]:
-        by_batch.setdefault(lease.path.parent.name, []).append(lease)
-    for batch in sorted(set(snapshot["per_batch"]) | set(by_batch)):
-        lines.append(f"  {batch}: {snapshot['per_batch'].get(batch, 0)} trial(s)")
-        for lease in by_batch.get(batch, ()):
-            state = "stale" if lease.is_stale() else "live"
-            indices = lease.chunk
-            span = f"t{indices[0]}..t{indices[-1]}" if indices else "empty"
-            lines.append(
-                f"    {lease.path.name}: {state}, owner {lease.owner}, "
-                f"{span}, heartbeat {max(0.0, lease.age()):.1f}s ago "
-                f"(ttl {lease.ttl:.0f}s)"
-            )
-    return lines
+def _batch_lines(snapshot) -> list:
+    """Per-batch journaled-trial lines shared by status and watch."""
+    per_batch = snapshot["per_batch"]
+    return [f"  {batch}: {per_batch[batch]} trial(s)" for batch in sorted(per_batch)]
 
 
 def _cmd_campaign_status(directory: str) -> int:
@@ -752,15 +709,13 @@ def _cmd_campaign_status(directory: str) -> int:
         snapshot = _campaign_snapshot(campaign_dir)
         manifest = snapshot["manifest"]
         per_batch = snapshot["per_batch"]
-        split = snapshot["lease_split"]
         print(
             f"{campaign_dir}: {manifest.get('experiment_id', '?')} "
             f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
             f"— {sum(per_batch.values())} journaled trial(s) in "
-            f"{len(per_batch)} batch(es); {split['live']} live / "
-            f"{split['stale']} stale lease(s)"
+            f"{len(per_batch)} batch(es)"
         )
-        for line in _lease_lines(snapshot):
+        for line in _batch_lines(snapshot):
             print(line)
         timeline = snapshot["timeline"]
         if timeline is not None and timeline.launchers:
@@ -799,7 +754,7 @@ def _render_watch(campaign_dir, now: float) -> None:
             f"{campaign_dir}: no telemetry feeds yet (campaign not "
             "started, or run without --telemetry)"
         )
-        for line in _lease_lines(snapshot):
+        for line in _batch_lines(snapshot):
             print(line)
         return
     total = timeline.total
@@ -832,15 +787,6 @@ def _render_watch(campaign_dir, now: float) -> None:
             f"  launcher {launcher.name}: {launcher.executed} trial(s), "
             f"{launcher.trials_per_second:.1f}/s, "
             f"util {100.0 * launcher.utilization:.0f}%, {state}"
-        )
-    stale = [lease for lease in snapshot["leases"] if lease.is_stale()]
-    for lease in stale:
-        indices = lease.chunk
-        span = f"t{indices[0]}..t{indices[-1]}" if indices else "empty"
-        print(
-            f"  WARNING: stale lease {lease.path.parent.name}/"
-            f"{lease.path.name} ({span}) owner {lease.owner}, heartbeat "
-            f"{max(0.0, lease.age()):.1f}s ago — peers will reclaim it"
         )
     if timeline.torn_lines:
         print(f"  note: {timeline.torn_lines} torn feed line(s) skipped")
@@ -879,33 +825,22 @@ def _cmd_timeline_report(directory: str, trace: Optional[str], bin_seconds: floa
             table = Table(
                 title="Per-launcher utilization",
                 headers=[
-                    "launcher", "trials", "peer", "busy s", "wall s",
-                    "util %", "trials/s", "leases",
+                    "launcher", "trials", "busy s", "wall s", "util %",
+                    "trials/s",
                 ],
             )
             for name in sorted(timeline.launchers):
                 launcher = timeline.launchers[name]
-                lease_text = (
-                    ", ".join(
-                        f"{kind}:{count}"
-                        for kind, count in sorted(launcher.lease_events.items())
-                    )
-                    or "-"
-                )
                 table.add_row(
                     launcher.name,
                     launcher.executed,
-                    launcher.peer_loaded,
                     f"{launcher.busy_seconds:.2f}",
                     f"{launcher.wall_seconds:.2f}",
                     f"{100.0 * launcher.utilization:.0f}",
                     f"{launcher.trials_per_second:.1f}",
-                    lease_text,
                 )
             table.add_note(
-                "util = busy trial seconds / observed launcher lifetime; "
-                "peer = records loaded from peers' journal entries "
-                "(contention, not progress)"
+                "util = busy trial seconds / observed launcher lifetime"
             )
             print()
             print(table.render())

@@ -19,7 +19,6 @@ from repro.faults import FaultPlan
 from repro.obs.metrics import active_metrics, collecting
 from repro.obs.telemetry import TELEMETRY_DIRNAME, TelemetryFeed, telemetering
 from repro.obs.tracing import current_tracer
-from repro.parallel import LeaseConfig
 from repro.experiments import (
     e01_winning_distribution,
     e02_graph_classes,
@@ -102,7 +101,6 @@ class ExperimentSpec:
         max_retries: Optional[int] = None,
         kernel: Optional[str] = None,
         executor: Optional[str] = None,
-        lease_ttl: Optional[float] = None,
         telemetry: bool = False,
     ) -> ExperimentReport:
         """Run one scale ("full"/"quick") as a crash-safe campaign.
@@ -125,14 +123,9 @@ class ExperimentSpec:
         across kernels (the backends are bit-for-bit equivalent), which
         is exactly what the CI kernel-equivalence drill asserts.
 
-        ``executor`` selects the trial execution backend for every
-        Monte-Carlo batch of the campaign (``"auto"``, ``"serial"``,
-        ``"pool"``, ``"journal"``; see :mod:`repro.parallel.executors`).
-        The ``journal`` backend requires a ``checkpoint_dir`` — several
-        launchers pointed at the same directory then drain the campaign
-        cooperatively via lease files; ``lease_ttl`` tunes how quickly
-        a dead launcher's claims are reclaimed (see
-        :class:`repro.parallel.LeaseConfig`). Reports are identical
+        ``executor`` selects how every Monte-Carlo batch of the campaign
+        runs (``"auto"``, ``"serial"`` or ``"pool"``; see
+        :func:`repro.parallel.execute_tasks`). Reports are identical
         across executors, like kernels.
 
         ``telemetry=True`` (CLI: ``--telemetry``) opens an append-only
@@ -140,32 +133,18 @@ class ExperimentSpec:
         :mod:`repro.obs.telemetry`) so ``div-repro campaign watch`` and
         ``timeline report`` can observe the campaign live and post-hoc.
         It requires a ``checkpoint_dir`` — the feeds live next to the
-        journal the launchers share. When no ambient metrics registry
+        campaign's journal. When no ambient metrics registry
         is collecting, one is installed for the campaign so heartbeats
         carry real counters.
         """
         if scale not in ("full", "quick"):
             raise ExperimentError(f"unknown campaign scale {scale!r}")
-        if executor == "journal" and checkpoint_dir is None:
-            raise ExperimentError(
-                "the journal executor coordinates launchers through the "
-                "campaign checkpoint directory; pass checkpoint_dir "
-                "(CLI: --checkpoint-dir) or pick another --executor"
-            )
-        if lease_ttl is not None and executor != "journal":
-            raise ExperimentError(
-                "lease_ttl only applies to the journal executor "
-                f"(got executor={executor!r})"
-            )
         if telemetry and checkpoint_dir is None:
             raise ExperimentError(
                 "telemetry feeds live under the campaign checkpoint "
                 "directory; pass checkpoint_dir (CLI: --checkpoint-dir) "
                 "or drop --telemetry"
             )
-        lease_config = (
-            LeaseConfig.from_ttl(lease_ttl) if lease_ttl is not None else None
-        )
         config = self.config_cls() if scale == "full" else self.config_cls.quick()
         journal = None
         if checkpoint_dir is not None:
@@ -236,7 +215,6 @@ class ExperimentSpec:
                 timeout=trial_timeout,
                 max_retries=max_retries,
                 executor=executor,
-                lease_config=lease_config,
             ):
                 return self.run(config, seed=seed, **self._run_kwargs(workers))
 

@@ -7,7 +7,7 @@ so they are *reproducible*: a :class:`FaultPlan` names faults by trial
 index, the same index used for per-trial seed derivation, so a chaos
 drill fails the same trial on every run.
 
-The plan is consulted in two places:
+The plan is consulted in three places:
 
 * **worker side** — :meth:`FaultPlan.worker_fault` runs inside a worker
   process just before a trial executes and can kill the worker
@@ -19,22 +19,14 @@ The plan is consulted in two places:
   :meth:`FaultPlan.maybe_abort` raises :class:`InjectedAbort` after a
   trial is recorded (``abort``), simulating process death mid-campaign
   deterministically.
-* **launcher side** — :meth:`FaultPlan.lease_faults` reports the lease
-  faults scripted for a chunk of trial indices. The journal executor
-  (:mod:`repro.parallel.executors.journal`) applies them when it claims
-  the chunk: ``lease-stale`` backdates the heartbeat so peers reclaim a
-  live chunk, ``lease-steal`` force-claims over a live peer lease
-  (double-claim), ``lease-partial`` tears the lease file mid-write, and
-  ``lease-abort`` kills the launcher right after the claim. Unlike
-  worker faults these fire *in the launcher process* — that process is
-  the failure domain under test.
+* **telemetry side** — :meth:`FaultPlan.telemetry_drop_indices` names
+  the trials whose record the launcher's telemetry feed drops.
 
 SPEC grammar (``div-repro run --inject-faults SPEC``)::
 
     SPEC   := clause (";" clause)*
     clause := KIND "@" INDEX [":" ARG]
     KIND   := crash | hang | slow | corrupt | truncate | abort
-            | lease-stale | lease-steal | lease-partial | lease-abort
             | telemetry-drop
 
 ``crash@I[:N]`` kills the worker executing trial ``I`` (first ``N``
@@ -42,11 +34,10 @@ attempts only, default every attempt); ``hang@I[:N]`` stalls it for
 ``hang_seconds``; ``slow@I[:S]`` sleeps ``S`` seconds (default 0.05)
 then runs normally; ``corrupt@I`` / ``truncate@I`` damage trial ``I``'s
 checkpoint record after it is written; ``abort@I`` aborts the campaign
-in the parent right after trial ``I`` is recorded; the ``lease-*``
-kinds fire when the journal executor claims the chunk containing trial
-``I`` (they take no argument); ``telemetry-drop@I`` suppresses trial
-``I``'s record on the launcher's telemetry feed (no argument), drilling
-the timeline reader's tolerance for feeds with holes. Duplicate
+in the parent right after trial ``I`` is recorded; ``telemetry-drop@I``
+suppresses trial ``I``'s record on the launcher's telemetry feed (no
+argument), drilling the timeline reader's tolerance for feeds with
+holes. Duplicate
 ``(KIND, INDEX)`` clauses are rejected — a doubled clause is always a
 typo, never a feature.
 """
@@ -57,7 +48,7 @@ import os
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Optional, Tuple
 
 from repro.errors import FaultSpecError
 
@@ -67,16 +58,11 @@ WORKER_KINDS = ("crash", "hang", "slow")
 #: Fault kinds that damage a checkpoint record after it is written.
 RECORD_KINDS = ("corrupt", "truncate")
 
-#: Fault kinds applied by the journal executor when claiming a chunk.
-LEASE_KINDS = ("lease-stale", "lease-steal", "lease-partial", "lease-abort")
-
 #: Fault kinds applied to the launcher's telemetry feed.
 TELEMETRY_KINDS = ("telemetry-drop",)
 
 #: All valid clause kinds.
-ALL_KINDS = (
-    WORKER_KINDS + RECORD_KINDS + ("abort",) + LEASE_KINDS + TELEMETRY_KINDS
-)
+ALL_KINDS = WORKER_KINDS + RECORD_KINDS + ("abort",) + TELEMETRY_KINDS
 
 #: Exit code of a worker killed by a ``crash`` fault.
 CRASH_EXIT_CODE = 23
@@ -173,7 +159,7 @@ class FaultPlan:
                     raise FaultSpecError(
                         f"clause {raw!r}: argument must be positive"
                     )
-            no_arg = RECORD_KINDS + ("abort",) + LEASE_KINDS + TELEMETRY_KINDS
+            no_arg = RECORD_KINDS + ("abort",) + TELEMETRY_KINDS
             if kind in no_arg and arg is not None:
                 raise FaultSpecError(
                     f"clause {raw!r}: {kind} takes no argument"
@@ -286,27 +272,6 @@ class FaultPlan:
                 f"injected abort after trial {index} (fault plan "
                 f"{self.render()!r})"
             )
-
-    # -- launcher side ----------------------------------------------------
-
-    def lease_faults(self, indices: Sequence[int]) -> Tuple[str, ...]:
-        """Lease fault kinds scripted for a chunk of trial indices.
-
-        Consulted by the journal executor right before it claims the
-        chunk. Unlike :meth:`worker_fault` there is **no** parent-pid
-        check: lease faults target the launcher process itself (the
-        claim/heartbeat machinery runs nowhere else).
-        """
-        wanted = set(indices)
-        return tuple(
-            sorted(
-                {
-                    clause.kind
-                    for clause in self.clauses
-                    if clause.kind in LEASE_KINDS and clause.index in wanted
-                }
-            )
-        )
 
     #: Indices with worker-side faults, for tests and diagnostics.
     def worker_fault_indices(self) -> Tuple[int, ...]:

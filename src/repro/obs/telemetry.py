@@ -1,21 +1,22 @@
 """Campaign telemetry feeds: append-only JSONL heartbeats of live runs.
 
-A campaign being drained by one or more launcher processes was, until
-now, observable only after the fact (``trace summarize``) or through the
-one-shot ``campaign status``. This module gives every launcher a
-**telemetry feed** — an append-only JSONL file under the campaign's
+A campaign run would otherwise be observable only after the fact
+(``trace summarize``) or through the one-shot ``campaign status``. This
+module gives every launcher — each ``div-repro run`` process that works
+on a campaign, such as a first run and the runs that resume it — a
+**telemetry feed**: an append-only JSONL file under the campaign's
 checkpoint directory::
 
     <campaign>/telemetry/<host>-pid<pid>-F<seq>-<ns>.jsonl
 
 into which it streams progress while running: batch begin/end, one
-record per executed trial, executor resolution, lease claim/steal/
-reclaim events, checkpoint cache hits, and periodic heartbeats carrying
-mergeable :class:`~repro.obs.metrics.MetricsSnapshot` *deltas*. The
-timeline reader (:mod:`repro.obs.timeline`) merges any number of feeds
-— out of order, torn-tailed, from launchers that died mid-write — into
-one deterministic campaign timeline that ``div-repro campaign watch``
-and ``div-repro timeline report`` render.
+record per executed trial, executor resolution, checkpoint cache hits,
+and periodic heartbeats carrying mergeable
+:class:`~repro.obs.metrics.MetricsSnapshot` *deltas*. The timeline
+reader (:mod:`repro.obs.timeline`) merges any number of feeds — torn-
+tailed, from launchers that died mid-write — into one deterministic
+campaign timeline that ``div-repro campaign watch`` and ``div-repro
+timeline report`` render.
 
 Like metrics, tracing and profiling, telemetry is **ambient and
 opt-in**: instrumented code asks :func:`active_telemetry` once and does
@@ -36,13 +37,10 @@ feed-local monotonically increasing ``seq`` and an epoch ``t``)::
     {"seq": n, "t": ..., "kind": "trial", "batch": ..., "index": 7,
      "seconds": 0.012, "worker": "pid-4242"}
     {"seq": n, "t": ..., "kind": "heartbeat", "metrics": {...delta...}}
-    {"seq": n, "t": ..., "kind": "lease.claim", "batch": ..., "chunk": 8,
-     "size": 4}                      # also lease.reclaim / lease.steal /
-                                     # lease.peer_done
-    {"seq": n, "t": ..., "kind": "executor.resolved", "executor": "journal",
+    {"seq": n, "t": ..., "kind": "executor.resolved", "executor": "pool",
      "tasks": 40, "workers": 2}
     {"seq": n, "t": ..., "kind": "batch.end", "batch": ...,
-     "executor": "journal", "seconds": 1.73, "trials": 40}
+     "executor": "pool", "seconds": 1.73, "trials": 40}
     {"seq": n, "t": ..., "kind": "bye", "metrics": {...final delta...}}
 
 Heartbeats carry metric **deltas** (everything recorded since the
@@ -54,9 +52,8 @@ deltas reconstructs the launcher's cumulative snapshot exactly. Gauges
 are last-write-wins, as everywhere else.
 
 Feed writes go through :func:`repro.io.append_jsonl_line` (whole-line
-``O_APPEND`` writes — lint rule OBS002 enforces this), so concurrent
-feeds never interleave within a line and a dying launcher can tear at
-most its final line. A feed whose filesystem starts failing disables
+``O_APPEND`` writes — lint rule OBS002 enforces this), so a dying
+launcher can tear at most its final line. A feed whose filesystem starts failing disables
 itself with a :class:`RuntimeWarning` instead of taking the campaign
 down: telemetry observes work, it must never lose it.
 
@@ -294,7 +291,7 @@ class TelemetryFeed:
         self._seq += 1
 
     def event(self, kind: str, **fields: object) -> None:
-        """Emit a generic event record (lease events, executor resolution)."""
+        """Emit a generic event record (executor resolution, cache hits)."""
         if self._open_batch is not None and "batch" not in fields:
             fields["batch"] = self._open_batch
         self._emit(kind, **fields)
@@ -324,7 +321,7 @@ class TelemetryFeed:
         worker: str,
         batch: Optional[str] = None,
     ) -> None:
-        """Record one executed (or peer-loaded) trial; throttled heartbeat."""
+        """Record one executed trial; throttled heartbeat."""
         if index in self.drop_indices:
             self.dropped += 1
             return
@@ -404,13 +401,19 @@ def active_telemetry() -> Optional[TelemetryFeed]:
 
 @contextmanager
 def telemetering(feed: TelemetryFeed) -> Iterator[TelemetryFeed]:
-    """Install ``feed`` as the ambient telemetry sink; closes it on exit."""
+    """Install ``feed`` as the ambient telemetry sink; closes it on exit.
+
+    Only a block that completes closes the feed. One that raises — an
+    injected abort, a ctrl-C, a corrupt journal — leaves it without its
+    ``bye`` record, as a killed launcher would, so the timeline reports
+    that launcher as one that never finished.
+    """
     _ACTIVE.append(feed)
     try:
         yield feed
     finally:
         _ACTIVE.pop()
-        feed.close()
+    feed.close()
 
 
 @contextmanager
@@ -433,17 +436,13 @@ def suspended() -> Iterator[None]:
         _ACTIVE.extend(saved)
 
 
-def emit_trial(
-    index: int,
-    seconds: float,
-    worker: str,
-    batch: Optional[str] = None,
-) -> None:
+def emit_trial(index: int, seconds: float, worker: str) -> None:
     """Record a trial on the ambient feed, if one is installed.
 
-    The one-line hook the executor backends call next to ``on_record``;
-    a no-op without a feed, preserving the zero-overhead contract.
+    The one-line hook :func:`repro.parallel.execute_tasks` calls next
+    to ``on_record``; a no-op without a feed, preserving the
+    zero-overhead contract.
     """
     feed = active_telemetry()
     if feed is not None:
-        feed.trial(index, seconds, worker, batch=batch)
+        feed.trial(index, seconds, worker)

@@ -2,31 +2,32 @@
 
 :mod:`repro.obs.telemetry` leaves a campaign directory holding one
 append-only JSONL feed per launcher that ever worked on the campaign.
-This module is the read side: it loads every feed under
-``<campaign>/telemetry/``, tolerates the mess real campaigns produce —
-launchers killed mid-line (torn tails), crashed before their ``bye``,
-clocks skewed against each other, records arriving out of order across
-feeds — and folds everything into a single :class:`CampaignTimeline`
-whose contents are **deterministic**: the same set of feed files yields
+A campaign gets a new feed each time a launcher opens it — the first
+run, and each run that resumes it. This module is the read side: it
+loads every feed under ``<campaign>/telemetry/``, tolerates the mess
+real campaigns produce — launchers killed mid-line (torn tails),
+crashed before their ``bye``, clocks skewed between runs — and folds
+everything into a single :class:`CampaignTimeline` whose contents are
+**deterministic**: the same set of feed files yields
 the same timeline regardless of discovery order or interleaving,
 because feeds are sorted by filename, records by their feed-local
 ``seq``, and the merged event stream by ``(t, launcher, seq)``.
 
 The timeline powers ``div-repro campaign watch`` (live), ``div-repro
-timeline report`` (post-hoc utilization/contention analysis) and the
+timeline report`` (post-hoc utilization analysis) and the
 timeline-backed half of ``div-repro campaign status``. Its accounting
 rules:
 
 - A trial is **completed** once any launcher holds a record for its
-  ``(batch, index)`` — duplicates (the same index executed twice after
-  a lease steal, or loaded from a peer's journal records) count toward
-  ``duplicates``/contention, never toward progress. A launcher's
+  ``(batch, index)`` — duplicates (the same index executed again, e.g.
+  after its damaged journal record was discarded on resume) count
+  toward ``duplicates``, never toward progress. A launcher's
   journal-``cached`` count at batch open is a completion *floor*, not
   an additive term — those trials usually also appear as records in
   some feed (see :meth:`BatchProgress.completed`).
-- A trial was **executed** by a launcher when its record's ``worker``
-  is not the ``"peer"`` sentinel; peer-loaded records represent work a
-  *different* launcher did and only prove completion.
+- Every trial record counts as a trial its launcher **executed**.
+- Record kinds the reader does not fold — such as those only feeds
+  written by older versions hold — pass through to ``events``.
 - Heartbeat metric payloads are deltas; merging them with
   :func:`~repro.obs.metrics.merge_snapshots` reconstructs each
   launcher's cumulative snapshot exactly (see the telemetry module
@@ -56,11 +57,6 @@ __all__ = [
     "read_feed",
     "resolve_telemetry_dir",
 ]
-
-#: ``worker`` sentinel marking records loaded from a peer's journal
-#: entries rather than executed locally (mirrors parallel's PEER_WORKER).
-PEER_WORKER = "peer"
-
 
 def resolve_telemetry_dir(directory: Union[str, Path]) -> Path:
     """Accept either a campaign directory or its ``telemetry/`` subdir."""
@@ -124,16 +120,12 @@ class LauncherTimeline:
     heartbeat_interval: float = 1.0
     #: ``True`` once the feed's ``bye`` record was observed.
     closed: bool = False
-    #: Trials this launcher actually executed (worker != "peer").
+    #: Trials this launcher executed.
     executed: int = 0
-    #: Records it merely loaded from peers' journal entries.
-    peer_loaded: int = 0
     #: Wall seconds spent inside executed trials (utilization numerator).
     busy_seconds: float = 0.0
     #: Cumulative metrics, reconstructed by merging heartbeat deltas.
     metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
-    #: Lease activity counts: claim / reclaim / steal / peer_done.
-    lease_events: Dict[str, int] = field(default_factory=dict)
     #: Trial records dropped by the telemetry-drop fault (self-reported).
     self_dropped: int = 0
     #: Unparseable feed lines (torn tail etc.) the reader skipped.
@@ -165,8 +157,7 @@ class LauncherTimeline:
 
         ``grace`` multiplies the feed's own promised heartbeat interval
         — a launcher silent for that long either died or is wedged, and
-        ``campaign watch`` flags it (its journal leases will go stale on
-        the same timescale and peers will steal them).
+        ``campaign watch`` flags it.
         """
         if self.closed:
             return False
@@ -188,8 +179,8 @@ class BatchProgress:
     #: Distinct completed trial indices across all feeds (progress
     #: denominator is size).
     completed_indices: Set[int] = field(default_factory=set)
-    #: Records beyond the first per index: lease-steal double work plus
-    #: peer loads — the campaign's contention/redundancy cost.
+    #: Records beyond the first per index: trials executed more than
+    #: once — the campaign's redundancy cost.
     duplicates: int = 0
     #: Launchers that announced batch.end, mapped to resolved executor.
     finished_by: Dict[str, str] = field(default_factory=dict)
@@ -393,24 +384,15 @@ def _fold_feed(
             else:
                 batch.completed_indices.add(index)
             batch.launcher_indices.setdefault(launcher.name, set()).add(index)
-            worker = str(record.get("worker", ""))
             seconds = float(record.get("seconds", 0.0))
-            if worker == PEER_WORKER:
-                launcher.peer_loaded += 1
-            else:
-                launcher.executed += 1
-                launcher.busy_seconds += seconds
-                launcher.trials.append((t, key, index, seconds))
+            launcher.executed += 1
+            launcher.busy_seconds += seconds
+            launcher.trials.append((t, key, index, seconds))
         elif kind == "batch.end":
             key = str(record.get("batch"))
             batch = timeline.batches.setdefault(key, BatchProgress(key=key))
             batch.finished_by[launcher.name] = str(
                 record.get("executor") or "?"
-            )
-        elif kind.startswith("lease."):
-            event = kind[len("lease.") :]
-            launcher.lease_events[event] = (
-                launcher.lease_events.get(event, 0) + 1
             )
         # Unknown kinds flow through to the event stream untouched —
         # newer writers must not break older readers.

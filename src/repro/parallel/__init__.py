@@ -2,43 +2,37 @@
 
 The Monte-Carlo drivers in :mod:`repro.analysis.montecarlo` already pay
 for per-trial :class:`~numpy.random.SeedSequence` independence; this
-package turns that independence into wall-clock speedup through
-pluggable **executor backends** (:mod:`repro.parallel.executors`):
+package turns that independence into wall-clock speedup.
+:func:`execute_tasks` runs a batch one of two ways:
 
 * ``serial`` — instrumented in-process execution (``workers=1``);
 * ``pool`` — a local :class:`~concurrent.futures.ProcessPoolExecutor`
-  with bounded retries and transparent in-process fallback;
-* ``journal`` — several independent launcher processes sharing a
-  campaign checkpoint directory drain one campaign cooperatively,
-  claiming task chunks through heartbeat-renewed lease files
-  (:mod:`repro.parallel.leases`).
+  with bounded retries and transparent in-process fallback.
 
 Determinism contract
 --------------------
 The parent process spawns the per-trial seed sequences exactly as the
 serial path does (:func:`repro.rng.spawn_seed_sequences`) and ships
-``(index, args, SeedSequence)`` tasks to the backend; whoever executes
-a trial only constructs ``make_rng(trial_seed)`` — the very generator
-the serial path would have built — and runs the trial. Outcomes are
-reassembled by task index, so for the same master seed every backend
-returns **bit-for-bit identical outcomes** to the serial run, for any
-worker count, chunking, scheduling order, lease contention, or
-injected fault.
+``(index, args, SeedSequence)`` tasks out; whoever executes a trial
+only constructs ``make_rng(trial_seed)`` — the very generator the
+serial path would have built — and runs the trial. Outcomes are
+reassembled by task index, so for the same master seed both paths
+return **bit-for-bit identical outcomes** to the serial run, for any
+worker count, chunking, scheduling order, or injected fault.
 
 Robustness
 ----------
 * A trial function (and its task arguments) must be picklable for the
-  ``pool`` backend; an unpicklable trial raises a clear
+  pool; an unpicklable trial raises a clear
   :class:`~repro.errors.AnalysisError` before any worker starts.
 * A worker crash (``BrokenProcessPool``) or a pool-round timeout
   triggers a bounded retry on a fresh pool; chunks that still fail
   after ``max_retries`` rounds execute transparently in-process, with
   a :class:`RuntimeWarning`. Exceptions raised *by the trial itself*
   propagate unchanged, exactly as on the serial path.
-* A journal-executor launcher that dies mid-chunk stops heartbeating
-  its leases; peers reclaim them after the TTL and finish the work.
-  Filesystem trouble degrades the launcher to plain in-process
-  execution (``"journal->serial"``).
+* Every finished chunk is handed to the checkpoint journal as soon as
+  it is done, so a killed campaign resumes from every chunk that had
+  finished (see :mod:`repro.checkpoint`).
 
 Observability
 -------------
@@ -52,11 +46,6 @@ counters) is attached to the resulting ``TrialSet`` and surfaced by
 from repro.parallel.base import (
     DEFAULT_CHUNKS_PER_WORKER,
     DEFAULT_MAX_RETRIES,
-    PEER_WORKER,
-    ExecutionRequest,
-    ExecutionResult,
-    ExecutorBackend,
-    OutcomeStore,
     TrialRecord,
     TrialTask,
     TrialTimings,
@@ -64,36 +53,14 @@ from repro.parallel.base import (
     summarize_timings,
 )
 from repro.parallel.dispatch import execute_tasks
-from repro.parallel.executors import available_executors, resolve_executor
-from repro.parallel.leases import (
-    Lease,
-    LeaseConfig,
-    LeaseManager,
-    read_lease,
-    scan_leases,
-    summarize_leases,
-)
 
 __all__ = [
     "DEFAULT_CHUNKS_PER_WORKER",
     "DEFAULT_MAX_RETRIES",
-    "PEER_WORKER",
-    "ExecutionRequest",
-    "ExecutionResult",
-    "ExecutorBackend",
-    "Lease",
-    "LeaseConfig",
-    "LeaseManager",
-    "OutcomeStore",
     "TrialRecord",
     "TrialTask",
     "TrialTimings",
     "WorkerStats",
-    "available_executors",
     "execute_tasks",
-    "read_lease",
-    "resolve_executor",
-    "scan_leases",
-    "summarize_leases",
     "summarize_timings",
 ]

@@ -1,13 +1,12 @@
-"""Shared types and worker-side helpers of the executor backends.
+"""Shared types and worker-side helpers of the trial dispatcher.
 
-Everything an executor backend (:mod:`repro.parallel.executors`) needs
-lives here: the task/record/timings dataclasses, the picklability and
-chunking helpers, and :func:`_run_task_chunk` — the single function
-that ever executes trials, whether inside a pool worker, inside a
-journal-executor launcher, or on the in-process fallback path. Keeping
-one execution function is what makes the serial-equivalence guarantee
-backend-independent: every backend runs ``trial(*args, make_rng(seed))``
-on the very seed sequence the parent spawned.
+The task/record/timings dataclasses, the picklability and chunking
+helpers, and :func:`_run_task_chunk` — the single function that ever
+executes trials, whether inside a pool worker or in-process (the serial
+loop and the pool's fallback). Keeping one execution function is what
+makes the serial-equivalence guarantee hold for both paths: each runs
+``trial(*args, make_rng(seed))`` on the very seed sequence the parent
+spawned.
 """
 
 from __future__ import annotations
@@ -16,7 +15,6 @@ import os
 import pickle
 import time
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -28,7 +26,6 @@ from repro.obs.metrics import MetricsSnapshot, collecting
 from repro.obs.profile import suspended as profiling_suspended
 from repro.obs.telemetry import suspended as telemetry_suspended
 from repro.obs.tracing import suspended as tracing_suspended
-from repro.parallel.leases import LeaseConfig
 from repro.rng import make_rng
 
 #: Default number of retry rounds after a worker crash or round timeout.
@@ -41,11 +38,6 @@ DEFAULT_CHUNKS_PER_WORKER = 4
 
 #: One unit of work: ``trial(*args, make_rng(trial_seed))``.
 TrialTask = Tuple[int, tuple, np.random.SeedSequence]
-
-#: Worker label of a trial whose outcome was journaled by a peer
-#: launcher and merely loaded by this one (journal executor).
-PEER_WORKER = "peer"
-
 
 @dataclass(frozen=True)
 class TrialRecord:
@@ -90,11 +82,9 @@ class TrialTimings:
         ``"serial"`` (no pool was used), ``"parallel"`` (all trials ran in
         workers) or ``"fallback"`` (some trials fell back in-process).
     executor:
-        The resolved executor backend, including any degradation path —
-        ``"pool"``, ``"serial"``, ``"journal"``, ``"pool->serial"``
-        (retry budget exhausted), ``"journal->serial"`` (filesystem
-        misbehaved), ``"journal->pool"`` (no campaign journal to
-        coordinate through). Mirrors ``RunResult.kernel``.
+        The resolved executor, including any degradation path —
+        ``"serial"``, ``"pool"`` or ``"pool->serial"`` (retry budget
+        exhausted). Mirrors ``RunResult.kernel``.
     requested_workers:
         The ``workers`` argument the batch was run with.
     total_seconds:
@@ -316,65 +306,3 @@ def _chunk_tasks(
         list(tasks[start : start + chunk_size])
         for start in range(0, len(tasks), chunk_size)
     ]
-
-
-class OutcomeStore:
-    """Read access to trial outcomes another launcher already journaled.
-
-    The journal executor consults a store to (a) skip trials a peer has
-    completed and (b) load their outcomes for the returned ``TrialSet``.
-    The checkpoint layer provides the concrete implementation (the
-    parallel layer deliberately knows nothing about journals — only
-    about this two-method protocol).
-    """
-
-    def has(self, index: int) -> bool:  # pragma: no cover - interface
-        raise NotImplementedError
-
-    def load(self, index: int) -> object:  # pragma: no cover - interface
-        """Outcome of trial ``index``; raises ``KeyError`` when absent
-        (including a corrupt record the store's policy discards)."""
-        raise NotImplementedError
-
-
-@dataclass
-class ExecutionRequest:
-    """Everything a backend needs to execute one batch of tasks."""
-
-    trial: Callable
-    tasks: Sequence[TrialTask]
-    workers: int
-    chunk_size: Optional[int] = None
-    timeout: Optional[float] = None
-    max_retries: int = DEFAULT_MAX_RETRIES
-    fault_plan: Optional[FaultPlan] = None
-    on_record: Optional[Callable[[TrialRecord], None]] = None
-    collect_metrics: bool = False
-    kernel: Optional[str] = None
-    #: Journal-executor wiring (ignored by the other backends).
-    store: Optional[OutcomeStore] = None
-    lease_dir: Optional[Path] = None
-    lease_config: Optional[LeaseConfig] = None
-
-
-@dataclass
-class ExecutionResult:
-    """What a backend hands back to :func:`repro.parallel.execute_tasks`."""
-
-    records: List[TrialRecord]
-    mode: str
-    resolved: str
-    retries: int = 0
-    fallback_trials: int = 0
-
-
-class ExecutorBackend:
-    """One pluggable execution strategy (see :mod:`repro.parallel.executors`)."""
-
-    #: Registry key; also the ``--executor`` CLI value.
-    name: str = "?"
-
-    def execute(
-        self, request: ExecutionRequest
-    ) -> ExecutionResult:  # pragma: no cover - interface
-        raise NotImplementedError

@@ -1,37 +1,61 @@
-"""`execute_tasks`: resolve an executor backend and run a trial batch.
+"""`execute_tasks`: run a trial batch serially or on a process pool.
 
 This is the single entry point every Monte-Carlo driver dispatches
 through. It validates the request, resolves the ``executor`` name
-(``"auto"`` picks ``serial`` or ``pool`` from the worker count, and a
-``journal`` request without a campaign journal degrades with a
-warning), delegates to the backend, and post-conditions the result:
-records sorted by trial index, one record per task, and a
+(``"auto"`` picks ``serial`` for one worker and ``pool`` otherwise),
+runs the batch, and post-conditions the result: records sorted by trial
+index, one record per task, and a
 :class:`~repro.parallel.base.TrialTimings` carrying the **resolved**
-executor path (``"pool"``, ``"journal->serial"``, …) so callers can
-assert which machinery actually ran.
+executor path (``"serial"``, ``"pool"`` or ``"pool->serial"``) so
+callers can assert which machinery actually ran.
+
+``serial`` runs the tasks one at a time in the calling process.
+``pool`` dispatches chunks across a local
+:class:`~concurrent.futures.ProcessPoolExecutor`; infrastructure
+failures (worker crash, round timeout, pool breakage) are retried on a
+fresh pool for ``max_retries`` rounds, and chunks that still fail run
+transparently in-process — with a ``RuntimeWarning`` and a
+``"pool->serial"`` resolved path.
+
+Both paths hand every record to ``on_record`` (the checkpoint journal)
+and to the telemetry feed as soon as its chunk is done — the pool in
+submission order, each chunk as its future resolves — so a campaign
+killed mid-batch keeps every chunk that had finished.
+
+Timeout semantics
+-----------------
+``timeout`` is a **wall-clock budget for each pool round**, enforced
+through a single deadline computed when the round starts. Every future
+is waited on with the *remaining* time to that deadline, so a slow
+early chunk can never silently extend the budget of the chunks drained
+after it. Chunks that miss the round deadline are cancelled and retried
+on the next round.
 """
 
 from __future__ import annotations
 
 import time
 import warnings
-from pathlib import Path
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import TimeoutError as FutureTimeoutError
+from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError, ParallelExecutionError
 from repro.faults import FaultPlan
-from repro.obs.telemetry import active_telemetry
+from repro.obs.telemetry import active_telemetry, emit_trial
 from repro.parallel.base import (
     DEFAULT_MAX_RETRIES,
-    ExecutionRequest,
-    OutcomeStore,
     TrialRecord,
     TrialTask,
     TrialTimings,
+    _chunk_tasks,
+    _run_task_chunk,
     _validate_picklable,
 )
-from repro.parallel.executors import resolve_executor
-from repro.parallel.leases import LeaseConfig
+
+#: Accepted ``executor`` names; ``"auto"`` resolves from the worker count.
+EXECUTORS = ("auto", "pool", "serial")
 
 
 def execute_tasks(
@@ -47,47 +71,39 @@ def execute_tasks(
     collect_metrics: bool = False,
     kernel: Optional[str] = None,
     executor: Optional[str] = None,
-    store: Optional[OutcomeStore] = None,
-    lease_dir: Optional[Path] = None,
-    lease_config: Optional[LeaseConfig] = None,
 ) -> Tuple[List[TrialRecord], TrialTimings]:
-    """Execute ``tasks`` through an executor backend; deterministic outcomes.
+    """Execute ``tasks`` serially or on a process pool; deterministic outcomes.
 
     Returns the records sorted by task index together with the batch's
     :class:`TrialTimings` (whose ``executor`` field records the resolved
-    backend, including any degradation path).
+    path, including any degradation).
 
     Parameters
     ----------
     trial:
         Callable invoked as ``trial(*args, rng)`` per task (picklable
-        when the ``pool`` backend is involved).
+        when the pool is involved).
     tasks:
         ``(index, args, SeedSequence)`` triples; indices must be unique.
     workers:
         Worker process count (``1`` resolves ``"auto"`` to ``serial``).
-        The ``journal`` backend treats it as a chunking hint only —
-        execution is in-process, parallelism comes from peer launchers.
     chunk_size:
         Tasks per dispatched chunk (default: an even split into
         ``workers * 4`` chunks).
     timeout:
-        Optional wall-clock budget for each ``pool`` round, enforced as
-        a single per-round deadline (a slow early chunk cannot extend
-        the budget of later ones); timed-out chunks retry and
-        eventually fall back in-process.
+        Optional wall-clock budget for each pool round, enforced as a
+        single per-round deadline (a slow early chunk cannot extend the
+        budget of later ones); timed-out chunks retry and eventually
+        fall back in-process.
     max_retries:
         Pool rounds to attempt after the first before falling back.
     fault_plan:
-        Optional scripted faults (see :mod:`repro.faults`): worker
-        faults fire inside pool workers, lease faults fire when the
-        journal executor claims a chunk.
+        Optional scripted faults (see :mod:`repro.faults`); worker
+        faults fire inside pool workers only.
     on_record:
         Optional parent-side callback invoked for each record as soon
-        as it is available (the checkpoint layer journals trials here,
-        so a killed campaign keeps everything that finished). Peer
-        records loaded by the journal executor are *not* replayed
-        through it — the peer already journaled them.
+        as its chunk is done (the checkpoint layer journals trials here,
+        so a killed campaign keeps everything that finished).
     collect_metrics:
         When true, each trial runs under a fresh worker-local metrics
         registry and its snapshot rides back on the
@@ -97,72 +113,83 @@ def execute_tasks(
         trials run. Outcomes are identical either way — kernels are
         bit-for-bit equivalent.
     executor:
-        Backend name: ``"auto"``/``None`` (resolve from ``workers``),
-        ``"serial"``, ``"pool"``, or ``"journal"``. An unknown name
-        raises :class:`~repro.errors.AnalysisError`.
-    store / lease_dir / lease_config:
-        Journal-backend wiring, normally supplied by the Monte-Carlo
-        driver from the active campaign. Requesting ``"journal"``
-        without them degrades (with a :class:`RuntimeWarning`) to the
-        ``auto`` resolution, recorded as ``"journal->serial"`` or
-        ``"journal->pool"``.
+        ``"auto"``/``None`` (resolve from ``workers``), ``"serial"`` or
+        ``"pool"``. An unknown name raises
+        :class:`~repro.errors.AnalysisError`.
     """
     if workers < 1:
         raise AnalysisError(f"workers must be >= 1 (or None), got {workers}")
     if max_retries < 0:
         raise AnalysisError(f"max_retries must be >= 0, got {max_retries}")
-
-    resolved_prefix = ""
-    name = executor if executor not in (None, "auto") else None
-    if name == "journal" and (store is None or lease_dir is None):
-        warnings.warn(
-            "the journal executor needs a campaign checkpoint journal to "
-            "coordinate through (run with a checkpoint directory); "
-            "degrading to local execution. Outcomes are unaffected.",
-            RuntimeWarning,
-            stacklevel=2,
+    if executor not in (None,) + EXECUTORS:
+        raise AnalysisError(
+            f"unknown executor {executor!r} (known: {', '.join(EXECUTORS)})"
         )
-        resolved_prefix = "journal->"
-        name = None
-    if name is None:
-        name = "serial" if workers == 1 else "pool"
-    backend = resolve_executor(name)
+    if executor in (None, "auto"):
+        executor = "serial" if workers == 1 else "pool"
 
-    if backend.name == "pool":
-        _validate_picklable(trial, tasks)
+    records: List[TrialRecord] = []
 
+    def deliver(chunk_records: Sequence[TrialRecord]) -> None:
+        records.extend(chunk_records)
+        for record in chunk_records:
+            if on_record is not None:
+                on_record(record)
+            emit_trial(record.index, record.seconds, record.worker)
+
+    def run_in_process(chunk: Sequence[TrialTask]) -> None:
+        deliver(_run_task_chunk(trial, chunk, fault_plan, collect_metrics, kernel))
+
+    retries = fallback_trials = 0
     started = time.perf_counter()
-    result = backend.execute(
-        ExecutionRequest(
-            trial=trial,
-            tasks=tasks,
-            workers=workers,
-            chunk_size=chunk_size,
-            timeout=timeout,
-            max_retries=max_retries,
-            fault_plan=fault_plan,
-            on_record=on_record,
-            collect_metrics=collect_metrics,
-            kernel=kernel,
-            store=store,
-            lease_dir=lease_dir,
-            lease_config=lease_config,
-        )
-    )
-    records = sorted(result.records, key=lambda record: record.index)
+    if executor == "serial":
+        # Task-at-a-time so on_record checkpoints progress incrementally.
+        for task in tasks:
+            run_in_process([task])
+        mode = resolved = "serial"
+    else:
+        _validate_picklable(trial, tasks)
+        pending = _chunk_tasks(tasks, workers, chunk_size)
+        for round_index in range(1 + max_retries):
+            if not pending:
+                break
+            if round_index:
+                retries += 1
+            pending = _run_round(
+                trial, pending, workers, timeout, fault_plan,
+                collect_metrics, kernel, deliver,
+            )
+        if pending:
+            fallback_trials = sum(len(chunk) for chunk in pending)
+            warnings.warn(
+                f"parallel trial execution failed for {fallback_trials} "
+                f"trial(s) after {max_retries} "
+                f"retr{'y' if max_retries == 1 else 'ies'} "
+                "(worker crash or timeout); falling back to in-process "
+                "execution. Outcomes are unaffected — the same per-trial "
+                "seed sequences are used.",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+            for chunk in pending:
+                run_in_process(chunk)
+        mode = "fallback" if fallback_trials else "parallel"
+        resolved = "pool->serial" if fallback_trials else "pool"
+
+    records.sort(key=lambda record: record.index)
     if len(records) != len(tasks):  # pragma: no cover - defensive
         raise ParallelExecutionError(
-            f"executor {backend.name!r} returned {len(records)} records "
+            f"executor {executor!r} returned {len(records)} records "
             f"for {len(tasks)} tasks"
         )
     timings = TrialTimings.from_records(
         records,
-        mode=result.mode,
+        mode=mode,
         requested_workers=workers,
         total_seconds=time.perf_counter() - started,
-        retries=result.retries,
-        fallback_trials=result.fallback_trials,
-        executor=resolved_prefix + result.resolved,
+        retries=retries,
+        fallback_trials=fallback_trials,
+        executor=resolved,
     )
     feed = active_telemetry()
     if feed is not None:
@@ -171,7 +198,76 @@ def execute_tasks(
             executor=timings.executor,
             tasks=len(tasks),
             workers=workers,
-            retries=result.retries,
-            fallback_trials=result.fallback_trials,
+            retries=retries,
+            fallback_trials=fallback_trials,
         )
     return records, timings
+
+
+def _run_round(
+    trial: Callable,
+    chunks: Sequence[Sequence[TrialTask]],
+    workers: int,
+    timeout: Optional[float],
+    fault_plan: Optional[FaultPlan],
+    collect_metrics: bool,
+    kernel: Optional[str],
+    deliver: Callable[[Sequence[TrialRecord]], None],
+) -> List[Sequence[TrialTask]]:
+    """Run one pool round; returns the chunks that must be retried.
+
+    Each finished chunk's records go to ``deliver`` as its future
+    resolves, in submission order. Only infrastructure failures (worker
+    crash, timeout, pool breakage) are converted into retryable chunks —
+    an exception raised by the trial itself propagates to the caller,
+    as on the serial path.
+    """
+    failed: List[Sequence[TrialTask]] = []
+    pool = ProcessPoolExecutor(max_workers=workers)
+    # One deadline for the whole round: every wait below receives only
+    # the budget that is still left, so draining a slow future first
+    # cannot grant the later ones extra time.
+    deadline = None if timeout is None else time.monotonic() + timeout
+    try:
+        futures = [
+            (
+                pool.submit(
+                    _run_task_chunk,
+                    trial,
+                    chunk,
+                    fault_plan,
+                    collect_metrics,
+                    kernel,
+                ),
+                chunk,
+            )
+            for chunk in chunks
+        ]
+        broken = False
+        for future, chunk in futures:
+            if broken:
+                future.cancel()
+                failed.append(chunk)
+                continue
+            try:
+                if deadline is None:
+                    chunk_records = future.result()
+                else:
+                    remaining = deadline - time.monotonic()
+                    if remaining <= 0.0 and not future.done():
+                        raise FutureTimeoutError()
+                    chunk_records = future.result(timeout=max(remaining, 0.0))
+            except FutureTimeoutError:
+                future.cancel()
+                failed.append(chunk)
+                continue
+            except (BrokenProcessPool, OSError):
+                failed.append(chunk)
+                broken = True
+                continue
+            deliver(chunk_records)
+    finally:
+        # Don't block on stragglers from a timed-out or broken round;
+        # leftover worker processes exit once their queue drains.
+        pool.shutdown(wait=not failed, cancel_futures=True)
+    return failed

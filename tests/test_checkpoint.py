@@ -380,7 +380,7 @@ class TestScenarioCampaignResume:
         )
         assert self._stable_lines(resumed) == self._stable_lines(reference)
 
-    def test_churn_campaign_journal_executor_resume(
+    def test_churn_campaign_aborted_serially_resumes_on_pool(
         self, tmp_path, monkeypatch
     ):
         spec = self._scenario_spec(
@@ -397,15 +397,17 @@ class TestScenarioCampaignResume:
             max_steps=60_000,
         )
         reference = spec.run_quick(seed=3)
-        first = spec.run_quick(
-            seed=3, checkpoint_dir=tmp_path, executor="journal"
-        )
-        assert self._stable_lines(first) == self._stable_lines(reference)
+        with pytest.raises(InjectedAbort):
+            spec.run_quick(
+                seed=3,
+                checkpoint_dir=tmp_path,
+                fault_plan=FaultPlan.parse("abort@2"),
+            )
         resumed = spec.run_quick(
             seed=3,
             checkpoint_dir=tmp_path,
             resume=True,
-            executor="journal",
+            executor="pool",
             workers=2,
         )
         assert self._stable_lines(resumed) == self._stable_lines(reference)

@@ -170,69 +170,37 @@ class TestCheckpointCommands:
 
 
 class TestExecutorFlags:
-    def test_journal_executor_requires_checkpoint_dir(self, capsys):
-        assert main(["run", "E1", "--executor", "journal"]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("div-repro: error:")
-        assert "--checkpoint-dir" in err
-
-    def test_lease_ttl_requires_journal_executor(self, tmp_path, capsys):
-        assert (
-            main(
-                [
-                    "run",
-                    "E1",
-                    "--quick",
-                    "--executor",
-                    "pool",
-                    "--lease-ttl",
-                    "2",
-                    "--checkpoint-dir",
-                    str(tmp_path),
-                ]
-            )
-            == 2
-        )
-        assert "lease_ttl only applies" in capsys.readouterr().err
-
     def test_unknown_executor_rejected_by_argparse(self, capsys):
         with pytest.raises(SystemExit):
             main(["run", "E1", "--executor", "warp"])
 
-    def test_journal_executor_run_and_status(self, tmp_path, capsys, monkeypatch):
-        _shrink_e10(monkeypatch)
-        ckpt = str(tmp_path / "ckpt")
-        base = ["run", "E10", "--quick", "--seed", "5", "--checkpoint-dir", ckpt]
-        assert main(base) == 0
+    def test_pool_executor_run_matches_serial(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments import e01_winning_distribution
+
+        monkeypatch.setattr(
+            e01_winning_distribution.Config,
+            "quick",
+            classmethod(lambda cls: cls(n=30, fractions=(0.25, 0.75), trials=6)),
+        )
+        base = ["run", "E1", "--quick", "--seed", "5", "--checkpoint-dir"]
+        assert main(base + [str(tmp_path / "ckpt")]) == 0
         reference = capsys.readouterr().out
-        journal_args = [
-            "run",
-            "E10",
-            "--quick",
-            "--seed",
-            "5",
-            "--checkpoint-dir",
-            str(tmp_path / "journal"),
-            "--executor",
-            "journal",
-            "--lease-ttl",
-            "5",
-        ]
-        assert main(journal_args) == 0
-        journaled = capsys.readouterr().out
+        pool_args = base + [str(tmp_path / "pool"), "--executor", "pool"]
+        assert main(pool_args + ["--workers", "2"]) == 0
+        pooled = capsys.readouterr().out
         strip = lambda text: [
             line
             for line in text.splitlines()
             if "finished in" not in line and "trial execution" not in line
         ]
-        assert strip(journaled) == strip(reference)
+        assert strip(pooled) == strip(reference)
         assert (
             main(
                 [
                     "checkpoint",
                     "diff",
-                    str(tmp_path / "ckpt" / "e10"),
-                    str(tmp_path / "journal" / "e10"),
+                    str(tmp_path / "ckpt" / "e1"),
+                    str(tmp_path / "pool" / "e1"),
                 ]
             )
             == 0
@@ -241,7 +209,7 @@ class TestExecutorFlags:
 
 
 class TestCampaignStatus:
-    def test_status_reports_batches_and_leases(self, tmp_path, capsys, monkeypatch):
+    def test_status_reports_batches(self, tmp_path, capsys, monkeypatch):
         _shrink_e10(monkeypatch)
         ckpt = tmp_path / "ckpt"
         assert (
@@ -253,26 +221,8 @@ class TestCampaignStatus:
         capsys.readouterr()
         assert main(["campaign", "status", str(ckpt)]) == 0
         out = capsys.readouterr().out
-        assert "journaled trial(s)" in out
-        assert "0 live / 0 stale lease(s)" in out
-
-        # Plant a live lease as a concurrent launcher would and make
-        # sure status surfaces its owner and claimed trial range.
-        from repro.checkpoint import CheckpointJournal
-        from repro.parallel import LeaseConfig, LeaseManager
-
-        journal = CheckpointJournal(ckpt / "e10")
-        batch = next(iter(journal.iter_records()))[0]
-        manager = LeaseManager(
-            journal.lease_dir(batch),
-            LeaseConfig(ttl=60.0),
-            owner="peer-pid99-L0",
-        )
-        assert manager.claim(0, [0, 1, 2]) == "claim"
-        assert main(["campaign", "status", str(ckpt)]) == 0
-        out = capsys.readouterr().out
-        assert "1 live / 0 stale lease(s)" in out
-        assert "c00000000.lease: live, owner peer-pid99-L0, t0..t2" in out
+        assert "E10 [quick] seed=5 — 6 journaled trial(s) in 1 batch(es)" in out
+        assert "  b0000-trials-6: 6 trial(s)" in out
 
     def test_status_of_non_campaign_exits_2(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path)]) == 2

@@ -1,28 +1,21 @@
-"""Tests for the pluggable executor backends (repro.parallel.executors).
+"""Tests for executor selection in ``repro.parallel.execute_tasks``.
 
-Registry resolution, explicit backend selection through the Monte-Carlo
-drivers, and the journal executor's cooperative multi-launcher drain:
-serial-equivalence, crash/reclaim recovery, fault injection, and
-degradation when no campaign journal is available.
+Name validation and explicit ``serial``/``pool`` selection through the
+Monte-Carlo drivers and the ambient campaign session.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-import time
-import warnings
-
 import pytest
 
 from repro.analysis.montecarlo import run_trials, run_trials_over
-from repro.checkpoint import CheckpointJournal, campaign, diff_journals
-from repro.errors import AnalysisError, ExperimentError
-from repro.faults import FaultPlan, InjectedAbort
-from repro.parallel import LeaseConfig, scan_leases
-from repro.parallel.executors import available_executors, resolve_executor
+from repro.checkpoint import campaign
+from repro.errors import AnalysisError
+from repro.parallel import execute_tasks
+from repro.rng import spawn_seed_sequences
 
 
-def journal_trial(index, rng):
+def indexed_trial(index, rng):
     return (index, int(rng.integers(0, 1 << 30)))
 
 
@@ -30,64 +23,39 @@ def parameter_trial(parameter, index, rng):
     return (parameter, index, int(rng.integers(0, 1 << 30)))
 
 
-def _open_journal(directory):
-    journal = CheckpointJournal(directory)
-    journal.open(fingerprint="executors-test", resume=True)
-    return journal
-
-
-def _launcher(directory, trials, seed, errors):
-    """One cooperative launcher process (fork-started by the tests)."""
-    try:
-        journal = _open_journal(directory)
-        with campaign(
-            journal,
-            executor="journal",
-            lease_config=LeaseConfig.from_ttl(0.5),
-        ):
-            run_trials(
-                trials, journal_trial, seed=seed, workers=2, chunk_size=4
-            )
-    except BaseException as exc:  # pragma: no cover - failure reporting
-        errors.put(repr(exc))
-
-
-class TestRegistry:
-    def test_available_executors(self):
-        assert available_executors() == ("journal", "pool", "serial")
-
-    def test_resolve_each_backend(self):
-        for name in available_executors():
-            assert resolve_executor(name).name == name
-
+class TestExecutorNames:
     def test_unknown_executor_rejected(self):
-        with pytest.raises(AnalysisError, match="unknown executor 'warp'"):
-            resolve_executor("warp")
+        tasks = [(0, (0,), spawn_seed_sequences(0, 1)[0])]
+        with pytest.raises(
+            AnalysisError,
+            match=r"unknown executor 'warp' \(known: auto, pool, serial\)",
+        ):
+            execute_tasks(indexed_trial, tasks, 1, executor="warp")
 
     def test_unknown_executor_rejected_from_driver(self):
         with pytest.raises(AnalysisError, match="unknown executor"):
-            run_trials(3, journal_trial, seed=0, executor="warp")
+            run_trials(3, indexed_trial, seed=0, executor="warp")
 
 
 class TestExplicitSelection:
     def test_explicit_serial_routes_through_dispatch(self):
-        plain = run_trials(6, journal_trial, seed=3)
-        explicit = run_trials(6, journal_trial, seed=3, executor="serial")
+        plain = run_trials(6, indexed_trial, seed=3)
+        explicit = run_trials(6, indexed_trial, seed=3, executor="serial")
         assert explicit.outcomes == plain.outcomes
         assert explicit.executor == "serial"
         assert explicit.timings is not None  # instrumented, unlike plain
         assert explicit.timings.executor == "serial"
 
     def test_explicit_pool_without_workers(self):
-        plain = run_trials(6, journal_trial, seed=3)
-        pooled = run_trials(6, journal_trial, seed=3, executor="pool")
+        plain = run_trials(6, indexed_trial, seed=3)
+        pooled = run_trials(6, indexed_trial, seed=3, executor="pool")
         assert pooled.outcomes == plain.outcomes
         assert pooled.executor == "pool"
 
     def test_session_executor_is_picked_up(self):
-        plain = run_trials(5, journal_trial, seed=9)
+        plain = run_trials(5, indexed_trial, seed=9)
         with campaign(executor="serial"):
-            inherited = run_trials(5, journal_trial, seed=9)
+            inherited = run_trials(5, indexed_trial, seed=9)
         assert inherited.executor == "serial"
         assert inherited.outcomes == plain.outcomes
 
@@ -100,133 +68,3 @@ class TestExplicitSelection:
             assert actual.outcomes == expected.outcomes
             assert actual.executor == "serial"
             assert actual.timings.executor == "serial"
-
-
-class TestJournalDegradation:
-    def test_journal_without_campaign_degrades_to_serial(self):
-        plain = run_trials(6, journal_trial, seed=3)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            degraded = run_trials(6, journal_trial, seed=3, executor="journal")
-        assert degraded.outcomes == plain.outcomes
-        assert degraded.executor == "journal->serial"
-        assert any(
-            issubclass(w.category, RuntimeWarning)
-            and "journal executor" in str(w.message)
-            for w in caught
-        )
-
-    def test_journal_without_campaign_degrades_to_pool(self):
-        plain = run_trials(6, journal_trial, seed=3)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            degraded = run_trials(
-                6, journal_trial, seed=3, workers=2, executor="journal"
-            )
-        assert degraded.outcomes == plain.outcomes
-        assert degraded.executor == "journal->pool"
-
-
-class TestJournalExecutor:
-    def test_single_launcher_serial_equivalence(self, tmp_path):
-        serial = run_trials(20, journal_trial, seed=7)
-        ref = _open_journal(tmp_path / "ref")
-        with campaign(ref):
-            run_trials(20, journal_trial, seed=7)
-        journal = _open_journal(tmp_path / "journal")
-        with campaign(journal, executor="journal"):
-            batch = run_trials(20, journal_trial, seed=7, workers=2)
-        assert batch.outcomes == serial.outcomes
-        assert batch.executor == "journal"
-        assert batch.timings.executor == "journal"
-        assert diff_journals(ref, journal) == []
-        # Finished campaign holds no leases.
-        assert scan_leases(tmp_path / "journal" / "leases") == []
-
-    def test_lease_faults_keep_outcomes_identical(self, tmp_path):
-        serial = run_trials(20, journal_trial, seed=7)
-        journal = _open_journal(tmp_path / "faulted")
-        plan = FaultPlan.parse("lease-steal@2;lease-stale@9;lease-partial@14")
-        with campaign(journal, plan, executor="journal"):
-            batch = run_trials(
-                20, journal_trial, seed=7, workers=2, chunk_size=4
-            )
-        assert batch.outcomes == serial.outcomes
-        assert batch.executor == "journal"
-
-    def test_abort_leaves_lease_and_peer_reclaims(self, tmp_path):
-        serial = run_trials(20, journal_trial, seed=7)
-        directory = tmp_path / "crashy"
-        journal = _open_journal(directory)
-        plan = FaultPlan.parse("lease-abort@10")
-        lease_config = LeaseConfig.from_ttl(0.2)
-        with pytest.raises(InjectedAbort, match="after claiming chunk c8"):
-            with campaign(
-                journal, plan, executor="journal", lease_config=lease_config
-            ):
-                run_trials(20, journal_trial, seed=7, chunk_size=4)
-        # The dead launcher journaled the chunks before the faulted one
-        # and left its claim on chunk c8 behind.
-        leftovers = scan_leases(directory / "leases")
-        assert [lease.path.name for lease in leftovers] == ["c00000008.lease"]
-        time.sleep(0.3)  # let the leftover lease go stale
-        with campaign(
-            _open_journal(directory),
-            executor="journal",
-            lease_config=lease_config,
-        ):
-            resumed = run_trials(20, journal_trial, seed=7, chunk_size=4)
-        assert resumed.outcomes == serial.outcomes
-        ref = _open_journal(tmp_path / "ref")
-        with campaign(ref):
-            run_trials(20, journal_trial, seed=7)
-        assert diff_journals(ref, journal) == []
-
-    def test_two_concurrent_launchers_drain_one_campaign(self, tmp_path):
-        directory = tmp_path / "shared"
-        _open_journal(directory)  # create the manifest up front
-        context = multiprocessing.get_context("fork")
-        errors = context.Queue()
-        launchers = [
-            context.Process(
-                target=_launcher, args=(directory, 40, 5, errors)
-            )
-            for _ in range(2)
-        ]
-        for process in launchers:
-            process.start()
-        for process in launchers:
-            process.join(timeout=120)
-            assert process.exitcode == 0
-        assert errors.empty()
-        ref = _open_journal(tmp_path / "ref")
-        with campaign(ref):
-            serial = run_trials(40, journal_trial, seed=5)
-        assert diff_journals(ref, CheckpointJournal(directory)) == []
-        assert scan_leases(directory / "leases") == []
-        # And a follow-up launcher sees a fully-drained campaign.
-        with campaign(_open_journal(directory), executor="journal"):
-            resumed = run_trials(40, journal_trial, seed=5)
-        assert resumed.outcomes == serial.outcomes
-
-
-class TestRegistryRunCampaign:
-    def test_journal_requires_checkpoint_dir(self):
-        from repro.experiments.registry import get_experiment
-
-        with pytest.raises(ExperimentError, match="journal executor"):
-            get_experiment("E1").run_campaign(
-                "quick", seed=0, executor="journal"
-            )
-
-    def test_lease_ttl_requires_journal_executor(self, tmp_path):
-        from repro.experiments.registry import get_experiment
-
-        with pytest.raises(ExperimentError, match="lease_ttl only applies"):
-            get_experiment("E1").run_campaign(
-                "quick",
-                seed=0,
-                executor="pool",
-                lease_ttl=2.0,
-                checkpoint_dir=tmp_path,
-            )

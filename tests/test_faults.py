@@ -18,7 +18,6 @@ from repro.analysis.montecarlo import run_trials, run_trials_over
 from repro.errors import FaultSpecError
 from repro.faults import (
     CRASH_EXIT_CODE,
-    LEASE_KINDS,
     FaultClause,
     FaultPlan,
     InjectedAbort,
@@ -55,10 +54,6 @@ class TestSpecParsing:
         plan = FaultPlan.parse("crash@1;crash@2;corrupt@3")
         assert plan.summary() == {"crash": 2, "corrupt": 1}
 
-    def test_lease_kinds_round_trip(self):
-        spec = "lease-stale@1;lease-steal@2;lease-partial@3;lease-abort@4"
-        assert FaultPlan.parse(spec).render() == spec
-
     @pytest.mark.parametrize(
         "bad_spec",
         [
@@ -72,11 +67,11 @@ class TestSpecParsing:
             "corrupt@1:2",
             "abort@1:1",
             "crash",
-            "lease@1",
-            "lease-steal@x",
-            "lease-stale@1:2",
+            "telemetry@1",
+            "telemetry-drop@x",
+            "telemetry-drop@1:2",
             "crash@1;crash@1",
-            "lease-abort@3;lease-abort@3",
+            "telemetry-drop@3;telemetry-drop@3",
         ],
     )
     def test_bad_specs_rejected(self, bad_spec):
@@ -88,12 +83,14 @@ class TestSpecParsing:
             FaultPlan.parse("explode@1")
         with pytest.raises(FaultSpecError, match="duplicate clause 'crash@1'"):
             FaultPlan.parse("crash@1;crash@1")
-        with pytest.raises(FaultSpecError, match="lease-stale takes no argument"):
-            FaultPlan.parse("lease-stale@1:2")
+        with pytest.raises(
+            FaultSpecError, match="telemetry-drop takes no argument"
+        ):
+            FaultPlan.parse("telemetry-drop@1:2")
 
     def test_same_index_different_kinds_allowed(self):
-        plan = FaultPlan.parse("crash@1:1;corrupt@1;lease-stale@1")
-        assert plan.summary() == {"crash": 1, "corrupt": 1, "lease-stale": 1}
+        plan = FaultPlan.parse("crash@1:1;corrupt@1;telemetry-drop@1")
+        assert plan.summary() == {"crash": 1, "corrupt": 1, "telemetry-drop": 1}
 
     def test_bounded_clause_allocates_scratch(self, tmp_path):
         assert FaultPlan.parse("crash@1").scratch is None
@@ -269,28 +266,3 @@ class TestRecordDamage:
         target.write_bytes(b"x" * 64)
         assert plan.damage_record(3, target) == "corrupt"
         assert plan.damage_record(4, target) is None
-
-
-class TestLeaseFaults:
-    def test_lease_faults_select_by_chunk_membership(self):
-        plan = FaultPlan.parse("lease-steal@5;lease-stale@5;crash@6;lease-abort@9")
-        # Kinds are sorted and deduplicated; worker kinds never leak in.
-        assert plan.lease_faults([4, 5, 6]) == ("lease-stale", "lease-steal")
-        assert plan.lease_faults([9]) == ("lease-abort",)
-        assert plan.lease_faults([0, 1]) == ()
-
-    def test_lease_faults_fire_in_the_launcher_process(self):
-        # No parent-pid guard: the launcher process itself is the
-        # failure domain lease faults target (unlike worker_fault,
-        # which is a no-op in the parent).
-        plan = FaultPlan.parse("lease-steal@2")
-        assert os.getpid() == plan.main_pid
-        assert plan.lease_faults([2]) == ("lease-steal",)
-
-    def test_lease_kinds_are_registered(self):
-        assert LEASE_KINDS == (
-            "lease-stale",
-            "lease-steal",
-            "lease-partial",
-            "lease-abort",
-        )

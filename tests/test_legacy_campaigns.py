@@ -1,0 +1,129 @@
+"""Campaign directories written by older versions still resume and render.
+
+Older versions could drain one campaign from several launcher processes
+through a journal executor that claimed chunks of trials with lease
+files. A campaign such a launcher abandoned holds a
+``leases/<batch>/*.lease`` tree next to its trial journal, and a
+telemetry feed with ``lease.*`` events and ``"peer"`` trial records.
+Today's code ignores both: the campaign resumes to the same report and
+journal, and ``campaign status``, ``campaign watch`` and ``timeline
+report`` render it.
+"""
+
+from __future__ import annotations
+
+import json
+import time
+
+import pytest
+
+from repro.checkpoint import CheckpointJournal
+from repro.cli import main
+from repro.faults import InjectedAbort
+from repro.obs.telemetry import FEED_FORMAT
+
+
+def _shrink_e10(monkeypatch):
+    from repro.experiments import e10_stage_evolution
+
+    monkeypatch.setattr(
+        e10_stage_evolution.Config,
+        "quick",
+        classmethod(lambda cls: cls(n=12, trials=6, sample_trajectories=1)),
+    )
+
+
+def _plant_lease(directory, chunk, owner="oldhost-pid99-L0"):
+    """A stale chunk claim in the old lease format."""
+    directory.mkdir(parents=True, exist_ok=True)
+    now = time.time()
+    record = {
+        "format": "div-repro-lease",
+        "version": 1,
+        "owner": owner,
+        "chunk": list(chunk),
+        "claimed_at": now - 600.0,
+        "heartbeat": now - 590.0,
+        "ttl": 15.0,
+    }
+    path = directory / f"c{chunk[0]:08d}.lease"
+    path.write_text(json.dumps(record, sort_keys=True) + "\n", encoding="utf-8")
+    return path
+
+
+def _plant_feed(directory, batch, size):
+    """The feed of a journal-executor launcher that died mid-drain."""
+    directory.mkdir(parents=True, exist_ok=True)
+    t = time.time() - 600.0
+    records = [
+        {
+            "kind": "hello", "format": FEED_FORMAT, "version": 1,
+            "launcher": "oldhost-pid99-F0-1", "host": "oldhost", "pid": 99,
+            "heartbeat_interval": 1.0, "executor": "journal",
+        },
+        {
+            "kind": "batch.begin", "batch": batch, "batch_kind": "trials",
+            "size": size, "cached": 0,
+        },
+        {"kind": "lease.claim", "batch": batch, "chunk": 0, "size": 3},
+        {"kind": "trial", "batch": batch, "index": 0, "seconds": 0.01, "worker": "pid-100"},
+        {"kind": "trial", "batch": batch, "index": 2, "seconds": 0.01, "worker": "pid-100"},
+        {"kind": "trial", "batch": batch, "index": 1, "seconds": 0.0, "worker": "peer"},
+        {"kind": "lease.peer_done", "batch": batch, "chunk": 0},
+        {"kind": "lease.claim", "batch": batch, "chunk": 3, "size": 3},
+        {"kind": "heartbeat", "metrics": {}},
+    ]
+    path = directory / "oldhost-pid99-F0-1.jsonl"
+    with open(path, "w", encoding="utf-8") as handle:
+        for seq, record in enumerate(records):
+            record = {"seq": seq, "t": t + 0.1 * seq, **record}
+            handle.write(json.dumps(record) + "\n")
+    return path
+
+
+def test_abandoned_journal_executor_campaign_resumes_and_renders(
+    tmp_path, capsys, monkeypatch
+):
+    _shrink_e10(monkeypatch)
+    base = ["run", "E10", "--quick", "--seed", "5", "--checkpoint-dir"]
+    reference = tmp_path / "ref"
+    assert main(base + [str(reference), "--json", str(tmp_path / "ref-json")]) == 0
+
+    # Journal trials 0..2, then die: the records an old drain left.
+    legacy = tmp_path / "legacy"
+    with pytest.raises(InjectedAbort):
+        main(base + [str(legacy), "--inject-faults", "abort@2"])
+    campaign_dir = legacy / "e10"
+    (batch,) = CheckpointJournal(campaign_dir).batches()
+    lease = _plant_lease(campaign_dir / "leases" / batch, [3, 4, 5])
+    _plant_feed(campaign_dir / "telemetry", batch, size=6)
+    capsys.readouterr()
+
+    resume = base + [str(legacy), "--resume", "--telemetry"]
+    assert main(resume + ["--json", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "e10.json").read_bytes() == (
+        tmp_path / "ref-json" / "e10.json"
+    ).read_bytes()
+    assert lease.is_file()  # ignored, never consulted or cleaned up
+    capsys.readouterr()
+
+    assert main(["checkpoint", "diff", str(reference / "e10"), str(campaign_dir)]) == 0
+    assert "identical" in capsys.readouterr().out
+
+    assert main(["campaign", "status", str(legacy)]) == 0
+    out = capsys.readouterr().out
+    assert "6 journaled trial(s) in 1 batch(es)" in out
+    assert f"  {batch}: 6 trial(s)" in out
+    assert "telemetry: 2 launcher feed(s) (1 closed)" in out
+
+    assert main(["campaign", "watch", str(legacy), "--once"]) == 0
+    out = capsys.readouterr().out
+    assert "6/6 trial(s)" in out
+    assert "launcher oldhost-pid99-F0-1" in out and "SILENT" in out
+
+    assert main(["timeline", "report", str(campaign_dir), "--bin", "1"]) == 0
+    out = capsys.readouterr().out
+    assert "2 launcher feed(s), 6/6 trial(s)" in out
+    assert "0 duplicate(s)" in out
+    assert "Per-launcher utilization" in out
+    assert "Per-batch progress" in out

@@ -51,6 +51,12 @@ def crashing_trial(main_pid, index, rng):
     return index
 
 
+def tail_sleepy_trial(main_pid, slow_from, index, rng):
+    if os.getpid() != main_pid and index >= slow_from:
+        time.sleep(0.3)
+    return index
+
+
 def sleepy_trial(main_pid, index, rng):
     if os.getpid() != main_pid:
         time.sleep(5.0)
@@ -229,6 +235,28 @@ class TestRecordStreaming:
         )
         assert sorted(seen) == list(range(8))
         assert [r.index for r in records] == list(range(8))
+
+    def test_pool_hands_on_each_chunk_as_it_finishes(self):
+        # One worker, eight one-trial chunks, only the last two slow.
+        # The first six must reach on_record (the checkpoint journal)
+        # while the slow tail still runs, not when the round ends — a
+        # campaign killed during the tail keeps them.
+        tasks = [
+            (i, (i,), seed)
+            for i, seed in enumerate(spawn_seed_sequences(0, 8))
+        ]
+        arrivals = []
+        execute_tasks(
+            functools.partial(tail_sleepy_trial, os.getpid(), 6),
+            tasks,
+            1,
+            chunk_size=1,
+            executor="pool",
+            on_record=lambda r: arrivals.append((r.index, time.perf_counter())),
+        )
+        finished = time.perf_counter()
+        assert [index for index, _ in arrivals] == list(range(8))
+        assert finished - arrivals[5][1] >= 0.45
 
 
 class TestValidation:

@@ -2,19 +2,18 @@
 surface built on them (``campaign watch``, ``timeline report``,
 ``bench compare``).
 
-Covers the accounting rules (completed vs executed vs peer-loaded vs
-duplicates), merge determinism over shuffled and torn feeds, the
-heartbeat delta scheme reconstructing cumulative metrics exactly, the
-telemetry-drop fault, the zero-overhead contract when telemetry is off,
-a real two-launcher journal campaign reconciled against the journal,
-and the bench-compare perf gate's edge cases.
+Covers the accounting rules (completed vs executed vs duplicates),
+merge determinism over shuffled and torn feeds, the heartbeat delta
+scheme reconstructing cumulative metrics exactly, the telemetry-drop
+fault, the zero-overhead contract when telemetry is off, an aborted and
+then resumed campaign reconciled against its journal, and the
+bench-compare perf gate's edge cases.
 """
 
 from __future__ import annotations
 
 import importlib.util
 import json
-import multiprocessing
 import time
 import warnings
 from pathlib import Path
@@ -24,7 +23,7 @@ import pytest
 from repro.analysis.montecarlo import run_trials
 from repro.checkpoint import CheckpointJournal, campaign
 from repro.errors import BenchCompareError, ExperimentError, TelemetryError
-from repro.faults import FaultPlan
+from repro.faults import FaultPlan, InjectedAbort
 from repro.cli import main as cli_main
 from repro.obs.bench import (
     BenchDelta,
@@ -78,22 +77,6 @@ def _open_journal(directory):
     return journal
 
 
-def _telemetered_launcher(directory, trials, seed, errors):
-    """One cooperative launcher streaming telemetry (fork-started)."""
-    try:
-        journal = _open_journal(directory)
-        feed = TelemetryFeed(
-            directory / TELEMETRY_DIRNAME, heartbeat_interval=0.05
-        )
-        with collecting(), telemetering(feed):
-            with campaign(journal, executor="journal"):
-                run_trials(
-                    trials, journal_trial, seed=seed, workers=2, chunk_size=4
-                )
-    except BaseException as exc:  # pragma: no cover - failure reporting
-        errors.put(repr(exc))
-
-
 def write_feed(directory, name, records):
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
@@ -106,8 +89,8 @@ def write_feed(directory, name, records):
 def hand_built_campaign(root, age=120.0):
     """Two hand-written launcher feeds: alpha finished, beta went silent.
 
-    Batch ``b0`` has size 4; indices {0, 1, 2} are completed (beta's
-    record for index 1 is a duplicate), so the campaign reads 3/4 done
+    Batch ``b0`` has size 4; indices {0, 1, 2} are completed (beta ran
+    index 1 a second time, a duplicate), so the campaign reads 3/4 done
     with one stale launcher.
     """
     now = time.time()
@@ -136,7 +119,7 @@ def hand_built_campaign(root, age=120.0):
             },
             {
                 "seq": 4, "t": old + 0.4, "kind": "batch.end", "batch": "b0",
-                "executor": "journal", "seconds": 0.4, "trials": 2,
+                "executor": "pool", "seconds": 0.4, "trials": 2,
             },
             {"seq": 5, "t": old + 0.5, "kind": "bye", "dropped": 0},
         ],
@@ -151,16 +134,12 @@ def hand_built_campaign(root, age=120.0):
                 "heartbeat_interval": 0.1,
             },
             {
-                "seq": 1, "t": old + 0.2, "kind": "lease.claim",
-                "batch": "b0", "chunk": 1, "size": 2,
-            },
-            {
-                "seq": 2, "t": old + 0.25, "kind": "trial", "batch": "b0",
+                "seq": 1, "t": old + 0.25, "kind": "trial", "batch": "b0",
                 "index": 2, "seconds": 0.04, "worker": "w1",
             },
             {
-                "seq": 3, "t": old + 0.3, "kind": "trial", "batch": "b0",
-                "index": 1, "seconds": 0.06, "worker": "peer",
+                "seq": 2, "t": old + 0.3, "kind": "trial", "batch": "b0",
+                "index": 1, "seconds": 0.06, "worker": "w1",
             },
         ],
     )
@@ -362,22 +341,22 @@ class TestMergeDeterminism:
 
 
 class TestTimelineAccounting:
-    def test_completed_executed_peer_and_duplicates(self, tmp_path):
+    def test_completed_executed_and_duplicates(self, tmp_path):
         timeline = load_timeline(hand_built_campaign(tmp_path))
         assert timeline.total == 4
         assert timeline.completed == 3
         assert timeline.duplicates == 1
+        assert timeline.executed == 4
         alpha = timeline.launchers["alpha"]
         beta = timeline.launchers["beta"]
-        assert alpha.executed == 2 and alpha.peer_loaded == 0
-        assert beta.executed == 1 and beta.peer_loaded == 1
+        assert alpha.executed == 2 and beta.executed == 2
         assert alpha.busy_seconds == pytest.approx(0.12)
+        assert beta.busy_seconds == pytest.approx(0.10)
         assert alpha.closed and not beta.closed
-        assert beta.lease_events == {"claim": 1}
         batch = timeline.batches["b0"]
         assert batch.completed_indices == {0, 1, 2}
         assert batch.remaining == 1 and not batch.done
-        assert batch.finished_by == {"alpha": "journal"}
+        assert batch.finished_by == {"alpha": "pool"}
 
     def test_utilization_and_rates(self, tmp_path):
         timeline = load_timeline(hand_built_campaign(tmp_path))
@@ -410,8 +389,8 @@ class TestTimelineAccounting:
             ],
         )
         assert load_timeline(tmp_path).eta_seconds() == pytest.approx(0.0)
-        # A campaign with remaining work but only peer-loaded records has
-        # no execution rate to extrapolate from.
+        # A campaign with remaining work but no executed trial has no
+        # execution rate to extrapolate from.
         write_feed(
             tmp_path / "stalled" / TELEMETRY_DIRNAME,
             "feed.jsonl",
@@ -431,7 +410,7 @@ class TestTimelineAccounting:
     def test_throughput_series_bins(self, tmp_path):
         timeline = load_timeline(hand_built_campaign(tmp_path))
         series = timeline.throughput_series(1.0)
-        assert series == [(0.0, 3)]
+        assert series == [(0.0, 4)]
         with pytest.raises(TelemetryError, match="bin width"):
             timeline.throughput_series(0.0)
 
@@ -476,8 +455,9 @@ class TestTimelineAccounting:
     def test_peer_cached_trials_never_double_count(self, tmp_path):
         # Launcher "late" opened the batch after "early" had journaled
         # trial 0, so it reports cached=1 — but early's feed also holds
-        # the trial record. cached is a floor, not an additive term:
-        # completion must never exceed the batch size.
+        # the trial record, and both feeds hold trial 1. cached is a
+        # floor, not an additive term: completion must never exceed the
+        # batch size.
         write_feed(
             tmp_path / TELEMETRY_DIRNAME,
             "early.jsonl",
@@ -514,7 +494,7 @@ class TestTimelineAccounting:
                 },
                 {
                     "seq": 2, "t": 1.7, "kind": "trial", "batch": "b0",
-                    "index": 1, "seconds": 0.0, "worker": "peer",
+                    "index": 1, "seconds": 0.0, "worker": "w",
                 },
             ],
         )
@@ -636,7 +616,7 @@ class TestAmbientIntegration:
             tmp_path / "camp" / TELEMETRY_DIRNAME, heartbeat_interval=0.0
         )
         with collecting(), telemetering(feed):
-            with campaign(journal, executor="journal"):
+            with campaign(journal):
                 run_trials(16, journal_trial, seed=7, workers=2, chunk_size=4)
         timeline = load_timeline(tmp_path / "camp")
         journaled = sum(1 for _ in journal.iter_records())
@@ -645,42 +625,40 @@ class TestAmbientIntegration:
         assert timeline.executed == 16
         batch = timeline.batches["b0000-trials-16"]
         assert batch.done
-        assert batch.finished_by[feed.launcher] == "journal"
-        launcher = timeline.launchers[feed.launcher]
-        assert launcher.lease_events["claim"] == 4
+        assert batch.finished_by[feed.launcher] == "pool"
         kinds = {event["kind"] for event in timeline.events}
         assert "executor.resolved" in kinds
-        assert "lease.claim" in kinds
 
-    def test_two_concurrent_launchers_one_timeline(self, tmp_path):
-        directory = tmp_path / "shared"
-        _open_journal(directory)  # create the manifest up front
-        context = multiprocessing.get_context("fork")
-        errors = context.Queue()
-        launchers = [
-            context.Process(
-                target=_telemetered_launcher, args=(directory, 40, 5, errors)
-            )
-            for _ in range(2)
-        ]
-        for process in launchers:
-            process.start()
-        for process in launchers:
-            process.join(timeout=120)
-            assert process.exitcode == 0
-        assert errors.empty()
+    def test_aborted_and_resumed_launchers_one_timeline(self, tmp_path):
+        directory = tmp_path / "camp"
+        first = TelemetryFeed(directory / TELEMETRY_DIRNAME)
+        with pytest.raises(InjectedAbort):
+            with collecting(), telemetering(first):
+                with campaign(
+                    _open_journal(directory), FaultPlan.parse("abort@20")
+                ):
+                    run_trials(40, journal_trial, seed=5, workers=2)
+        second = TelemetryFeed(directory / TELEMETRY_DIRNAME)
+        with collecting(), telemetering(second):
+            with campaign(_open_journal(directory)):
+                run_trials(40, journal_trial, seed=5, workers=2)
         timeline = load_timeline(directory)
-        assert len(timeline.launchers) == 2
-        assert all(l.closed for l in timeline.launchers.values())
+        assert sorted(timeline.launchers) == sorted(
+            [first.launcher, second.launcher]
+        )
+        # The aborted launcher never said goodbye; the resumer did.
+        assert not timeline.launchers[first.launcher].closed
+        assert timeline.launchers[second.launcher].closed
         journaled = sum(
             1 for _ in CheckpointJournal(directory).iter_records()
         )
         assert journaled == 40
-        # Every journaled trial appears exactly once as campaign
-        # progress; double work and peer loads only show as contention.
-        assert timeline.completed == 40
-        assert timeline.total == 40
-        assert timeline.executed >= 40 - timeline.duplicates
+        # Every journaled trial appears exactly once as progress. The
+        # abort fires after trial 20 is journaled and before it reaches
+        # the feed, so the resumer's cached floor is what proves it.
+        assert timeline.completed == timeline.total == 40
+        assert timeline.duplicates == 0
+        assert timeline.executed == 39
 
     def test_registry_requires_checkpoint_dir(self):
         from repro.experiments.registry import get_experiment
@@ -773,7 +751,6 @@ class TestWatchAndReportCLI:
         assert "Per-batch progress" in out
         assert "Throughput over time" in out
         assert "alpha" in out and "beta" in out
-        assert "claim:1" in out
 
     def test_report_on_bare_telemetry_dir(self, tmp_path, capsys):
         root = hand_built_campaign(tmp_path / "campaign")

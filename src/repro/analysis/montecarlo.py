@@ -140,6 +140,7 @@ def run_trials(
     tracer = current_tracer()
     parent_metrics = active_metrics()
     feed, tel_batch = _telemetry_begin(batch, "trials", trials, len(cached))
+    deliver = _deliverer(session, batch, feed, tel_batch)
     batch_started = time.perf_counter()
     with ExitStack() as stack:
         stack.enter_context(use_kernel(kernel))
@@ -163,17 +164,9 @@ def run_trials(
                 outcome, snapshot = _run_local_trial(
                     trial, (i,), rngs[i], i, tracer, parent_metrics
                 )
-                if feed is not None:
-                    feed.trial(
-                        i,
-                        time.perf_counter() - trial_started,
-                        "local",
-                        batch=tel_batch,
-                    )
                 if snapshot is not None:
                     snapshots.append(snapshot)
-                if session is not None:
-                    session.record(batch, i, outcome)
+                deliver(i, outcome, time.perf_counter() - trial_started, "local")
                 outcomes.append(outcome)
             _telemetry_end(
                 feed, tel_batch, "serial", batch_started, trials - len(cached)
@@ -192,7 +185,7 @@ def run_trials(
             tasks,
             workers if workers is not None else 1,
             fault_plan=fault_plan,
-            on_record=_recorder(session, batch),
+            on_record=lambda r: deliver(r.index, r.outcome, r.seconds, r.worker),
             collect_metrics=parent_metrics is not None,
             kernel=active_kernel(),
             executor=executor,
@@ -260,6 +253,7 @@ def run_trials_over(
     feed, tel_batch = _telemetry_begin(
         grid_key, "grid", len(parameters) * trials, len(cached)
     )
+    deliver = _deliverer(session, grid_key, feed, tel_batch)
     batch_started = time.perf_counter()
     batch_seeds = spawn_seed_sequences(seed, len(parameters))
     with ExitStack() as stack:
@@ -290,17 +284,11 @@ def run_trials_over(
                     outcome, snapshot = _run_local_trial(
                         trial, (parameter, i), rngs[i], flat, tracer, parent_metrics
                     )
-                    if feed is not None:
-                        feed.trial(
-                            flat,
-                            time.perf_counter() - trial_started,
-                            "local",
-                            batch=tel_batch,
-                        )
                     if snapshot is not None:
                         snapshots.append(snapshot)
-                    if session is not None:
-                        session.record(grid_key, flat, outcome)
+                    deliver(
+                        flat, outcome, time.perf_counter() - trial_started, "local"
+                    )
                     outcomes.append(outcome)
                 results.append(
                     (
@@ -337,7 +325,7 @@ def run_trials_over(
             tasks,
             workers if workers is not None else 1,
             fault_plan=fault_plan,
-            on_record=_recorder(session, grid_key),
+            on_record=lambda r: deliver(r.index, r.outcome, r.seconds, r.worker),
             collect_metrics=parent_metrics is not None,
             kernel=active_kernel(),
             executor=executor,
@@ -505,11 +493,30 @@ def _session_overrides(
     return fault_plan, timeout, max_retries, executor
 
 
-def _recorder(session: Optional[CampaignSession], batch: Optional[str]):
-    """Parent-side journaling callback for the parallel layer."""
-    if session is None:
-        return None
-    return lambda record: session.record(batch, record.index, record.outcome)
+def _deliverer(
+    session: Optional[CampaignSession],
+    batch: Optional[str],
+    feed: Optional[TelemetryFeed],
+    tel_batch: Optional[str],
+) -> Callable[[int, object, float, str], None]:
+    """Hand on a finished trial: journal it, report it, then fire a
+    scripted abort.
+
+    Both the in-process path and :func:`repro.parallel.execute_tasks`
+    deliver through it, so a launcher killed between the two writes
+    never leaves its feed ahead of its journal, and an injected
+    ``abort`` leaves the two equal.
+    """
+
+    def deliver(index: int, outcome: object, seconds: float, worker: str) -> None:
+        if session is not None:
+            session.record(batch, index, outcome)
+        if feed is not None:
+            feed.trial(index, seconds, worker, batch=tel_batch)
+        if session is not None:
+            session.trial_delivered(index)
+
+    return deliver
 
 
 def _parallel_kwargs(

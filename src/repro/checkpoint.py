@@ -382,6 +382,7 @@ class CampaignSession:
         return outcomes
 
     def record(self, batch: str, index: int, outcome: object) -> None:
+        """Journal one finished trial (a no-op without a journal)."""
         if self.journal is not None:
             started = time.perf_counter()
             self.journal.record(
@@ -393,6 +394,13 @@ class CampaignSession:
                 metrics.observe(
                     "checkpoint.record_seconds", time.perf_counter() - started
                 )
+
+    def trial_delivered(self, index: int) -> None:
+        """A trial is journaled and reported: fire a scripted ``abort``.
+
+        The abort stands for a launcher dying after a fully recorded
+        trial, so its feed and its journal hold the same trials.
+        """
         if self.fault_plan is not None:
             self.fault_plan.maybe_abort(index)
 

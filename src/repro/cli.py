@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         choices=("auto", "block", "compiled", "loop"),
         default="auto",
         help="engine execution kernel: 'loop' (per-step reference), "
-        "'block' (vectorized conflict-free segments), 'compiled' "
+        "'block' (vectorized fixed-point solve per block), 'compiled' "
         "(numba machine-code loop; falls back to block without numba) "
         "or 'auto' (default; loop or block by the expected length of a "
         "block window). "

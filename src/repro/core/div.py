@@ -104,7 +104,7 @@ def run_div(
         Execution backend (``"auto"``, ``"loop"``, ``"block"`` or
         ``"compiled"``); see :func:`repro.core.engine.run_dynamics`. ``run_div`` tracks the
         two-adjacent hitting time with a :class:`FirstTimeTracker` mark,
-        which the block kernel reconstructs from its committed windows,
+        which the block kernel reconstructs from its committed blocks,
         so plain runs stay on its vectorized path (an opaque change
         observer in ``observers`` still forces its replay mode).
     frozen:

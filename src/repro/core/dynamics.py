@@ -13,17 +13,18 @@ All dynamics implement::
 voting, best-of-k).
 
 Dynamics whose update depends only on the pair ``(X_v, X_w)`` — DIV,
-pull and push — additionally implement :meth:`Dynamics.step_block`, a
-vectorized *proposal* over a conflict-free segment of interaction pairs.
-The block execution kernel (:mod:`repro.core.kernels`) uses it to apply
-whole scheduler segments in one numpy pass; dynamics without it (those
-drawing per-step RNG or polling whole neighbourhoods) transparently run
-on the per-step loop kernel instead.
+pull and push — additionally implement :meth:`Dynamics.step_block`, the
+same rule as a pure function of opinion arrays, and declare which
+endpoint it writes (``writes = "v"`` or ``"w"``). The block execution
+kernel (:mod:`repro.core.kernels`) uses it to solve whole scheduler
+blocks in a few numpy passes; dynamics without it (those drawing
+per-step RNG or polling whole neighbourhoods) transparently run on the
+per-step loop kernel instead.
 
 Substrate contract (``docs/scenarios.md``): every dynamic treats a
 frozen (zealot) target as a no-change step — the scalar ``step`` checks
-:meth:`OpinionState.is_frozen` before writing and ``step_block`` routes
-its proposal mask through :meth:`OpinionState.writable` — so change
+:meth:`OpinionState.is_frozen` before writing, and the block kernel
+masks frozen targets out of every block it solves — so change
 counters, change observers and stopping checks stay bit-identical
 across execution kernels.  A dynamic that advertises the vectorized or
 compiled fast paths (``step_block`` / ``compiled_id``) must *declare*
@@ -37,7 +38,7 @@ with no declaration at all.
 
 from __future__ import annotations
 
-from typing import Protocol, Tuple
+from typing import Protocol
 
 import numpy as np
 
@@ -75,27 +76,23 @@ def supports_substrate(dynamics: Dynamics, feature: str) -> bool:
 
 
 class BlockDynamics(Dynamics, Protocol):
-    """A dynamic that can propose updates for a whole segment at once.
+    """A dynamic whose update is a pure rule on the pair's two opinions.
 
-    ``step_block`` must be *pure* (it reads the state but never mutates
-    it) and RNG-free; applying its proposal through
-    :meth:`OpinionState.apply_block` must be bit-identical to running
-    :meth:`Dynamics.step` over the segment sequentially, which holds
-    whenever the segment is conflict-free (no vertex appears twice
-    across the ``v`` and ``w`` arrays).
+    ``step_block(xv, xw)`` takes the opinions of ``v`` and ``w`` as
+    aligned int64 arrays and returns the new opinion of the endpoint the
+    rule writes, named by ``writes`` (``"v"`` or ``"w"``). It must be
+    RNG-free, read nothing but its arguments, and agree elementwise with
+    :meth:`Dynamics.step` on a non-frozen target: an element whose result
+    equals the written endpoint's input is a step that changes nothing.
+    The block kernel evaluates the rule over a whole drawn block at once
+    and solves the block's sequential dependencies itself, so the rule
+    never sees a state and has no conflict precondition.
     """
 
-    def step_block(
-        self, state: OpinionState, v: np.ndarray, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Propose the updates of one conflict-free segment.
+    writes: str
 
-        Returns ``(changed, targets, new_values)``: a boolean mask over
-        the segment positions marking the steps that change an opinion,
-        plus the written vertex and its new value for each changed
-        position (both aligned with ``changed``'s true entries, in
-        segment order).
-        """
+    def step_block(self, xv: np.ndarray, xw: np.ndarray) -> np.ndarray:
+        """New opinions of the written endpoints, one per pair."""
         ...  # pragma: no cover - protocol
 
 
@@ -113,6 +110,8 @@ class IncrementalVoting:
     #: the observed value. Only meaningful for RNG-free pairwise
     #: dynamics whose update depends on ``(X_v, X_w)`` alone.
     compiled_id = 0
+    #: The endpoint ``step_block`` writes.
+    writes = "v"
     #: Scenario features honoured on every execution path (KER005).
     substrate_compat = SUBSTRATE_FEATURES
 
@@ -126,15 +125,9 @@ class IncrementalVoting:
         state.apply(v, xv + 1 if xw > xv else xv - 1)
         return True
 
-    def step_block(
-        self, state: OpinionState, v: np.ndarray, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized eq. (1) over a conflict-free segment."""
-        values = state.values
-        xv = values[v]
-        moves = np.sign(values[w] - xv)
-        changed = state.writable(v, moves != 0)
-        return changed, v[changed], xv[changed] + moves[changed]
+    def step_block(self, xv: np.ndarray, xw: np.ndarray) -> np.ndarray:
+        """Eq. (1) elementwise: ``v``'s new opinion."""
+        return xv + np.sign(xw - xv)
 
 
 class PullVoting:
@@ -143,6 +136,7 @@ class PullVoting:
     name = "pull"
     #: Compiled-kernel dispatch code: 1 = ``v`` adopts ``X_w``.
     compiled_id = 1
+    writes = "v"
     substrate_compat = SUBSTRATE_FEATURES
 
     def step(
@@ -155,14 +149,9 @@ class PullVoting:
         state.apply(v, xw)
         return True
 
-    def step_block(
-        self, state: OpinionState, v: np.ndarray, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized pull over a conflict-free segment."""
-        values = state.values
-        xw = values[w]
-        changed = state.writable(v, xw != values[v])
-        return changed, v[changed], xw[changed]
+    def step_block(self, xv: np.ndarray, xw: np.ndarray) -> np.ndarray:
+        """Pull elementwise: ``v``'s new opinion is ``X_w``."""
+        return xw
 
 
 class PushVoting:
@@ -171,6 +160,7 @@ class PushVoting:
     name = "push"
     #: Compiled-kernel dispatch code: 2 = ``w`` adopts ``X_v``.
     compiled_id = 2
+    writes = "w"
     substrate_compat = SUBSTRATE_FEATURES
 
     def step(
@@ -183,14 +173,9 @@ class PushVoting:
         state.apply(w, xv)
         return True
 
-    def step_block(
-        self, state: OpinionState, v: np.ndarray, w: np.ndarray
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Vectorized push over a conflict-free segment (writes ``w``)."""
-        values = state.values
-        xv = values[v]
-        changed = state.writable(w, values[w] != xv)
-        return changed, w[changed], xv[changed]
+    def step_block(self, xv: np.ndarray, xw: np.ndarray) -> np.ndarray:
+        """Push elementwise: ``w``'s new opinion is ``X_v``."""
+        return xv
 
 
 class MedianVoting:
@@ -359,7 +344,7 @@ class NoisyDynamics:
       value need not even come from ``v``'s neighbourhood).
 
     Because every step consumes RNG for the fault decision, there is no
-    conflict-free vectorized form: the wrapper deliberately implements
+    pure value rule to vectorize: the wrapper deliberately implements
     neither ``step_block`` nor ``compiled_id``, so
     :func:`repro.core.kernels.resolve_kernel` degrades any block or
     compiled request down to the reference loop and records the

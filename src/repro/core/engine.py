@@ -62,7 +62,7 @@ class RunResult(BaseRunResult):
         Why that kernel ran: the origin of the choice (an explicit
         ``kernel=``, an ambient ``use_kernel``, or ``"auto"``'s cost
         estimate) followed by each degradation applied, e.g.
-        ``"auto: window 3.0 < 10"`` or
+        ``"auto: window 3.0 < 5"`` or
         ``"kernel='block'; dynamics has no step_block"``; see
         :func:`repro.core.kernels.resolve_kernel`.
     """

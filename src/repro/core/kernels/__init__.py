@@ -7,9 +7,10 @@
     The per-step reference implementation (the engine's original loop,
     extracted verbatim). Works with every dynamic.
 ``"block"``
-    Vectorized application of conflict-free scheduler segments. Only
-    dynamics implementing :meth:`Dynamics.step_block` (DIV, pull, push)
-    can use it; for the rest it transparently falls back to the loop.
+    Vectorized: each drawn scheduler block is solved as one fixed point
+    and committed in one batch. Only dynamics implementing
+    :meth:`Dynamics.step_block` (DIV, pull, push) can use it; for the
+    rest it transparently falls back to the loop.
 ``"compiled"``
     The per-pair recurrence as one numba ``@njit`` machine-code loop
     over the state's flat int64 buffers. Needs numba (an optional
@@ -28,11 +29,12 @@ whole campaign::
         run_trials(...)        # every engine call resolves "auto" -> block
 
 mirroring how :mod:`repro.obs.metrics` scopes its active sink. The
-default ``"auto"`` picks by cost: the block kernel's per-window numpy
-overhead only pays off when a conflict-free window holds enough pairs,
-so ``"auto"`` runs the loop wherever the scheduler's expected window
-(its ``expected_window()``) is below :data:`BLOCK_MIN_WINDOW`, and the
-block kernel elsewhere when the dynamics supports it. The resolved
+default ``"auto"`` picks by cost: the block kernel solves a block in a
+few numpy passes over all its pairs, which only pays off when the pairs
+rarely depend on each other, so ``"auto"`` runs the loop wherever the
+scheduler's expected conflict-free window (its ``expected_window()``)
+is below :data:`BLOCK_MIN_WINDOW`, and the block kernel elsewhere when
+the dynamics supports it. The resolved
 kernel carries a one-line ``reason`` for its choice, which the engine
 records as ``RunResult.kernel_reason``.
 """
@@ -50,7 +52,7 @@ from repro.core.kernels.base import (
     epoch_window,
     supports_block,
 )
-from repro.core.kernels.block import BlockKernel, conflict_free_bounds
+from repro.core.kernels.block import BlockKernel, solve_block
 from repro.core.kernels.compiled import (
     NUMBA_AVAILABLE,
     CompiledKernel,
@@ -73,11 +75,11 @@ __all__ = [
     "LoopKernel",
     "active_kernel",
     "compiled_runtime_available",
-    "conflict_free_bounds",
     "epoch_window",
     "interpreted_compiled",
     "make_kernel",
     "resolve_kernel",
+    "solve_block",
     "supports_block",
     "supports_compiled",
     "use_kernel",
@@ -94,24 +96,27 @@ KERNEL_NAMES = ("auto",) + tuple(sorted(_KERNELS))
 
 #: Expected window length (pairs) from which ``"auto"`` picks the block
 #: kernel over the loop. Calibrated on ``run_div`` to consensus, k=5,
-#: 2-vCPU host; windows from the schedulers' ``expected_window()``:
+#: both kernels alternating on the same runs, 2-vCPU host; windows from
+#: the schedulers' ``expected_window()``:
 #:
-#: ================  =======  ==========================
-#: graph             window   block ÷ loop, µs per step
-#: ================  =======  ==========================
-#: star(61)          1.0      1.8–4.9
-#: lollipop(12,24)   2.3–3.0  1.0–1.5
-#: K_10              1.6      3.1–3.5
-#: K_64, RR(64,10)   4.0      2.2–2.5
-#: RR(128,10)        5.7      1.5–1.7
-#: RR(256,10)        8.0      1.08–1.13
-#: RR(512,10)        11.3     0.71–0.73
-#: RR(1000,10)       15.8     0.51
-#: RR(2000,10)       22.4     0.38
-#: ================  =======  ==========================
+#: ================  =======  ===========  ==========  ============
+#: graph             window   block µs     loop µs     block ÷ loop
+#: ================  =======  ===========  ==========  ============
+#: star(61)          1.0      3.6–4.1      2.5–3.0     1.36–1.43
+#: lollipop(12,24)   2.3–3.0  1.29         1.32–1.56   0.83–0.98
+#: K_10              1.6      248–349      9.6–13.9    25–26
+#: RR(64,10)         4.0      2.0–2.5      2.1–2.6     0.95–0.96
+#: RR(128,10)        5.7      0.72–0.90    2.0–2.6     0.34–0.36
+#: RR(256,10)        8.0      0.46–0.48    2.4–2.5     0.19–0.20
+#: RR(512,10)        11.3     0.26–0.33    1.5–2.0     0.16–0.18
+#: RR(1000,10)       15.8     0.23–0.24    1.8         0.13
+#: RR(2000,10)       22.4     0.25–0.31    2.2–2.3     0.12–0.13
+#: ================  =======  ===========  ==========  ============
 #:
-#: The crossover lies between 8 and 11.3.
-BLOCK_MIN_WINDOW = 10
+#: The crossover lies between 4.0 and 5.7. K_10 runs end within a few
+#: dozen steps but the block kernel solves the whole first block, and
+#: lollipop's small gain is within noise, so hubs stay on the loop.
+BLOCK_MIN_WINDOW = 5
 
 # Ambient kernel override for ``kernel="auto"`` calls, innermost wins —
 # same scoping idiom as ``repro.obs.metrics._ACTIVE``. Note this stack
@@ -172,8 +177,9 @@ def resolve_kernel(
     (every built-in scheduler does; the state-bound probes report the
     neutral vertex law they propose from), a window shorter than
     :data:`BLOCK_MIN_WINDOW` pairs runs the loop — on hubs and small
-    graphs the block kernel's fixed cost per window outweighs the
-    per-step loop — and a longer one the block kernel. Without a
+    graphs nearly every pair depends on an earlier one, so the block
+    kernel's solve needs many passes and loses to the per-step loop —
+    and a longer one the block kernel. Without a
     scheduler or an estimate, ``"auto"`` picks block. ``"compiled"`` is
     opt-in: its speed-up depends on numba being installed, so ``"auto"``
     stays dependency-free and predictable.
@@ -196,7 +202,7 @@ def resolve_kernel(
 
     The returned kernel's ``reason`` says why it was chosen: the origin
     of the choice (``"kernel='block'"``, ``"use_kernel('loop')"`` or
-    ``"auto: window 3.0 < 10"``) followed by each degradation applied,
+    ``"auto: window 3.0 < 5"``) followed by each degradation applied,
     e.g. ``"kernel='block'; dynamics has no step_block"``. The engine
     records the name as ``RunResult.kernel`` and the reason as
     ``RunResult.kernel_reason``, so scenario runs never silently
@@ -233,7 +239,7 @@ def resolve_kernel(
 
 
 def _by_cost(dynamics: Dynamics, scheduler) -> Tuple[str, str]:
-    """``"auto"``'s ``(name, reason)``: loop where block windows are short."""
+    """``"auto"``'s ``(name, reason)``: loop where windows are short."""
     if not supports_block(dynamics):
         return "loop", "auto: dynamics has no step_block"
     expected_window = getattr(scheduler, "expected_window", None)

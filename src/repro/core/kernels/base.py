@@ -15,8 +15,8 @@ kernel implements the same contract:
 
 Two kernels ship with the package: :class:`~repro.core.kernels.loop.
 LoopKernel` (the per-step reference implementation) and
-:class:`~repro.core.kernels.block.BlockKernel` (vectorized conflict-free
-segment application). See ``docs/kernels.md`` for the equivalence
+:class:`~repro.core.kernels.block.BlockKernel` (each drawn block solved
+as one vectorized fixed point). See ``docs/kernels.md`` for the equivalence
 argument.
 """
 

@@ -1,14 +1,13 @@
 """Compiled execution: the per-pair recurrence in machine code.
 
 The block kernel removed the per-step Python dispatch for the pairwise
-dynamics, but each window still pays numpy call overhead proportional
-to the number of *windows* — and the change-dense early phase of a run
-keeps windows short.  This kernel removes that too: it runs the exact
-sequential per-pair update loop (the loop kernel's semantics, not the
-block kernel's optimistic-window reformulation) over the state's flat
+dynamics, but each block still pays numpy call overhead for every pass
+of its fixed-point solve.  This kernel removes that too: it runs the
+exact sequential per-pair update loop (the loop kernel's semantics, not
+the block kernel's fixed-point reformulation) over the state's flat
 int64 buffers in a single numba ``@njit`` function, consuming whole
-scheduler segments per call.  Sequential execution needs no conflict
-machinery at all; the machine-code loop simply is the reference loop.
+scheduler segments per call.  Sequential execution needs no dependency
+solve at all; the machine-code loop simply is the reference loop.
 
 Equivalence is structural rather than reconstructed:
 
@@ -23,7 +22,7 @@ Equivalence is structural rather than reconstructed:
   StopTerm.support_at_most` / ``width_at_most``), which every built-in
   condition publishes;
 * sampled observers clip segments at their next due step, exactly like
-  the block kernel's windows, and read a fully re-synced state
+  the block kernel's commits, and read a fully re-synced state
   (:meth:`OpinionState.kernel_commit`).
 
 Anything outside that contract — change observers, opaque stop
@@ -128,7 +127,7 @@ def _consume_pairs(
     ``frozen`` is the zealot mask over all ``n`` vertices (all-false
     when the scenario has none): a pair whose write target is frozen is
     a no-change step, mirroring :meth:`OpinionState.apply`'s no-op and
-    the mask every ``step_block`` applies before commit.
+    the block kernel's frozen-target mask.
 
     Returns ``(pairs_done, changes, fired_term or -1, support_size,
     min_idx, max_idx)``; ``pairs_done`` counts the firing pair.

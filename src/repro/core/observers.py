@@ -332,7 +332,7 @@ class FirstTimeTracker:
 
     * the clauses fire exactly where ``predicate`` holds, so the
       kernel can find the first firing change inside a committed
-      window from the support/width timeline and call ``mark(step)``
+      block from the support/width timeline and call ``mark(step)``
       instead of ``on_change`` after every change;
     * ``mark(step)`` records the step only if none was recorded yet
       (the endpoint ``sample`` checks step 0, so a kernel may report
@@ -340,7 +340,7 @@ class FirstTimeTracker:
     * every hook reads only the state's support size and range width,
       so the kernel may keep deferring degree-weight bookkeeping.
 
-    Kernels without a window fast path simply call ``on_change``, which
+    Kernels without a block fast path simply call ``on_change``, which
     records the same step.
     """
 

@@ -72,7 +72,6 @@ class OpinionState:
         "_min_idx",
         "_max_idx",
         "_weights_dirty",
-        "_scratch",
         "_frozen",
     )
 
@@ -104,11 +103,6 @@ class OpinionState:
         self._min_idx = 0
         self._max_idx = width - 1
         self._weights_dirty = False
-        # Reusable scratch buffers for the batched hot paths (apply_block,
-        # support_range_timeline): keyed by use, grown geometrically,
-        # never released — so a long run settles into zero per-window
-        # allocation.  Lazily populated; a fresh state owns none.
-        self._scratch: Dict[str, np.ndarray] = {}
         self._frozen: Optional[np.ndarray] = None
         if frozen is not None:
             mask = np.asarray(frozen)
@@ -129,31 +123,6 @@ class OpinionState:
             if mask.any():
                 mask.setflags(write=False)
                 self._frozen = mask
-
-    # ------------------------------------------------------------------
-    # Scratch management (batched hot paths)
-    # ------------------------------------------------------------------
-    def _scratch_buf(self, name: str, size: int, dtype=np.int64) -> np.ndarray:
-        """A reusable buffer of at least ``size`` elements for ``name``.
-
-        The returned array is a prefix view of a persistent buffer that
-        is only ever *grown* (geometric doubling), so steady-state calls
-        allocate nothing.  Contents are unspecified on entry.
-        """
-        buf = self._scratch.get(name)
-        if buf is None or buf.size < size:
-            capacity = max(size, 256 if buf is None else 2 * buf.size)
-            buf = np.empty(capacity, dtype=dtype)
-            self._scratch[name] = buf
-        return buf[:size]
-
-    def _scratch_ramp(self, size: int) -> np.ndarray:
-        """A reusable ``arange(size)`` (row indices for timeline scatter)."""
-        buf = self._scratch.get("ramp")
-        if buf is None or buf.size < size:
-            buf = np.arange(max(size, 256), dtype=np.int64)
-            self._scratch["ramp"] = buf
-        return buf[:size]
 
     # ------------------------------------------------------------------
     # Read access
@@ -321,12 +290,8 @@ class OpinionState:
         """Restrict a proposal mask to positions whose target accepts writes.
 
         ``mask[i]`` stays true iff it was true and ``vertices[i]`` is not
-        frozen.  With no zealots the input mask is returned unchanged
-        (zero cost on the block kernel's hot path); with zealots a new
-        array is returned, never a mutated input.  Every
-        :meth:`~repro.core.dynamics.BlockDynamics.step_block` routes its
-        ``changed`` mask through here so frozen-vertex proposals are
-        masked *before* commit — identically on every kernel.
+        frozen.  With no zealots the input mask is returned unchanged;
+        with zealots a new array is returned, never a mutated input.
         """
         if self._frozen is None:
             return mask
@@ -395,14 +360,13 @@ class OpinionState:
     ) -> np.ndarray:
         """Apply a batch of single-vertex updates in one numpy pass.
 
-        The batch must be *conflict-free*: ``vertices`` may not contain a
-        vertex twice (each vertex is written at most once), which is what
-        the block execution kernel guarantees by splitting scheduler
-        blocks at the first repeated vertex. Under that precondition the
+        ``vertices`` may not contain a vertex twice (each vertex is
+        written at most once): the block kernel commits only the last
+        write of each vertex in a block. Under that precondition the
         final state — values, counts, degree counts, sums, support size —
         is bit-identical to applying the updates one at a time through
-        :meth:`apply`, because every read the batch was computed from saw
-        the pre-batch state. Returns the previous values.
+        :meth:`apply`, since every update's old value is the pre-batch
+        value. Returns the previous values.
 
         With ``defer_weights=True`` the degree-weighted aggregates
         (``d(A_i)``, ``S(t)``, ``Σ_v d(v) X_v``) are not maintained
@@ -411,16 +375,11 @@ class OpinionState:
         read weights mid-run, halving the batched bookkeeping on its hot
         path without changing any observable value.
 
-        The returned previous-values array is a view into reusable
-        scratch (part of the zero-per-window-allocation contract of the
-        batched hot path) and is only valid until the next
-        ``apply_block`` call; copy it to keep it.
-
         Like :meth:`apply`, raises when any new value falls outside the
         initial opinion range.  Rows targeting frozen (zealot) vertices
         are dropped before committing, mirroring the scalar no-op — the
-        execution kernels pre-mask proposals through :meth:`writable`,
-        so in engine runs this filter never triggers.
+        block kernel masks frozen targets while it solves a block, so in
+        engine runs this filter never triggers.
         """
         vertices = np.asarray(vertices, dtype=np.int64)
         new_values = np.asarray(new_values, dtype=np.int64)
@@ -429,15 +388,12 @@ class OpinionState:
             if not keep.all():
                 vertices = vertices[keep]
                 new_values = new_values[keep]
-        size = vertices.size
-        if size == 0:
+        if vertices.size == 0:
             return _EMPTY_I64
         # mode="clip" skips numpy's bounds check; scheduler-drawn
         # vertices are always in range.
-        old_values = self._scratch_buf("block_old_values", size)
-        self._values.take(vertices, out=old_values, mode="clip")
-        new_idx = self._scratch_buf("block_new_idx", size)
-        np.subtract(new_values, self._offset, out=new_idx)
+        old_values = self._values.take(vertices, mode="clip")
+        new_idx = new_values - self._offset
         new_lo = int(new_idx.min())
         new_hi = int(new_idx.max())
         if new_lo < 0 or new_hi >= self._counts.size:
@@ -445,8 +401,7 @@ class OpinionState:
                 f"value(s) outside the initial opinion range "
                 f"[{self._offset}, {self._offset + self._counts.size - 1}]"
             )
-        old_idx = self._scratch_buf("block_old_idx", size)
-        np.subtract(old_values, self._offset, out=old_idx)
+        old_idx = old_values - self._offset
 
         self._values[vertices] = new_values
         counts = self._counts
@@ -462,52 +417,40 @@ class OpinionState:
         if defer_weights or self._weights_dirty:
             self._weights_dirty = True
             return old_values
-        degrees_all = self.graph.degrees
-        degrees = self._scratch_buf("block_degrees", size)
-        if degrees_all.dtype == np.int64:
-            degrees_all.take(vertices, out=degrees, mode="clip")
-        else:  # non-canonical graph stubs
-            degrees[:] = degrees_all[vertices]
+        degrees = self.graph.degrees[vertices].astype(np.int64, copy=False)
         np.subtract.at(self._degree_counts, old_idx, degrees)
         np.add.at(self._degree_counts, new_idx, degrees)
-        value_delta = self._scratch_buf("block_delta", size)
-        np.subtract(new_values, old_values, out=value_delta)
+        value_delta = new_values - old_values
         self._sum += int(value_delta.sum())
-        np.multiply(value_delta, degrees, out=value_delta)
-        self._degree_sum += int(value_delta.sum())
+        self._degree_sum += int((value_delta * degrees).sum())
         return old_values
 
     def support_range_timeline(
         self, old_values: np.ndarray, new_values: np.ndarray
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Aggregate trajectories of a pending conflict-free batch.
+        """Aggregate trajectories of a pending sequence of changes.
 
-        Given the per-change old and new opinions of a batch that has
-        *not* been applied yet (in sequential order, conflict-free, every
-        entry an actual change), return two aligned arrays: the support
-        size and the range width ``ℓ - s`` the state would have *after*
-        each change. This is how the block kernel reconstructs the exact
-        step at which a stopping condition first fires inside a segment
-        it is about to apply in one pass (see
-        :class:`~repro.core.stopping.StopTerm`).
+        Given the per-change old and new opinions of a sequence that has
+        *not* been applied yet (in step order, every entry an actual
+        change, each old value the changed vertex's opinion just before
+        its change), return two aligned arrays: the support size and the
+        range width ``ℓ - s`` the state would have *after* each change.
+        This is how the block kernel reconstructs the exact step at which
+        a stopping condition first fires inside a block it is about to
+        commit in one pass (see :class:`~repro.core.stopping.StopTerm`).
 
         Cost is O(changes × current range width): the per-change count
         deltas are scattered into a dense ``(changes, width)`` matrix
-        over the currently populated window and cumulatively summed.
-        Every intermediate lives in reusable scratch (no per-window
-        allocation); the two returned arrays are scratch views valid
-        until the next ``support_range_timeline`` call.
+        over the currently populated window and cumulatively summed. The
+        matrix is allocated per call and released with it, so a state a
+        caller keeps holds no block-sized buffers.
         """
         self._advance_extremes()
-        old_values = np.asarray(old_values, dtype=np.int64)
-        new_values = np.asarray(new_values, dtype=np.int64)
-        changes = old_values.size
+        old_idx = np.asarray(old_values, dtype=np.int64) - self._offset
+        new_idx = np.asarray(new_values, dtype=np.int64) - self._offset
+        changes = old_idx.size
         if changes == 0:
             return _EMPTY_I64, _EMPTY_I64
-        old_idx = self._scratch_buf("tl_old_idx", changes)
-        np.subtract(old_values, self._offset, out=old_idx)
-        new_idx = self._scratch_buf("tl_new_idx", changes)
-        np.subtract(new_values, self._offset, out=new_idx)
         if int(new_idx.min()) < 0 or int(new_idx.max()) >= self._counts.size:
             raise InvalidOpinionsError(
                 f"value(s) outside the initial opinion range "
@@ -516,32 +459,19 @@ class OpinionState:
         lo = min(self._min_idx, int(old_idx.min()), int(new_idx.min()))
         hi = max(self._max_idx, int(old_idx.max()), int(new_idx.max()))
         width = hi - lo + 1
-        rows = self._scratch_ramp(changes)
-        delta = self._scratch_buf("tl_delta", changes * width).reshape(
-            changes, width
-        )
-        delta[:] = 0
-        np.subtract(old_idx, lo, out=old_idx)
-        np.subtract(new_idx, lo, out=new_idx)
+        rows = np.arange(changes)
+        delta = np.zeros((changes, width), dtype=np.int64)
         # Per row the two touched columns are distinct (old != new) and
         # rows are distinct, so fancy-indexed in-place adds never collide.
-        delta[rows, old_idx] -= 1
-        delta[rows, new_idx] += 1
+        delta[rows, old_idx - lo] -= 1
+        delta[rows, new_idx - lo] += 1
         np.cumsum(delta, axis=0, out=delta)
-        np.add(delta, self._counts[lo : hi + 1][None, :], out=delta)
-        present = self._scratch_buf(
-            "tl_present", changes * width, dtype=np.bool_
-        ).reshape(changes, width)
-        np.greater(delta, 0, out=present)
-        support_sizes = self._scratch_buf("tl_support", changes)
-        present.sum(axis=1, dtype=np.int64, out=support_sizes)
-        min_cols = self._scratch_buf("tl_min_cols", changes, dtype=np.intp)
-        np.argmax(present, axis=1, out=min_cols)
-        range_widths = self._scratch_buf("tl_widths", changes, dtype=np.intp)
-        np.argmax(present[:, ::-1], axis=1, out=range_widths)
-        # widths = (width - 1 - argmax(reversed)) - argmax(forward)
-        np.subtract(width - 1, range_widths, out=range_widths)
-        np.subtract(range_widths, min_cols, out=range_widths)
+        delta += self._counts[lo : hi + 1]
+        present = delta > 0
+        support_sizes = present.sum(axis=1, dtype=np.int64)
+        # width = (last present column) - (first present column)
+        last = width - 1 - np.argmax(present[:, ::-1], axis=1)
+        range_widths = last - np.argmax(present, axis=1)
         return support_sizes, range_widths
 
     def min_changes_to_support(self, target: int) -> int:
@@ -554,7 +484,7 @@ class OpinionState:
         first. (Changes may also *repopulate* an empty intermediate
         class, which only pushes the support further away, so this bound
         is safe.) The block kernel uses it to skip stop-condition
-        timeline reconstruction while a window provably cannot fire.
+        timeline reconstruction while a block provably cannot fire.
         """
         excess = self._support_size - target
         if excess <= 0:
@@ -574,8 +504,7 @@ class OpinionState:
         range once an evolved state's extreme classes have emptied, and
         :meth:`apply` documents the whole *initial* range as legal.  The
         copy therefore preserves the initial-range window, the deferred
-        weight flag and the lazy extreme pointers exactly.  Scratch
-        buffers are not shared — each copy lazily grows its own.
+        weight flag and the lazy extreme pointers exactly.
         """
         clone = object.__new__(OpinionState)
         clone.graph = self.graph
@@ -589,7 +518,6 @@ class OpinionState:
         clone._min_idx = self._min_idx
         clone._max_idx = self._max_idx
         clone._weights_dirty = self._weights_dirty
-        clone._scratch = {}
         # The mask is immutable (read-only array), so sharing is safe.
         clone._frozen = self._frozen
         return clone

@@ -29,8 +29,8 @@ MAX_STEPS_REASON = "max_steps"
 class StopTerm:
     """One vectorizable clause of a stopping condition.
 
-    The block execution kernel (:mod:`repro.core.kernels.block`) applies
-    whole conflict-free segments in one numpy pass and then has to
+    The block execution kernel (:mod:`repro.core.kernels.block`) commits
+    whole scheduler blocks in one numpy pass and then has to
     report the *exact* step the sequential loop would have stopped at.
     Every condition in this module is a predicate over the two aggregate
     trajectories the kernel can reconstruct from cumulative support

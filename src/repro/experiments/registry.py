@@ -126,7 +126,9 @@ class ExperimentSpec:
         ``executor`` selects how every Monte-Carlo batch of the campaign
         runs (``"auto"``, ``"serial"`` or ``"pool"``; see
         :func:`repro.parallel.execute_tasks`). Reports are identical
-        across executors, like kernels.
+        across executors, like kernels. A driver without ``workers``
+        support (see :attr:`supports_workers`) runs its batches
+        serially whatever the executor.
 
         ``telemetry=True`` (CLI: ``--telemetry``) opens an append-only
         progress feed under ``<campaign dir>/telemetry/`` (see
@@ -145,6 +147,9 @@ class ExperimentSpec:
                 "directory; pass checkpoint_dir (CLI: --checkpoint-dir) "
                 "or drop --telemetry"
             )
+        if executor is not None and not self.supports_workers:
+            # The driver's trials are closures that only run in process.
+            executor = "serial"
         config = self.config_cls() if scale == "full" else self.config_cls.quick()
         journal = None
         if checkpoint_dir is not None:

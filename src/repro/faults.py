@@ -34,7 +34,8 @@ attempts only, default every attempt); ``hang@I[:N]`` stalls it for
 ``hang_seconds``; ``slow@I[:S]`` sleeps ``S`` seconds (default 0.05)
 then runs normally; ``corrupt@I`` / ``truncate@I`` damage trial ``I``'s
 checkpoint record after it is written; ``abort@I`` aborts the campaign
-in the parent right after trial ``I`` is recorded; ``telemetry-drop@I``
+in the parent right after trial ``I`` is journaled and reported to the
+telemetry feed; ``telemetry-drop@I``
 suppresses trial ``I``'s record on the launcher's telemetry feed (no
 argument), drilling the timeline reader's tolerance for feeds with
 holes. Duplicate
@@ -264,8 +265,8 @@ class FaultPlan:
     def maybe_abort(self, index: int) -> None:
         """Raise :class:`InjectedAbort` if an ``abort`` is scripted here.
 
-        Fired in the parent right after trial ``index`` is recorded —
-        the deterministic stand-in for a SIGKILL mid-campaign.
+        Fired in the parent right after trial ``index`` is journaled and
+        reported — the deterministic stand-in for a SIGKILL mid-campaign.
         """
         if self._for(index, "abort") is not None:
             raise InjectedAbort(

@@ -86,7 +86,6 @@ __all__ = [
     "TelemetryFeed",
     "active_telemetry",
     "default_feed_name",
-    "emit_trial",
     "snapshot_from_payload",
     "snapshot_to_payload",
     "suspended",
@@ -434,15 +433,3 @@ def suspended() -> Iterator[None]:
         yield
     finally:
         _ACTIVE.extend(saved)
-
-
-def emit_trial(index: int, seconds: float, worker: str) -> None:
-    """Record a trial on the ambient feed, if one is installed.
-
-    The one-line hook :func:`repro.parallel.execute_tasks` calls next
-    to ``on_record``; a no-op without a feed, preserving the
-    zero-overhead contract.
-    """
-    feed = active_telemetry()
-    if feed is not None:
-        feed.trial(index, seconds, worker)

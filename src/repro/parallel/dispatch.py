@@ -17,8 +17,8 @@ fresh pool for ``max_retries`` rounds, and chunks that still fail run
 transparently in-process — with a ``RuntimeWarning`` and a
 ``"pool->serial"`` resolved path.
 
-Both paths hand every record to ``on_record`` (the checkpoint journal)
-and to the telemetry feed as soon as its chunk is done — the pool in
+Both paths hand every record to ``on_record`` (the checkpoint journal,
+then the telemetry feed) as soon as its chunk is done — the pool in
 submission order, each chunk as its future resolves — so a campaign
 killed mid-batch keeps every chunk that had finished.
 
@@ -43,7 +43,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError, ParallelExecutionError
 from repro.faults import FaultPlan
-from repro.obs.telemetry import active_telemetry, emit_trial
+from repro.obs.telemetry import active_telemetry
 from repro.parallel.base import (
     DEFAULT_MAX_RETRIES,
     TrialRecord,
@@ -102,8 +102,9 @@ def execute_tasks(
         faults fire inside pool workers only.
     on_record:
         Optional parent-side callback invoked for each record as soon
-        as its chunk is done (the checkpoint layer journals trials here,
-        so a killed campaign keeps everything that finished).
+        as its chunk is done. The Monte-Carlo layer journals the trial
+        here, then reports it to the telemetry feed, so a killed
+        campaign keeps everything that finished.
     collect_metrics:
         When true, each trial runs under a fresh worker-local metrics
         registry and its snapshot rides back on the
@@ -135,7 +136,6 @@ def execute_tasks(
         for record in chunk_records:
             if on_record is not None:
                 on_record(record)
-            emit_trial(record.index, record.seconds, record.worker)
 
     def run_in_process(chunk: Sequence[TrialTask]) -> None:
         deliver(_run_task_chunk(trial, chunk, fault_plan, collect_metrics, kernel))

@@ -207,6 +207,29 @@ class TestExecutorFlags:
         )
         assert "identical" in capsys.readouterr().out
 
+    def test_pool_executor_without_worker_support_runs_serially(
+        self, tmp_path, capsys
+    ):
+        # E10's trials are closures; an explicit pool executor must not
+        # try to ship them to worker processes.
+        base = ["run", "E10", "--quick", "--seed", "2", "--checkpoint-dir"]
+        assert main(base + [str(tmp_path / "serial")]) == 0
+        reference = capsys.readouterr().out
+        pool_args = base + [str(tmp_path / "pool"), "--executor", "pool"]
+        assert main(pool_args + ["--workers", "2"]) == 0
+        pooled = capsys.readouterr().out
+        assert "[E10 has no parallel trial support; running serially]" in pooled
+        strip = lambda text: [
+            line
+            for line in text.splitlines()
+            if "finished in" not in line and "parallel trial support" not in line
+        ]
+        assert strip(pooled) == strip(reference)
+        diff = ["checkpoint", "diff", str(tmp_path / "serial" / "e10"),
+                str(tmp_path / "pool" / "e10")]
+        assert main(diff) == 0
+        assert "identical" in capsys.readouterr().out
+
 
 class TestCampaignStatus:
     def test_status_reports_batches(self, tmp_path, capsys, monkeypatch):

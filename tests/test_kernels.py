@@ -6,8 +6,8 @@ stop reason, same observer sequences, for any seed.  The sweep below
 exercises that contract across graphs × dynamics × schedulers × stop
 conditions × observers for both the block and the compiled backend
 (the latter through its interpreted core, so the sweep runs without
-numba); the unit tests pin down the conflict-free segment splitter and
-the batched state operations the kernels rely on.
+numba); the unit tests pin down the block solver and the batched state
+operations the kernels rely on.
 """
 
 from __future__ import annotations
@@ -43,10 +43,10 @@ from repro.core.kernels import (
     NUMBA_AVAILABLE,
     active_kernel,
     compiled_runtime_available,
-    conflict_free_bounds,
     interpreted_compiled,
     make_kernel,
     resolve_kernel,
+    solve_block,
     supports_block,
     supports_compiled,
     use_kernel,
@@ -488,66 +488,133 @@ class TestMarkEquivalence:
 
     @pytest.mark.parametrize("process", ["vertex", "edge"])
     def test_plain_run_div_never_replays(self, monkeypatch, process):
+        # Replay commits change by change through OpinionState.apply; a
+        # plain run_div commits every block through apply_block alone.
         def forbidden(*args, **kwargs):
             raise AssertionError("run_div fell back to per-change replay")
 
-        monkeypatch.setattr(BlockKernel, "_replay_segment", staticmethod(forbidden))
+        commits = []
+        apply_block = OpinionState.apply_block
+
+        def counting(self, vertices, new_values, defer_weights=False):
+            commits.append(len(vertices))
+            return apply_block(self, vertices, new_values, defer_weights)
+
+        monkeypatch.setattr(OpinionState, "apply", forbidden)
+        monkeypatch.setattr(OpinionState, "apply_block", counting)
         graph = random_regular_graph(40, 4, rng=2)
         opinions = make_rng(1).integers(0, 6, size=graph.n)
         result = run_div(graph, opinions, process=process, rng=4, kernel="block")
         assert result.stop_reason == "consensus"
         assert result.two_adjacent_step is not None
+        # One commit per block with changes, holding the last write of
+        # each vertex: a 40-vertex graph commits at most 40 at once.
+        assert commits and max(commits) <= graph.n
 
 
-class TestConflictFreeBounds:
-    def test_no_conflicts_single_segment(self):
-        v = np.array([0, 1, 2, 3])
-        w = np.array([4, 5, 6, 7])
-        assert conflict_free_bounds(v, w) == [0, 4]
+def sequential_block(dynamics, values, v_block, w_block, frozen=()):
+    """:func:`solve_block`'s result, from ``dynamics.step`` pair by pair."""
+    state = OpinionState(complete_graph(len(values)), values, frozen=list(frozen) or None)
+    targets, before, after = [], [], []
+    for v, w in zip(v_block, w_block):
+        target = v if dynamics.writes == "v" else w
+        targets.append(target)
+        before.append(state.value(target))
+        dynamics.step(state, v, w, None)
+        after.append(state.value(target))
+    next_write = [
+        next(
+            (u for u in range(t + 1, len(targets)) if targets[u] == targets[t]),
+            len(targets),
+        )
+        for t in range(len(targets))
+    ]
+    return targets, before, after, next_write
 
-    def test_split_at_repeated_updater(self):
-        v = np.array([0, 1, 2, 0, 3])
-        w = np.array([4, 5, 6, 7, 8])
-        assert conflict_free_bounds(v, w) == [0, 3, 5]
 
-    def test_split_at_updater_observed_earlier(self):
-        # pair 2 updates vertex 5, which pair 1 observed.
-        v = np.array([0, 1, 5])
-        w = np.array([4, 5, 6])
-        assert conflict_free_bounds(v, w) == [0, 2, 3]
+def assert_solves(dynamics, values, v_block, w_block, frozen=()):
+    """Solve one block and compare it with the sequential reference."""
+    values = np.asarray(values, dtype=np.int64)
+    mask = None
+    if frozen:
+        mask = np.zeros(values.size, dtype=np.bool_)
+        mask[list(frozen)] = True
+    v_block = np.asarray(v_block, dtype=np.int64)
+    w_block = np.asarray(w_block, dtype=np.int64)
+    writes_v = dynamics.writes == "v"
+    solved = solve_block(dynamics.step_block, writes_v, values, v_block, w_block, mask)
+    expected = sequential_block(
+        dynamics, values.tolist(), v_block.tolist(), w_block.tolist(), frozen
+    )
+    assert [np.asarray(part).tolist() for part in solved] == list(expected)
+    return expected
 
-    def test_single_self_pair_is_not_a_conflict(self):
-        assert conflict_free_bounds(np.array([3]), np.array([3])) == [0, 1]
 
-    def test_repeated_self_pair_splits(self):
-        v = np.array([3, 3])
-        w = np.array([3, 3])
-        assert conflict_free_bounds(v, w) == [0, 1, 2]
+class TestSolveBlock:
+    """The fixed-point solve equals the pair-by-pair run of the block."""
 
-    def test_full_conflict_block_degenerates_to_singletons(self):
-        v = np.array([2, 2, 2, 2])
-        w = np.array([9, 9, 9, 9])
-        assert conflict_free_bounds(v, w) == [0, 1, 2, 3, 4]
+    def test_disjoint_pairs_read_the_block_start(self):
+        _, before, after, next_write = assert_solves(
+            IncrementalVoting(), [0, 4, 2, 2, 1, 3, 0, 4], [0, 1, 2, 3], [4, 5, 6, 7]
+        )
+        assert before == [0, 4, 2, 2]
+        assert after == [1, 3, 1, 3]
+        assert next_write == [4, 4, 4, 4]
 
-    def test_empty_block(self):
-        empty = np.array([], dtype=np.int64)
-        assert conflict_free_bounds(empty, empty) == [0]
+    def test_repeated_writer_reads_its_own_last_write(self):
+        # Vertex 0 steps toward 4 three times in a row: 0 -> 1 -> 2 -> 3.
+        _, before, after, next_write = assert_solves(
+            IncrementalVoting(), [0, 4], [0, 0, 0], [1, 1, 1]
+        )
+        assert (before, after, next_write) == ([0, 1, 2], [1, 2, 3], [1, 2, 3])
 
-    def test_segments_are_internally_conflict_free(self):
+    def test_reader_sees_earlier_write(self):
+        # Pair 1 reads vertex 1 after pair 0 rewrote it (pull: 1 adopts 0).
+        _, before, after, _ = assert_solves(
+            PullVoting(), [5, 1, 3], [1, 2], [0, 1]
+        )
+        assert (before, after) == ([1, 3], [5, 5])
+
+    def test_self_pair_changes_nothing(self):
+        for dynamics in (IncrementalVoting(), PullVoting(), PushVoting()):
+            _, before, after, _ = assert_solves(dynamics, [2, 7], [1], [1])
+            assert before == after == [7]
+
+    def test_repeated_self_pairs_change_nothing(self):
+        _, before, after, next_write = assert_solves(
+            IncrementalVoting(), [2, 7], [1, 1, 1], [1, 1, 1]
+        )
+        assert before == after == [7, 7, 7]
+        assert next_write == [1, 2, 3]
+
+    def test_fully_chained_block_matches_sequential(self):
+        # Every pair reads the previous pair's write: a chain of length B.
+        pairs = 50
+        values = [0] * pairs + [9]
+        v_block = list(range(pairs - 1, -1, -1))
+        w_block = [pairs] + v_block[:-1]
+        _, before, after, _ = assert_solves(PullVoting(), values, v_block, w_block)
+        assert after == [9] * pairs
+
+    def test_single_pair_block(self):
+        for dynamics, expected in (
+            (IncrementalVoting(), 4),
+            (PullVoting(), 5),
+            (PushVoting(), 3),
+        ):
+            _, before, after, next_write = assert_solves(dynamics, [3, 5], [0], [1])
+            assert after == [expected] and next_write == [1]
+
+    def test_random_blocks_match_sequential_reference(self):
         rng = make_rng(11)
-        v = rng.integers(0, 12, size=200)
-        w = rng.integers(0, 12, size=200)
-        bounds = conflict_free_bounds(v, w)
-        assert bounds[0] == 0 and bounds[-1] == 200
-        assert bounds == sorted(set(bounds))
-        for start, end in zip(bounds, bounds[1:]):
-            touched = []
-            for i in range(start, end):
-                # within a segment no vertex may repeat, except that a
-                # pair's own v==w coincidence is harmless.
-                pair = {int(v[i]), int(w[i])}
-                assert not pair & set(touched)
-                touched.extend(pair)
+        for dynamics in (IncrementalVoting(), PullVoting(), PushVoting()):
+            for _ in range(20):
+                values = rng.integers(0, 6, size=12)
+                v_block = rng.integers(0, 12, size=200)
+                w_block = rng.integers(0, 12, size=200)
+                frozen = set(rng.choice(12, size=2, replace=False).tolist())
+                assert_solves(dynamics, values, v_block, w_block)
+                assert_solves(dynamics, values, v_block, w_block, frozen)
 
 
 class TestBatchedStateOps:
@@ -753,9 +820,11 @@ class TestAutoByCost:
         [
             (star_graph(61), "loop"),
             (lollipop_graph(12, 24), "loop"),
+            (random_regular_graph(64, 10, rng=1), "loop"),
+            (random_regular_graph(128, 10, rng=1), "block"),
             (random_regular_graph(2000, 10, rng=1), "block"),
         ],
-        ids=["star", "lollipop", "expander"],
+        ids=["star", "lollipop", "rr64", "rr128", "expander"],
     )
     @pytest.mark.parametrize("process", ["vertex", "edge"])
     def test_auto_choice(self, graph, expected, process):
@@ -799,7 +868,7 @@ class TestAutoByCost:
             assert scheduler.expected_window() == vertex
             assert resolve_kernel(
                 "auto", IncrementalVoting(), scheduler=scheduler
-            ).reason == f"auto: window {vertex:.1f} < 10"
+            ).reason == f"auto: window {vertex:.1f} < 5"
 
     def test_reason_for_every_branch(self):
         star = star_graph(61)
@@ -809,9 +878,9 @@ class TestAutoByCost:
         undeclared = _Undeclared()
         cases = [
             (("auto", IncrementalVoting()), {"scheduler": VertexScheduler(star)},
-             "loop", "auto: window 1.0 < 10"),
+             "loop", "auto: window 1.0 < 5"),
             (("auto", IncrementalVoting()), {"scheduler": EdgeScheduler(expander)},
-             "block", "auto: window 22.4 >= 10"),
+             "block", "auto: window 22.4 >= 5"),
             (("auto", MedianVoting()), {"scheduler": VertexScheduler(expander)},
              "loop", "auto: dynamics has no step_block"),
             (("loop", IncrementalVoting()), {}, "loop", "kernel='loop'"),
@@ -934,15 +1003,15 @@ class TestCompiledKernel:
 
 
 class TestAllocationRegression:
-    def test_batched_hot_path_reuses_scratch(self):
-        """apply_block / support_range_timeline settle into zero
-        per-window allocation: scratch buffers are identical objects
-        across calls and tracemalloc sees no growth once warm."""
+    def test_batched_ops_keep_no_buffers(self):
+        """apply_block / support_range_timeline allocate per call and
+        release everything: a state that a result keeps holds no
+        block-sized buffers, so tracemalloc sees no growth once warm."""
         graph = random_regular_graph(200, 6, rng=7)
         state = initial_state(graph, 9)
         rng = make_rng(31)
 
-        def one_window(size=64):
+        def one_block(size=64):
             vertices = rng.permutation(state.graph.n)[:size]
             new_values = np.clip(
                 state.values[vertices] + rng.integers(-1, 2, size=size),
@@ -956,18 +1025,16 @@ class TestAllocationRegression:
             state.support_range_timeline(state.values[vertices], new_values)
             state.apply_block(vertices, new_values, defer_weights=True)
 
-        for _ in range(5):  # warm the scratch pool
-            one_window()
-        warm = {name: id(buf) for name, buf in state._scratch.items()}
+        for _ in range(5):
+            one_block()
 
         tracemalloc.start()
         before = tracemalloc.take_snapshot()
         for _ in range(20):
-            one_window()
+            one_block()
         after = tracemalloc.take_snapshot()
         tracemalloc.stop()
 
-        assert {name: id(buf) for name, buf in state._scratch.items()} == warm
         state_py = __import__(
             "repro.core.state", fromlist=["__file__"]
         ).__file__

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.montecarlo import run_trials
+from repro.analysis.montecarlo import run_trials, run_trials_over
 from repro.checkpoint import CheckpointJournal, campaign
 from repro.errors import BenchCompareError, ExperimentError, TelemetryError
 from repro.faults import FaultPlan, InjectedAbort
@@ -63,6 +63,10 @@ def probe_trial(index, rng):
 
 def journal_trial(index, rng):
     return (index, int(rng.integers(0, 1 << 30)))
+
+
+def grid_trial(parameter, index, rng):
+    return (parameter, index, int(rng.integers(0, 1 << 30)))
 
 
 def _open_journal(directory):
@@ -654,11 +658,31 @@ class TestAmbientIntegration:
         )
         assert journaled == 40
         # Every journaled trial appears exactly once as progress. The
-        # abort fires after trial 20 is journaled and before it reaches
-        # the feed, so the resumer's cached floor is what proves it.
+        # abort fires once trial 20 is both journaled and reported, so
+        # the two launchers executed all 40 between them.
         assert timeline.completed == timeline.total == 40
         assert timeline.duplicates == 0
-        assert timeline.executed == 39
+        assert timeline.executed == 40
+
+    @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
+    @pytest.mark.parametrize("grid", [False, True], ids=["trials", "grid"])
+    def test_abort_leaves_feed_equal_to_journal(self, tmp_path, workers, grid):
+        directory = tmp_path / "camp"
+        feed = TelemetryFeed(directory / TELEMETRY_DIRNAME)
+        with pytest.raises(InjectedAbort):
+            with telemetering(feed):
+                with campaign(
+                    _open_journal(directory), FaultPlan.parse("abort@13")
+                ):
+                    if grid:
+                        run_trials_over(
+                            [0, 1], 10, grid_trial, seed=4, workers=workers
+                        )
+                    else:
+                        run_trials(30, journal_trial, seed=4, workers=workers)
+        journaled = sum(1 for _ in CheckpointJournal(directory).iter_records())
+        assert journaled >= 14  # trials 0..13 at least
+        assert load_timeline(directory).executed == journaled
 
     def test_registry_requires_checkpoint_dir(self):
         from repro.experiments.registry import get_experiment

@@ -68,8 +68,9 @@ say "pool kill-and-resume: starting a --workers 2 campaign, will SIGKILL mid-bat
 # E1 runs its whole grid as one batch. slow@300 stalls the worker that
 # runs trial 300 (outcomes are unaffected), so the batch is still running
 # when the first chunks reach the journal and the kill lands. The campaign
-# runs in its own process group so the kill takes its pool workers too;
-# workers orphaned by a SIGKILLed parent would otherwise linger.
+# runs in its own process group so the kill takes its pool workers at the
+# same instant; an orphaned worker would also end itself within a second
+# or so, once it sees its launcher gone (tests/test_parallel.py).
 setsid $RUN run "$EXPERIMENT" --quick --seed "$SEED" --workers 2 \
     --checkpoint-dir "$WORK/ckpt-pool-kill" --json "$WORK/out-pool-kill" \
     --inject-faults 'slow@300:3' > /dev/null 2>&1 &

@@ -29,15 +29,6 @@ Commands
     1 on any regression beyond the threshold (the CI perf gate).
 ``demo``
     A 30-second tour: one DIV run with a stage trace on a small graph.
-``lint [--format text|json|sarif] [--rules R1,R2] [paths]``
-    Run the project-wide static analysis engine (see ``repro.devtools``)
-    over the given files/directories (default: ``src`` and ``tests``):
-    per-file rules plus the concurrency-safety (PAR), determinism-flow
-    (DET), kernel-contract (KER) and declared-layering (LAY) analyzer
-    families.  Warm runs reuse a content-hash cache (``--no-cache`` to
-    disable); accepted findings live in ``lint-baseline.json``
-    (``--update-baseline`` to regenerate); ``--format sarif`` emits a
-    SARIF 2.1.0 log for GitHub code-scanning annotations.
 ``checkpoint show DIR`` / ``checkpoint diff A B``
     Inspect a campaign directory, or compare two campaigns' journaled
     trial records bit-for-bit.
@@ -188,62 +179,6 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     sub.add_parser("demo", help="run a small annotated DIV demo")
-
-    lint = sub.add_parser(
-        "lint", help="run the project-wide static analysis engine"
-    )
-    lint.add_argument(
-        "paths",
-        nargs="*",
-        help="files or directories to lint (default: src tests)",
-    )
-    lint.add_argument(
-        "--format",
-        choices=("text", "json", "sarif"),
-        default="text",
-        help="report format (default text)",
-    )
-    lint.add_argument(
-        "--rules",
-        default=None,
-        help="comma-separated rule/analyzer ids to run (default: all "
-        "analyzers plus the per-file rules they do not supersede)",
-    )
-    lint.add_argument(
-        "--list-rules",
-        action="store_true",
-        help="list the registered rules and analyzers and exit",
-    )
-    lint.add_argument(
-        "--no-project",
-        action="store_true",
-        help="per-file rules only: skip the cross-module analyzers, the "
-        "cache and the baseline (the pre-project behaviour)",
-    )
-    lint.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="ignore and do not write the incremental lint cache",
-    )
-    lint.add_argument(
-        "--cache",
-        default=None,
-        metavar="FILE",
-        help="cache file location (default .div_repro_lint_cache.json)",
-    )
-    lint.add_argument(
-        "--baseline",
-        default=None,
-        metavar="FILE",
-        help="suppression baseline file (default lint-baseline.json "
-        "when it exists)",
-    )
-    lint.add_argument(
-        "--update-baseline",
-        action="store_true",
-        help="rewrite the baseline to accept all current findings "
-        "(preserving existing justifications), then exit clean",
-    )
 
     report = sub.add_parser(
         "report", help="run every experiment and write one combined markdown report"
@@ -511,80 +446,6 @@ def _cmd_demo() -> int:
         f"(two adjacent opinions from step {result.two_adjacent_step})"
     )
     return 0
-
-
-def _cmd_lint(args) -> int:
-    from pathlib import Path
-
-    from repro import devtools
-
-    if args.list_rules:
-        superseded = devtools.superseded_rule_ids()
-        for rule in devtools.get_rules():
-            note = (
-                f"  (superseded by {superseded[rule.rule_id]} in project mode)"
-                if rule.rule_id in superseded
-                else ""
-            )
-            print(f"{rule.rule_id}  [{rule.severity.value}]  {rule.title}{note}")
-        for analyzer in devtools.get_analyzers():
-            print(
-                f"{analyzer.rule_id}  [{analyzer.severity.value}]  "
-                f"{analyzer.summary}"
-            )
-        return 0
-    rule_ids = None
-    if args.rules is not None:
-        # An empty --rules value falls back to the full rule set rather
-        # than silently linting with no rules at all.
-        rule_ids = [
-            part.strip() for part in args.rules.split(",") if part.strip()
-        ] or None
-    paths = args.paths
-    if not paths:
-        paths = [p for p in ("src", "tests") if Path(p).exists()] or ["."]
-    try:
-        if args.no_project:
-            run = devtools.lint_paths(paths, rule_ids=rule_ids)
-        else:
-            baseline = args.baseline
-            if baseline is None and Path(devtools.DEFAULT_BASELINE_NAME).exists():
-                baseline = devtools.DEFAULT_BASELINE_NAME
-            if baseline is None and args.update_baseline:
-                baseline = devtools.DEFAULT_BASELINE_NAME
-            cache = args.cache if args.cache else devtools.DEFAULT_CACHE_NAME
-            run = devtools.lint_project(
-                paths,
-                rule_ids=rule_ids,
-                cache_path=cache,
-                use_cache=not args.no_cache,
-                baseline_path=baseline,
-                update_baseline=args.update_baseline,
-            )
-    except KeyError as exc:
-        known = ", ".join(
-            devtools.all_rule_ids() + devtools.all_analyzer_ids()
-        )
-        print(f"unknown rule id {exc.args[0]!r} (known: {known})", file=sys.stderr)
-        return 2
-    except devtools.LintConfigError as exc:
-        print(f"lint configuration error: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(devtools.render_json(run.findings, run.checked_files))
-    elif args.format == "sarif":
-        docs = dict(devtools.RULE_DOCS)
-        docs.update(devtools.analyzer_docs())
-        print(devtools.render_sarif(run.findings, rule_docs=docs))
-    else:
-        print(devtools.render_text(run.findings, run.checked_files))
-        baselined = getattr(run, "baselined", [])
-        if baselined:
-            print(
-                f"note: {len(baselined)} finding(s) accepted by the "
-                f"suppression baseline"
-            )
-    return 1 if run.findings else 0
 
 
 def _campaign_dirs(directory) -> list:
@@ -1012,8 +873,6 @@ def _dispatch(args) -> int:
         return _cmd_run(args)
     if args.command == "demo":
         return _cmd_demo()
-    if args.command == "lint":
-        return _cmd_lint(args)
     if args.command == "report":
         return _cmd_report(
             args.output,

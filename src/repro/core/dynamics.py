@@ -32,7 +32,7 @@ that it honours this contract via a class-level ``substrate_compat``
 tuple naming the scenario features it supports (``"frozen"``,
 ``"churn"``); :func:`repro.core.kernels.resolve_kernel` degrades an
 undeclared dynamic to the reference loop whenever a scenario feature is
-active, and the KER005 project-lint rule rejects fast-path dynamics
+active, and ``tests/test_contracts.py`` rejects fast-path dynamics
 with no declaration at all.
 """
 
@@ -112,7 +112,7 @@ class IncrementalVoting:
     compiled_id = 0
     #: The endpoint ``step_block`` writes.
     writes = "v"
-    #: Scenario features honoured on every execution path (KER005).
+    #: Scenario features honoured on every execution path.
     substrate_compat = SUBSTRATE_FEATURES
 
     def step(

@@ -197,8 +197,8 @@ def resolve_kernel(
     (see :func:`repro.core.dynamics.supports_substrate`) degrades to the
     reference loop — the loop's per-step :meth:`OpinionState.apply`
     honours the mask regardless of the dynamics, so it is the one
-    backend that is exact for undeclared code (lint rule KER005
-    enforces the declaration on new fast-path dynamics).
+    backend that is exact for undeclared code (``tests/test_contracts.py``
+    requires the declaration of every fast-path dynamics).
 
     The returned kernel's ``reason`` says why it was chosen: the origin
     of the choice (``"kernel='block'"``, ``"use_kernel('loop')"`` or

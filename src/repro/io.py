@@ -66,7 +66,7 @@ def append_jsonl_line(path: PathLike, record: dict) -> None:
     """Append one JSON record to a JSONL feed as a single whole-line write.
 
     The sanctioned append primitive for the telemetry feeds of
-    :mod:`repro.obs.telemetry` (enforced by lint rule OBS002): the record
+    :mod:`repro.obs.telemetry`: the record
     is serialized to one complete ``\\n``-terminated line and written with
     a single ``write`` call on an ``O_APPEND`` handle, so concurrent
     appenders never interleave *within* a line and a crash can tear at

@@ -52,7 +52,7 @@ deltas reconstructs the launcher's cumulative snapshot exactly. Gauges
 are last-write-wins, as everywhere else.
 
 Feed writes go through :func:`repro.io.append_jsonl_line` (whole-line
-``O_APPEND`` writes — lint rule OBS002 enforces this), so a dying
+``O_APPEND`` writes), so a dying
 launcher can tear at most its final line. A feed whose filesystem starts failing disables
 itself with a :class:`RuntimeWarning` instead of taking the campaign
 down: telemetry observes work, it must never lose it.
@@ -109,7 +109,7 @@ _FEED_SEQUENCE = itertools.count()
 def default_feed_name() -> str:
     """A collision-free feed filename: host, pid, per-process seq, ns clock.
 
-    Deliberately RNG-free (the determinism linter watches unseeded
+    Deliberately RNG-free (the determinism contract rejects unseeded
     draws); the nanosecond suffix disambiguates pid reuse across
     launcher generations on one host.
     """

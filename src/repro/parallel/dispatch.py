@@ -17,6 +17,10 @@ fresh pool for ``max_retries`` rounds, and chunks that still fail run
 transparently in-process — with a ``RuntimeWarning`` and a
 ``"pool->serial"`` resolved path.
 
+Every pool worker watches its launcher (:func:`_exit_with_parent`) and
+ends itself once the launcher is gone, so a SIGKILLed campaign leaves no
+workers behind.
+
 Both paths hand every record to ``on_record`` (the checkpoint journal,
 then the telemetry feed) as soon as its chunk is done — the pool in
 submission order, each chunk as its future resolves — so a campaign
@@ -34,6 +38,8 @@ on the next round.
 
 from __future__ import annotations
 
+import os
+import threading
 import time
 import warnings
 from concurrent.futures import ProcessPoolExecutor
@@ -56,6 +62,9 @@ from repro.parallel.base import (
 
 #: Accepted ``executor`` names; ``"auto"`` resolves from the worker count.
 EXECUTORS = ("auto", "pool", "serial")
+
+#: Seconds between a pool worker's checks that its launcher is alive.
+PARENT_POLL_SECONDS = 1.0
 
 
 def execute_tasks(
@@ -223,7 +232,7 @@ def _run_round(
     as on the serial path.
     """
     failed: List[Sequence[TrialTask]] = []
-    pool = ProcessPoolExecutor(max_workers=workers)
+    pool = ProcessPoolExecutor(max_workers=workers, initializer=_exit_with_parent)
     # One deadline for the whole round: every wait below receives only
     # the budget that is still left, so draining a slow future first
     # cannot grant the later ones extra time.
@@ -271,3 +280,22 @@ def _run_round(
         # leftover worker processes exit once their queue drains.
         pool.shutdown(wait=not failed, cancel_futures=True)
     return failed
+
+
+def _exit_with_parent() -> None:
+    """Pool initializer: end this worker once its launcher has died.
+
+    A launcher killed outright (SIGKILL, OOM) never shuts its pool down,
+    and a worker would otherwise block on the call queue for good. The
+    kernel re-parents an orphan, so a daemon thread that sees
+    ``os.getppid()`` change exits the worker within about
+    :data:`PARENT_POLL_SECONDS`, even mid-trial.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_SECONDS)
+        os._exit(1)
+
+    threading.Thread(target=watch, name="parent-watch", daemon=True).start()

@@ -2,9 +2,31 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
-from repro.cli import main
+from repro.cli import _build_parser, main
+
+
+def command_paths(parser, prefix=()):
+    """Every subcommand path of ``parser``, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, sub in action.choices.items():
+                yield (*prefix, name)
+                yield from command_paths(sub, (*prefix, name))
+
+
+class TestHelp:
+    @pytest.mark.parametrize(
+        "path", list(command_paths(_build_parser())), ids=" ".join
+    )
+    def test_every_command_has_working_help(self, path, capsys):
+        with pytest.raises(SystemExit) as exited:
+            main([*path, "--help"])
+        assert exited.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: div-repro")
 
 
 class TestList:

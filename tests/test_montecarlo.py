@@ -13,7 +13,7 @@ from repro.rng import derive_seed, iter_rngs, make_rng, spawn_rngs
 class TestRngUtilities:
     def test_make_rng_passthrough(self):
         # A raw Generator built outside make_rng is the point of this test.
-        gen = np.random.default_rng(3)  # lint: disable=RNG001
+        gen = np.random.default_rng(3)
         assert make_rng(gen) is gen
 
     def test_make_rng_from_int_deterministic(self):

@@ -8,8 +8,13 @@ from __future__ import annotations
 
 import functools
 import os
+import select
+import signal
+import subprocess
+import sys
 import time
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +66,48 @@ def sleepy_trial(main_pid, index, rng):
     if os.getpid() != main_pid:
         time.sleep(5.0)
     return index
+
+
+#: Starts a two-worker pool round of 60 s naps in a background thread,
+#: prints the pids of the workers once both are inside a trial, then
+#: SIGKILLs itself, orphaning the workers mid-trial.
+ORPHAN_LAUNCHER = """
+import os, signal, sys, threading, time
+from repro.parallel import execute_tasks
+from repro.rng import spawn_seed_sequences
+
+def nap(directory, index, rng):
+    open(os.path.join(directory, str(os.getpid())), "w").close()
+    time.sleep(60)
+    return index
+
+if __name__ == "__main__":
+    directory = sys.argv[1]
+    seeds = spawn_seed_sequences(0, 4)
+    tasks = [(i, (directory, i), seeds[i]) for i in range(4)]
+    threading.Thread(
+        target=execute_tasks, args=(nap, tasks, 2), kwargs={"chunk_size": 1},
+        daemon=True,
+    ).start()
+    deadline = time.monotonic() + 60
+    while len(os.listdir(directory)) < 2 and time.monotonic() < deadline:
+        time.sleep(0.05)
+    print(*os.listdir(directory), flush=True)
+    os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def read_until(fd, done, seconds):
+    """Read ``fd`` until ``done(data, eof)`` holds or ``seconds`` pass."""
+    deadline = time.monotonic() + seconds
+    data, eof = b"", False
+    while not done(data, eof):
+        left = deadline - time.monotonic()
+        if left <= 0 or not select.select([fd], [], [], left)[0]:
+            break
+        chunk = os.read(fd, 4096)
+        data, eof = data + chunk, not chunk
+    return data, eof
 
 
 class TestSerialParallelEquivalence:
@@ -210,6 +257,41 @@ class TestRobustness:
         assert batch.outcomes == list(range(6))
         assert batch.timings.mode == "fallback"
         assert elapsed < 2.5  # one shared 0.5s deadline + pool startup
+
+    def test_workers_exit_when_launcher_is_killed(self, tmp_path):
+        # Every worker inherits the launcher's stdout pipe, so EOF on it
+        # means every worker has exited — reaped or not.
+        script, pid_dir = tmp_path / "launcher.py", tmp_path / "pids"
+        script.write_text(ORPHAN_LAUNCHER)
+        pid_dir.mkdir()
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [src, env.get("PYTHONPATH")])
+        )
+        launcher = subprocess.Popen(
+            [sys.executable, str(script), str(pid_dir)],
+            stdout=subprocess.PIPE,
+            env=env,
+        )
+        fd = launcher.stdout.fileno()
+        pids, exited = [], False
+        try:
+            line, _ = read_until(fd, lambda data, eof: b"\n" in data or eof, 120)
+            pids = [int(pid) for pid in line.split()]
+            assert len(pids) == 2
+            _, exited = read_until(fd, lambda data, eof: eof, 10.0)
+            assert exited, f"pool workers {pids} outlived their killed launcher"
+        finally:
+            if not exited:
+                for pid in pids:
+                    try:
+                        os.kill(pid, signal.SIGKILL)
+                    except ProcessLookupError:
+                        pass
+            launcher.kill()
+            launcher.stdout.close()
+            launcher.wait()
 
 
 class TestRecordStreaming:

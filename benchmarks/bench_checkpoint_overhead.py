@@ -2,11 +2,16 @@
 
 Runs the same deterministically-seeded, engine-dominated batch three
 ways — no campaign, journaled from scratch, and fully-journaled resume —
-and a journal-dominated worst case (near-instant trials). The scratch
-round bounds the per-trial cost of the atomic write-then-rename record
-(one fsync per trial); the resume round shows that skipping journaled
-trials makes a warm resume *cheaper* than the plain run. Outcomes are
-asserted identical in every round, so the deltas are pure journal cost.
+and a journal-dominated worst case (near-instant trials), serially and
+on a two-worker pool. The journal writes one record file per finished
+chunk, with one write-then-rename and one fsync: the serial path hands
+on chunks of one trial (one fsync per trial, so a kill loses none), the
+pool the chunks it dispatched (one fsync per chunk). The serial scratch
+round therefore bounds the per-trial cost of the journal, and the pool
+pair shows what is left of it per chunk. The resume round shows that
+skipping journaled trials makes a warm resume *cheaper* than the plain
+run. Outcomes are asserted identical in every round, so the deltas are
+pure journal cost.
 
 Compare rounds with ``pytest benchmarks/bench_checkpoint_overhead.py``.
 """
@@ -21,6 +26,8 @@ from repro.core.fast_complete import run_div_complete
 _TRIALS = 32
 _N = 500
 _SEED = 123
+#: Worker count of the pool leg.
+_POOL_WORKERS = 2
 
 _serial_outcomes = None
 
@@ -52,16 +59,16 @@ def _journal(directory):
     return journal
 
 
-def _run_plain():
-    batch = run_trials(_TRIALS, engine_trial, seed=_SEED)
+def _run_plain(workers=None):
+    batch = run_trials(_TRIALS, engine_trial, seed=_SEED, workers=workers)
     assert batch.outcomes == _serial_baseline()
 
 
-def _run_journaled(trial, expected=None):
+def _run_journaled(trial, expected=None, workers=None):
     workdir = tempfile.mkdtemp(prefix="bench-ckpt-")
     try:
         with campaign(_journal(workdir)):
-            batch = run_trials(_TRIALS, trial, seed=_SEED)
+            batch = run_trials(_TRIALS, trial, seed=_SEED, workers=workers)
         if expected is not None:
             assert batch.outcomes == expected
     finally:
@@ -77,6 +84,26 @@ def test_trials_journaled(benchmark):
     benchmark.extra_info.update(trials=_TRIALS, n=_N, journal="scratch")
     benchmark.pedantic(
         lambda: _run_journaled(engine_trial, _serial_baseline()),
+        rounds=3,
+        iterations=1,
+    )
+
+
+def test_pool_trials_no_checkpoint(benchmark):
+    benchmark.extra_info.update(
+        trials=_TRIALS, n=_N, journal="off", workers=_POOL_WORKERS
+    )
+    benchmark.pedantic(
+        lambda: _run_plain(_POOL_WORKERS), rounds=3, iterations=1
+    )
+
+
+def test_pool_trials_journaled(benchmark):
+    benchmark.extra_info.update(
+        trials=_TRIALS, n=_N, journal="scratch", workers=_POOL_WORKERS
+    )
+    benchmark.pedantic(
+        lambda: _run_journaled(engine_trial, _serial_baseline(), _POOL_WORKERS),
         rounds=3,
         iterations=1,
     )

@@ -7,14 +7,18 @@
 #      uninterrupted serial run, and a journal bit-identical to the
 #      uninterrupted run's journal;
 #   2. pool kill-and-resume — the same holds for a --workers 2 campaign
-#      SIGKILLed mid-batch: the pool journals each chunk as it finishes,
-#      so the kill keeps finished chunks and a serial resume completes
-#      the campaign to the identical report and journal;
+#      SIGKILLed mid-batch: the pool journals each chunk as one record
+#      file as it finishes, so the kill keeps finished chunks and a
+#      serial resume completes the campaign to the identical report and
+#      journal;
 #   3. fault drill — the same equality holds for a parallel campaign with
 #      injected worker crashes and chunk timeouts (crash@I:1 / hang@I:1);
 #   4. corruption drill — a corrupted checkpoint record aborts the resume
 #      with a one-line error (exit 2), --discard-corrupt recovers to the
 #      identical report, and `campaign status` reads the directory.
+#
+# Journaled trials are counted through CheckpointJournal.iter_records(),
+# not by counting record files: a pool chunk's file holds many trials.
 #
 # Usage: scripts/chaos_drill.sh   (override the CLI with DIV_REPRO=...)
 set -euo pipefail
@@ -29,6 +33,29 @@ trap 'rm -rf "$WORK"' EXIT
 
 say() { echo "[chaos-drill] $*"; }
 
+# journaled_trials DIR: the number of trials campaign directory DIR holds.
+journaled_trials() {
+    python - "$1" <<'EOF'
+import sys
+from repro.checkpoint import CheckpointJournal
+print(sum(1 for _ in CheckpointJournal(sys.argv[1]).iter_records()))
+EOF
+}
+
+# wait_for_trials DIR N: poll every 10 ms, at most 2000 times, until DIR
+# holds N journaled trials (one process, so each poll stays cheap).
+wait_for_trials() {
+    python - "$1" "$2" <<'EOF'
+import sys, time
+from repro.checkpoint import CheckpointJournal
+journal, wanted = CheckpointJournal(sys.argv[1]), int(sys.argv[2])
+for _ in range(2000):
+    if sum(1 for _ in journal.iter_records()) >= wanted:
+        break
+    time.sleep(0.01)
+EOF
+}
+
 # ---------------------------------------------------------------- reference
 say "reference: uninterrupted serial run"
 $RUN run "$EXPERIMENT" --quick --seed "$SEED" \
@@ -41,14 +68,10 @@ $RUN run "$EXPERIMENT" --quick --seed "$SEED" \
     > /dev/null 2>&1 &
 VICTIM=$!
 # Wait until some trials are journaled, then kill before the campaign ends.
-for _ in $(seq 1 2000); do
-    COUNT=$( (find "$WORK/ckpt-kill" -name 't*.rec' 2>/dev/null || true) | wc -l)
-    if [ "$COUNT" -ge 10 ]; then break; fi
-    sleep 0.01
-done
+wait_for_trials "$WORK/ckpt-kill/$EXPERIMENT_LOWER" 10
 kill -9 "$VICTIM" 2>/dev/null || true
 wait "$VICTIM" 2>/dev/null || true
-COUNT=$(find "$WORK/ckpt-kill" -name 't*.rec' | wc -l)
+COUNT=$(journaled_trials "$WORK/ckpt-kill/$EXPERIMENT_LOWER")
 say "SIGKILL delivered with $COUNT/$TOTAL_TRIALS trials journaled"
 if [ "$COUNT" -ge "$TOTAL_TRIALS" ] || [ -f "$WORK/out-kill/$EXPERIMENT_LOWER.json" ]; then
     say "FAIL: campaign finished before the kill landed; drill proved nothing"
@@ -75,14 +98,10 @@ setsid $RUN run "$EXPERIMENT" --quick --seed "$SEED" --workers 2 \
     --checkpoint-dir "$WORK/ckpt-pool-kill" --json "$WORK/out-pool-kill" \
     --inject-faults 'slow@300:3' > /dev/null 2>&1 &
 VICTIM=$!
-for _ in $(seq 1 2000); do
-    COUNT=$( (find "$WORK/ckpt-pool-kill" -name 't*.rec' 2>/dev/null || true) | wc -l)
-    if [ "$COUNT" -ge 10 ]; then break; fi
-    sleep 0.01
-done
+wait_for_trials "$WORK/ckpt-pool-kill/$EXPERIMENT_LOWER" 10
 kill -9 -- "-$VICTIM" 2>/dev/null || true
 wait "$VICTIM" 2>/dev/null || true
-COUNT=$(find "$WORK/ckpt-pool-kill" -name 't*.rec' | wc -l)
+COUNT=$(journaled_trials "$WORK/ckpt-pool-kill/$EXPERIMENT_LOWER")
 say "SIGKILL delivered with $COUNT/$TOTAL_TRIALS trials journaled"
 if [ "$COUNT" -lt 10 ] || [ "$COUNT" -ge "$TOTAL_TRIALS" ] \
     || [ -f "$WORK/out-pool-kill/$EXPERIMENT_LOWER.json" ]; then
@@ -128,7 +147,14 @@ say "OK: faulted parallel report matches the serial report"
 # ------------------------------------------------------- corruption drill
 say "corruption drill: damaging one checkpoint record"
 cp -r "$WORK/ckpt-kill" "$WORK/ckpt-corrupt"
-VICTIM_RECORD=$(find "$WORK/ckpt-corrupt" -name 't5.rec' | head -n 1)
+# The victim is the record file that holds trial 5.
+VICTIM_RECORD=$(python - "$WORK/ckpt-corrupt/$EXPERIMENT_LOWER" <<'EOF'
+import sys
+from repro.checkpoint import CheckpointJournal
+records = CheckpointJournal(sys.argv[1]).iter_records()
+print(next(path for _, index, path in records if index == 5))
+EOF
+)
 printf 'garbage' > "$VICTIM_RECORD"
 if $RUN run "$EXPERIMENT" --quick --seed "$SEED" \
     --checkpoint-dir "$WORK/ckpt-corrupt" --resume > /dev/null 2> "$WORK/corrupt-err"; then

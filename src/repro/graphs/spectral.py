@@ -16,7 +16,6 @@ from typing import Sequence, Tuple
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
@@ -75,9 +74,13 @@ def second_eigenvalue(graph: Graph) -> float:
     if n <= _DENSE_LIMIT:
         spectrum = walk_spectrum(graph)
         return float(max(abs(spectrum[1]), abs(spectrum[-1])))
+    # Imported here: scipy.sparse.linalg is slow to import and only the
+    # Lanczos path needs it.
+    from scipy.sparse.linalg import eigsh
+
     matrix = normalized_adjacency(graph)
-    top = spla.eigsh(matrix, k=2, which="LA", return_eigenvectors=False)
-    bottom = spla.eigsh(matrix, k=1, which="SA", return_eigenvectors=False)
+    top = eigsh(matrix, k=2, which="LA", return_eigenvectors=False)
+    bottom = eigsh(matrix, k=1, which="SA", return_eigenvectors=False)
     lambda2 = float(np.sort(top)[0])
     lambda_n = float(bottom[0])
     return max(abs(lambda2), abs(lambda_n))

@@ -21,10 +21,12 @@ Every pool worker watches its launcher (:func:`_exit_with_parent`) and
 ends itself once the launcher is gone, so a SIGKILLed campaign leaves no
 workers behind.
 
-Both paths hand every record to ``on_record`` (the checkpoint journal,
-then the telemetry feed) as soon as its chunk is done — the pool in
-submission order, each chunk as its future resolves — so a campaign
-killed mid-batch keeps every chunk that had finished.
+Both paths hand each finished chunk's records to ``on_chunk`` (the
+checkpoint journal, which writes the chunk as one file, then the
+telemetry feed) as soon as the chunk is done — the serial path in
+chunks of one trial, the pool in submission order as each chunk's
+future resolves — so a campaign killed mid-batch keeps every chunk
+that had finished.
 
 Timeout semantics
 -----------------
@@ -76,7 +78,7 @@ def execute_tasks(
     timeout: Optional[float] = None,
     max_retries: int = DEFAULT_MAX_RETRIES,
     fault_plan: Optional[FaultPlan] = None,
-    on_record: Optional[Callable[[TrialRecord], None]] = None,
+    on_chunk: Optional[Callable[[Sequence[TrialRecord]], None]] = None,
     collect_metrics: bool = False,
     kernel: Optional[str] = None,
     executor: Optional[str] = None,
@@ -109,11 +111,12 @@ def execute_tasks(
     fault_plan:
         Optional scripted faults (see :mod:`repro.faults`); worker
         faults fire inside pool workers only.
-    on_record:
-        Optional parent-side callback invoked for each record as soon
-        as its chunk is done. The Monte-Carlo layer journals the trial
-        here, then reports it to the telemetry feed, so a killed
-        campaign keeps everything that finished.
+    on_chunk:
+        Optional parent-side callback invoked with each chunk's records
+        as soon as the chunk is done (one trial at a time on the serial
+        path). The Monte-Carlo layer journals the chunk here in one
+        write, then reports its trials to the telemetry feed, so a
+        killed campaign keeps every chunk that finished.
     collect_metrics:
         When true, each trial runs under a fresh worker-local metrics
         registry and its snapshot rides back on the
@@ -142,9 +145,8 @@ def execute_tasks(
 
     def deliver(chunk_records: Sequence[TrialRecord]) -> None:
         records.extend(chunk_records)
-        for record in chunk_records:
-            if on_record is not None:
-                on_record(record)
+        if on_chunk is not None:
+            on_chunk(chunk_records)
 
     def run_in_process(chunk: Sequence[TrialTask]) -> None:
         deliver(_run_task_chunk(trial, chunk, fault_plan, collect_metrics, kernel))
@@ -152,7 +154,7 @@ def execute_tasks(
     retries = fallback_trials = 0
     started = time.perf_counter()
     if executor == "serial":
-        # Task-at-a-time so on_record checkpoints progress incrementally.
+        # Chunks of one task, so a kill keeps every finished trial.
         for task in tasks:
             run_in_process([task])
         mode = resolved = "serial"

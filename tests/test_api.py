@@ -4,6 +4,10 @@ from __future__ import annotations
 
 import importlib
 import inspect
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -60,3 +64,23 @@ def test_experiment_modules_follow_contract():
             # Parallelism is opt-in: the serial default must stay intact.
             assert signature.parameters["workers"].default is None
         assert inspect.getdoc(module.run)
+
+
+def test_import_leaves_scipy_stats_unloaded():
+    # scipy.stats alone used to cost `import repro` about a second.
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    probe = (
+        "import sys, repro; "
+        "print(sorted(m for m in ('scipy.stats', 'scipy.sparse.linalg') "
+        "if m in sys.modules))"
+    )
+    loaded = subprocess.run(
+        [sys.executable, "-c", probe],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout.strip()
+    assert loaded == "[]"

@@ -252,9 +252,9 @@ class TestRecordDamage:
         journal = CheckpointJournal(tmp_path / "c")
         journal.open(fingerprint="fp")
         plan = FaultPlan.parse("corrupt@0;truncate@1")
-        journal.record("b0", 0, "alpha", fault_plan=plan)
-        journal.record("b0", 1, "beta", fault_plan=plan)
-        journal.record("b0", 2, "gamma", fault_plan=plan)
+        journal.record("b0", {0: "alpha"}, fault_plan=plan)
+        journal.record("b0", {1: "beta"}, fault_plan=plan)
+        journal.record("b0", {2: "gamma"}, fault_plan=plan)
         with pytest.raises(CheckpointCorruptError):
             journal.completed("b0")
         lenient = CheckpointJournal(tmp_path / "c", on_corrupt="discard")

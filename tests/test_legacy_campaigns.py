@@ -8,11 +8,19 @@ telemetry feed with ``lease.*`` events and ``"peer"`` trial records.
 Today's code ignores both: the campaign resumes to the same report and
 journal, and ``campaign status``, ``campaign watch`` and ``timeline
 report`` render it.
+
+Older versions also journaled every trial as its own ``t<i>.rec`` file,
+whose header carried no ``index`` (the file name did). Today's journal
+writes one file per finished chunk; it still reads those files, resumes
+around them and diffs them trial by trial.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
+import pickle
+import shutil
 import time
 
 import pytest
@@ -31,6 +39,31 @@ def _shrink_e10(monkeypatch):
         "quick",
         classmethod(lambda cls: cls(n=12, trials=6, sample_trajectories=1)),
     )
+
+
+#: Two one-trial records exactly as the per-trial journal wrote them,
+#: for the outcomes ``7`` (as ``t7.rec``) and ``(3, 0.25)`` (as ``t3.rec``).
+_PER_TRIAL_RECORDS = {
+    7: (
+        7,
+        b"div-repro-record v1 sha256=4ee5d22e9e44ec6480a2fc727c72c7886855f945"
+        b"62e8549cfae9a33f7361574b bytes=5\n\x80\x04K\x07.",
+    ),
+    3: (
+        (3, 0.25),
+        b"div-repro-record v1 sha256=ade71339a3242dc23d9def5d363977792a242753"
+        b"d4cbf755066310ab42bf2f3f bytes=25\n\x80\x04\x95\x0e\x00\x00\x00"
+        b"\x00\x00\x00\x00K\x03G?\xd0\x00\x00\x00\x00\x00\x00\x86\x94.",
+    ),
+}
+
+
+def _per_trial_record(outcome) -> bytes:
+    """A frozen copy of the per-trial journal's record encoder."""
+    payload = pickle.dumps(outcome, protocol=4)
+    digest = hashlib.sha256(payload).hexdigest()
+    header = f"div-repro-record v1 sha256={digest} bytes={len(payload)}\n"
+    return header.encode("ascii") + payload
 
 
 def _plant_lease(directory, chunk, owner="oldhost-pid99-L0"):
@@ -127,3 +160,49 @@ def test_abandoned_journal_executor_campaign_resumes_and_renders(
     assert "0 duplicate(s)" in out
     assert "Per-launcher utilization" in out
     assert "Per-batch progress" in out
+
+
+def test_per_trial_record_files_read_back(tmp_path):
+    journal = CheckpointJournal(tmp_path / "c")
+    journal.open(fingerprint="fp")
+    batch_dir = tmp_path / "c" / "trials" / "b0"
+    batch_dir.mkdir(parents=True)
+    for index, (outcome, blob) in _PER_TRIAL_RECORDS.items():
+        assert _per_trial_record(outcome) == blob
+        (batch_dir / f"t{index}.rec").write_bytes(blob)
+    assert journal.completed("b0") == {3: (3, 0.25), 7: 7}
+    assert [(b, i) for b, i, _ in journal.iter_records()] == [("b0", 3), ("b0", 7)]
+
+
+def test_per_trial_journal_resumes_and_diffs_equal(tmp_path, capsys, monkeypatch):
+    _shrink_e10(monkeypatch)
+    base = ["run", "E10", "--quick", "--seed", "5", "--checkpoint-dir"]
+    reference = tmp_path / "ref"
+    assert main(base + [str(reference), "--json", str(tmp_path / "ref-json")]) == 0
+
+    # What the per-trial journal left after finishing the even trials.
+    fresh = CheckpointJournal(reference / "e10")
+    legacy = tmp_path / "legacy" / "e10"
+    legacy.mkdir(parents=True)
+    shutil.copy(fresh.manifest_path, legacy)
+    planted = []
+    for batch in fresh.batches():
+        (legacy / "trials" / batch).mkdir(parents=True)
+        for index, outcome in fresh.completed(batch).items():
+            if index % 2 == 0:
+                path = legacy / "trials" / batch / f"t{index}.rec"
+                path.write_bytes(_per_trial_record(outcome))
+                planted.append((path, path.read_bytes()))
+    assert planted
+    capsys.readouterr()
+
+    resume = base + [str(tmp_path / "legacy"), "--resume"]
+    assert main(resume + ["--json", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / "e10.json").read_bytes() == (
+        tmp_path / "ref-json" / "e10.json"
+    ).read_bytes()
+    assert all(path.read_bytes() == blob for path, blob in planted)
+    capsys.readouterr()
+
+    assert main(["checkpoint", "diff", str(reference / "e10"), str(legacy)]) == 0
+    assert "identical" in capsys.readouterr().out

@@ -77,6 +77,34 @@ class TestChiSquareGof:
         result = chi_square_gof(observed.tolist(), {1: 0.6, 2: 0.3})
         assert result.p_value > 0.001
 
+    @pytest.mark.parametrize(
+        "observed, predicted",
+        [
+            ([3] * 70 + [4] * 30, {3: 0.7, 4: 0.3}),
+            ([3] * 55 + [4] * 45, {3: 0.9, 4: 0.1}),
+            ([1] * 50 + [2] * 35 + [3] * 15, {1: 0.6, 2: 0.3}),
+            ([1] * 40 + [2] * 30 + [3] * 20 + [4] * 10, {1: 0.4, 2: 0.3, 3: 0.3}),
+            ([3] * 90 + [7] * 10, {3: 1.0}),
+        ],
+        ids=["fit", "misfit", "pooled-other", "three-dof", "impossible"],
+    )
+    def test_matches_scipy_chisquare(self, observed, predicted):
+        from scipy import stats
+
+        result = chi_square_gof(observed, predicted)
+        # The cells chi_square_gof builds: listed values, then "other".
+        counts = [observed.count(value) for value in predicted]
+        expected = [p * len(observed) for p in predicted.values()]
+        other = len(observed) - sum(counts)
+        if other or sum(expected) < len(observed):
+            counts.append(other)
+            expected.append(max(len(observed) - sum(expected), 1e-9))
+        scaled = np.array(expected) * len(observed) / sum(expected)
+        reference = stats.chisquare(counts, scaled)
+        assert result.dof == len(counts) - 1
+        assert result.statistic == pytest.approx(reference.statistic, rel=1e-12)
+        assert result.p_value == pytest.approx(reference.pvalue, rel=1e-9, abs=1e-300)
+
     def test_validation(self):
         with pytest.raises(AnalysisError):
             chi_square_gof([], {1: 1.0})

@@ -295,32 +295,42 @@ class TestRobustness:
 
 
 class TestRecordStreaming:
-    def test_on_record_sees_every_trial_in_process(self):
+    def test_on_chunk_sees_every_trial_in_process(self):
         tasks = [
             (i, (i,), seed)
             for i, seed in enumerate(spawn_seed_sequences(0, 5))
         ]
-        seen = []
+        chunks = []
         records, _ = execute_tasks(
-            draw_trial, tasks, 1, on_record=lambda r: seen.append(r.index)
+            draw_trial,
+            tasks,
+            1,
+            on_chunk=lambda chunk: chunks.append([r.index for r in chunk]),
         )
-        assert seen == [r.index for r in records] == list(range(5))
+        # The serial path hands on one-trial chunks: a kill loses none.
+        assert chunks == [[i] for i in range(5)]
+        assert [r.index for r in records] == list(range(5))
 
-    def test_on_record_sees_every_trial_parallel(self):
+    def test_on_chunk_sees_every_trial_parallel(self):
         tasks = [
             (i, (i,), seed)
             for i, seed in enumerate(spawn_seed_sequences(0, 8))
         ]
-        seen = []
+        chunks = []
         records, _ = execute_tasks(
-            draw_trial, tasks, 2, on_record=lambda r: seen.append(r.index)
+            draw_trial,
+            tasks,
+            2,
+            chunk_size=3,
+            on_chunk=lambda chunk: chunks.append([r.index for r in chunk]),
         )
-        assert sorted(seen) == list(range(8))
+        # One call per dispatched chunk, in submission order.
+        assert chunks == [[0, 1, 2], [3, 4, 5], [6, 7]]
         assert [r.index for r in records] == list(range(8))
 
     def test_pool_hands_on_each_chunk_as_it_finishes(self):
         # One worker, eight one-trial chunks, only the last two slow.
-        # The first six must reach on_record (the checkpoint journal)
+        # The first six must reach on_chunk (the checkpoint journal)
         # while the slow tail still runs, not when the round ends — a
         # campaign killed during the tail keeps them.
         tasks = [
@@ -334,7 +344,9 @@ class TestRecordStreaming:
             1,
             chunk_size=1,
             executor="pool",
-            on_record=lambda r: arrivals.append((r.index, time.perf_counter())),
+            on_chunk=lambda chunk: arrivals.extend(
+                (r.index, time.perf_counter()) for r in chunk
+            ),
         )
         finished = time.perf_counter()
         assert [index for index, _ in arrivals] == list(range(8))

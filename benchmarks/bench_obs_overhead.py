@@ -1,34 +1,44 @@
 """Observability overhead on the hot engine loops (repro.obs).
 
 Runs the same fixed-step engine workload bare, under an active metrics
-registry, and under an active tracer, for both the generic scheduler
-engine and the complete-graph count engine. The bare rounds are the
-acceptance baseline: with no registry/tracer active the instrumentation
-must stay within noise (budget: <= 2% — see docs/observability.md for
-recorded numbers). The instrumented rounds price what `--metrics-out`
-and `--trace-dir` actually cost.
+registry, and under an installed event log, for both the generic
+scheduler engine and the complete-graph count engine. The bare rounds
+are the acceptance baseline: with no registry/log installed the
+instrumentation must stay within noise (budget: <= 2% — see
+docs/observability.md for recorded numbers). The instrumented rounds
+price what `--metrics-out` and `--trace-dir` actually cost.
 
-The trial-level rounds price campaign telemetry the same way: a
-``run_trials`` batch bare versus streaming a live telemetry feed
+The trial-level rounds price the campaign log the same way: a
+``run_trials`` batch bare versus writing a live event log
 (``--telemetry``), so the committed snapshots catch both an engine-level
-and a feed-level regression.
+and a log-level regression. The ``*_with_tracing`` and
+``*_with_telemetry`` names predate the one log and are kept so
+``bench compare`` pairs them with the committed snapshots.
 
 Compare rounds with ``pytest benchmarks/bench_obs_overhead.py``.
 """
 
 import tempfile
-from pathlib import Path
+from contextlib import contextmanager
 
 from repro.analysis import uniform_random_opinions
 from repro.analysis.montecarlo import run_trials
 from repro.core import IncrementalVoting, OpinionState, run_div_complete, run_dynamics
 from repro.core.schedulers import VertexScheduler
 from repro.graphs import random_regular_graph
-from repro.obs import Tracer, TelemetryFeed, activate, collecting, telemetering
+from repro.obs import EventLog, collecting, recording
 
 _STEPS = 100_000
 _N = 1000
 _D = 10
+
+
+@contextmanager
+def _logging():
+    """Install a fresh event log in a throwaway directory."""
+    with tempfile.TemporaryDirectory() as scratch:
+        with recording(EventLog(scratch)):
+            yield
 
 
 def _run_generic(graph):
@@ -76,7 +86,7 @@ def test_generic_engine_with_tracing(benchmark):
     benchmark.extra_info.update(engine="generic", obs="tracing", n=_N, d=_D, steps=_STEPS)
 
     def run():
-        with activate(Tracer()):
+        with _logging():
             return _run_generic(graph)
 
     benchmark.pedantic(run, rounds=3, iterations=1)
@@ -91,7 +101,7 @@ def test_complete_engine_with_tracing(benchmark):
     benchmark.extra_info.update(engine="complete", obs="tracing", n=2000, steps=_STEPS)
 
     def run():
-        with activate(Tracer()):
+        with _logging():
             return _run_complete()
 
     benchmark.pedantic(run, rounds=3, iterations=1)
@@ -119,9 +129,7 @@ def test_trials_with_telemetry(benchmark):
     benchmark.extra_info.update(layer="trials", obs="telemetry", trials=_TRIALS)
 
     def run():
-        with tempfile.TemporaryDirectory() as scratch:
-            feed = TelemetryFeed(Path(scratch) / "telemetry")
-            with collecting(), telemetering(feed):
-                return _run_batch()
+        with collecting(), _logging():
+            return _run_batch()
 
     benchmark.pedantic(run, rounds=3, iterations=1)

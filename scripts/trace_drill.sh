@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Observability drill for the repro.obs layer (run by CI, runnable locally).
 #
-# Proves the tracing acceptance criteria end to end:
-#   1. a traced quick campaign writes a JSONL trace that `div-repro trace
-#      summarize` renders (the summarizer itself validates that every
+# Proves the event-log acceptance criteria end to end:
+#   1. a traced quick campaign writes a JSONL event log that `div-repro
+#      trace summarize` renders (the summary itself validates that every
 #      engine span's per-phase steps sum to the span's total steps);
 #   2. the metrics snapshot and the trace agree on the work done
 #      (engine.runs == engine spans, engine.steps == total steps);
@@ -12,10 +12,12 @@
 #      support-*set* changes the report counts as stages, so
 #      mean(transitions) + 1 <= mean(#stages);
 #   4. two --telemetry launchers in sequence on one campaign — the first
-#      aborted by an injected fault, the second resuming it — leave feeds
+#      aborted by an injected fault, the second resuming it — leave logs
 #      whose merged timeline reconciles exactly with the checkpoint
-#      journal, and `campaign watch --once` / `timeline report` render
-#      them;
+#      journal, and `campaign watch --once` / `timeline report` /
+#      `trace summarize` render them; one log feeds both views, so the
+#      engine spans of the trace summary equal the timeline's executed
+#      trials;
 #   5. `bench compare` passes on a snapshot against itself and catches a
 #      seeded >=50% regression with a nonzero exit (the CI perf gate).
 #
@@ -45,10 +47,10 @@ import json
 import sys
 from pathlib import Path
 
-from repro.obs import load_trace_dir, summarize_records
+from repro.obs import read_log, summarize
 
 out = Path(sys.argv[1])
-summary = summarize_records(load_trace_dir(out / "trace"))
+summary = summarize(read_log(out / "trace").records)
 metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
 report = json.loads((out / "json" / "e10.json").read_text(encoding="utf-8"))
 
@@ -84,6 +86,7 @@ $RUN run E10 --quick --seed 0 --checkpoint-dir "$WORK/ckpt" --telemetry \
 say "rendering the live view and the post-hoc report"
 $RUN campaign watch "$WORK/ckpt" --once
 $RUN timeline report "$WORK/ckpt/e10" --bin 1 > /dev/null
+$RUN trace summarize "$WORK/ckpt/e10" > /dev/null
 
 say "reconciling the merged timeline against the checkpoint journal"
 python - "$WORK/ckpt/e10" <<'EOF'
@@ -91,10 +94,12 @@ import sys
 from pathlib import Path
 
 from repro.checkpoint import CheckpointJournal
-from repro.obs import load_timeline
+from repro.obs import campaign_timeline, read_log, summarize
 
 campaign_dir = Path(sys.argv[1])
-timeline = load_timeline(campaign_dir)
+log = read_log(campaign_dir)
+timeline = campaign_timeline(log)
+summary = summarize(log.records)
 journaled = sum(1 for _ in CheckpointJournal(campaign_dir).iter_records())
 
 assert len(timeline.launchers) == 2, sorted(timeline.launchers)
@@ -108,10 +113,15 @@ assert journaled == 80, journaled  # E10 --quick trials
 assert timeline.completed == journaled, (timeline.completed, journaled)
 assert timeline.total == journaled, (timeline.total, journaled)
 assert timeline.executed >= timeline.completed - timeline.duplicates
+# E10 runs one engine run per trial, in process: the trace view of the
+# same log sees exactly the trials the timeline counts as executed.
+assert summary.engine_spans == timeline.executed, (
+    summary.engine_spans, timeline.executed)
 
 print(f"[trace-drill] OK: {len(timeline.launchers)} launchers, "
       f"{timeline.completed}/{timeline.total} trials reconciled, "
-      f"{timeline.duplicates} duplicate(s), {timeline.torn_lines} torn line(s)")
+      f"{timeline.duplicates} duplicate(s), {timeline.torn_lines} torn line(s), "
+      f"{summary.engine_spans} engine spans")
 EOF
 
 # ------------------------------------------------------ bench-compare gate

@@ -40,8 +40,7 @@ from repro.obs.metrics import (
     collecting,
     merge_snapshots,
 )
-from repro.obs.telemetry import TelemetryFeed, active_telemetry
-from repro.obs.tracing import Tracer, current_tracer
+from repro.obs.log import EventLog, active_log
 from repro.parallel import TrialRecord, TrialTimings, execute_tasks
 from repro.rng import RngLike, make_rng, spawn_rngs, spawn_seed_sequences
 
@@ -137,21 +136,16 @@ def run_trials(
     fault_plan, timeout, max_retries, executor = _session_overrides(
         session, fault_plan, timeout, max_retries, executor
     )
-    tracer = current_tracer()
+    log = active_log()
     parent_metrics = active_metrics()
-    feed, tel_batch = _telemetry_begin(batch, "trials", trials, len(cached))
-    deliver = _deliverer(session, batch, feed, tel_batch)
-    batch_started = time.perf_counter()
+    deliver = _deliverer(session, batch, log)
     with ExitStack() as stack:
         stack.enter_context(use_kernel(kernel))
-        if tracer is not None:
-            span = stack.enter_context(tracer.span("trials.batch"))
-            span.set(
-                kind="trials",
-                trials=trials,
-                workers=0 if workers is None else workers,
-                cached=len(cached),
-            )
+        end = (
+            stack.enter_context(log.batch(batch, "trials", trials, len(cached)))
+            if log is not None
+            else {}
+        )
         if workers is None and executor in (None, "auto"):
             rngs = spawn_rngs(seed, trials)
             outcomes: List[T] = []
@@ -162,16 +156,14 @@ def run_trials(
                     continue
                 trial_started = time.perf_counter()
                 outcome, snapshot = _run_local_trial(
-                    trial, (i,), rngs[i], i, tracer, parent_metrics
+                    trial, (i,), rngs[i], parent_metrics
                 )
                 if snapshot is not None:
                     snapshots.append(snapshot)
                 seconds = time.perf_counter() - trial_started
                 deliver([TrialRecord(i, outcome, seconds, "local")])
                 outcomes.append(outcome)
-            _telemetry_end(
-                feed, tel_batch, "serial", batch_started, trials - len(cached)
-            )
+            end["executor"] = "serial"
             return TrialSet(
                 outcomes=outcomes,
                 metrics=_merged_metrics(snapshots, parent_metrics),
@@ -192,10 +184,7 @@ def run_trials(
             executor=executor,
             **_parallel_kwargs(chunk_size, timeout, max_retries),
         )
-        _trace_records(tracer, records)
-        _telemetry_end(
-            feed, tel_batch, timings.executor, batch_started, len(records)
-        )
+        end["executor"] = timings.executor
         merged: Dict[int, object] = dict(cached)
         merged.update((r.index, r.outcome) for r in records)
         return TrialSet(
@@ -249,25 +238,19 @@ def run_trials_over(
     fault_plan, timeout, max_retries, executor = _session_overrides(
         session, fault_plan, timeout, max_retries, executor
     )
-    tracer = current_tracer()
+    log = active_log()
     parent_metrics = active_metrics()
-    feed, tel_batch = _telemetry_begin(
-        grid_key, "grid", len(parameters) * trials, len(cached)
-    )
-    deliver = _deliverer(session, grid_key, feed, tel_batch)
-    batch_started = time.perf_counter()
+    deliver = _deliverer(session, grid_key, log)
     batch_seeds = spawn_seed_sequences(seed, len(parameters))
     with ExitStack() as stack:
         stack.enter_context(use_kernel(kernel))
-        if tracer is not None:
-            span = stack.enter_context(tracer.span("trials.batch"))
-            span.set(
-                kind="grid",
-                parameters=len(parameters),
-                trials=trials,
-                workers=0 if workers is None else workers,
-                cached=len(cached),
+        end = (
+            stack.enter_context(
+                log.batch(grid_key, "grid", len(parameters) * trials, len(cached))
             )
+            if log is not None
+            else {}
+        )
         if workers is None and executor in (None, "auto"):
             results = []
             for p_index, (parameter, batch_seed) in enumerate(
@@ -283,7 +266,7 @@ def run_trials_over(
                         continue
                     trial_started = time.perf_counter()
                     outcome, snapshot = _run_local_trial(
-                        trial, (parameter, i), rngs[i], flat, tracer, parent_metrics
+                        trial, (parameter, i), rngs[i], parent_metrics
                     )
                     if snapshot is not None:
                         snapshots.append(snapshot)
@@ -300,13 +283,7 @@ def run_trials_over(
                         ),
                     )
                 )
-            _telemetry_end(
-                feed,
-                tel_batch,
-                "serial",
-                batch_started,
-                len(parameters) * trials - len(cached),
-            )
+            end["executor"] = "serial"
             return results
 
         tasks = []
@@ -331,10 +308,7 @@ def run_trials_over(
             executor=executor,
             **_parallel_kwargs(chunk_size, timeout, max_retries),
         )
-        _trace_records(tracer, records)
-        _telemetry_end(
-            feed, tel_batch, timings.executor, batch_started, len(records)
-        )
+        end["executor"] = timings.executor
         merged: Dict[int, object] = dict(cached)
         merged.update((r.index, r.outcome) for r in records)
         executed = {r.index: r for r in records}
@@ -371,29 +345,19 @@ def _run_local_trial(
     trial: Callable,
     args: tuple,
     rng: np.random.Generator,
-    index: int,
-    tracer: Optional[Tracer],
     parent_metrics: Optional[MetricsRegistry],
 ) -> tuple:
-    """Run one serial trial under the ambient tracer/metrics, if any.
+    """Run one serial trial; returns ``(outcome, snapshot)``.
 
-    Returns ``(outcome, snapshot)``; the snapshot is ``None`` unless a
-    parent registry is collecting. The trial runs under a fresh child
-    registry so its snapshot matches what a worker process would ship
-    back, keeping serial and parallel aggregation identical.
+    The snapshot is ``None`` unless a parent registry is collecting. The
+    trial then runs under a fresh child registry so its snapshot matches
+    what a worker process would ship back, keeping serial and parallel
+    aggregation identical.
     """
-    with ExitStack() as stack:
-        if tracer is not None:
-            span = stack.enter_context(tracer.span("trial"))
-            span.set(index=index, worker="local")
-        registry = (
-            stack.enter_context(collecting())
-            if parent_metrics is not None
-            else None
-        )
+    if parent_metrics is None:
+        return trial(*args, rng), None
+    with collecting() as registry:
         outcome = trial(*args, rng)
-    if registry is None:
-        return outcome, None
     return outcome, registry.snapshot()
 
 
@@ -412,57 +376,6 @@ def _merged_metrics(
     batch = merge_snapshots(snapshots)
     parent_metrics.absorb(batch)
     return batch
-
-
-def _trace_records(
-    tracer: Optional[Tracer], records: Sequence[TrialRecord]
-) -> None:
-    """Emit one trace event per parallel trial record.
-
-    Workers cannot append to the parent's trace file, so parallel trials
-    surface as events on the open batch span instead of spans of their
-    own; the summarizer folds both shapes into the same per-worker table.
-    """
-    if tracer is None:
-        return
-    for record in records:
-        tracer.event(
-            "trial",
-            index=record.index,
-            seconds=record.seconds,
-            worker=record.worker,
-        )
-
-
-def _telemetry_begin(
-    batch: Optional[str], kind: str, size: int, cached: int
-) -> tuple:
-    """Announce the batch on the ambient telemetry feed, if any.
-
-    Returns ``(feed, batch_key)``; the key is the campaign batch key
-    when a session named one, or a feed-local anonymous key otherwise,
-    so even sessionless ``run_trials`` calls show up in the timeline.
-    """
-    feed = active_telemetry()
-    if feed is None:
-        return None, None
-    return feed, feed.batch_begin(batch, kind, size, cached=cached)
-
-
-def _telemetry_end(
-    feed: Optional[TelemetryFeed],
-    tel_batch: Optional[str],
-    executor: Optional[str],
-    batch_started: float,
-    executed: int,
-) -> None:
-    if feed is not None:
-        feed.batch_end(
-            tel_batch,
-            executor,
-            time.perf_counter() - batch_started,
-            executed,
-        )
 
 
 def _open_batch(
@@ -496,24 +409,23 @@ def _session_overrides(
 def _deliverer(
     session: Optional[CampaignSession],
     batch: Optional[str],
-    feed: Optional[TelemetryFeed],
-    tel_batch: Optional[str],
+    log: Optional[EventLog],
 ) -> Callable[[Sequence[TrialRecord]], None]:
-    """Hand on a finished chunk: journal it in one write, report each
-    trial, then fire scripted aborts.
+    """Hand on a finished chunk: journal it in one write, log one record
+    per trial, then fire scripted aborts.
 
     Both the in-process path (chunks of one trial) and
     :func:`repro.parallel.execute_tasks` deliver through it, so a
-    launcher killed between the two writes never leaves its feed ahead
+    launcher killed between the two writes never leaves its log ahead
     of its journal, and an injected ``abort`` leaves the two equal.
     """
 
     def deliver(records: Sequence[TrialRecord]) -> None:
         if session is not None:
             session.record(batch, {r.index: r.outcome for r in records})
-        if feed is not None:
+        if log is not None:
             for r in records:
-                feed.trial(r.index, r.seconds, r.worker, batch=tel_batch)
+                log.trial(r.index, r.seconds, r.worker)
         if session is not None:
             session.chunk_delivered([r.index for r in records])
 

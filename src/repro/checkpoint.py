@@ -12,7 +12,7 @@ Layout of a campaign directory::
     <dir>/manifest.json            campaign identity + config fingerprint
     <dir>/trials/<batch>/t<i>.rec  one record file per journaled chunk,
                                    named after its first trial
-    <dir>/telemetry/*.jsonl        progress feeds (``run --telemetry``)
+    <dir>/telemetry/*.jsonl        event logs (``run --telemetry``)
 
 A record file holds one checksummed frame per trial: a header line
 ``div-repro-record v1 index=<i> frames=<n> sha256=<hex> bytes=<b>``
@@ -79,8 +79,7 @@ from repro.errors import (
 from repro.faults import FaultPlan
 from repro.io import atomic_write_bytes, atomic_write_text
 from repro.obs.metrics import active_metrics
-from repro.obs.telemetry import active_telemetry
-from repro.obs.tracing import current_tracer
+from repro.obs.log import active_log
 
 PathLike = Union[str, Path]
 
@@ -375,6 +374,24 @@ class CheckpointJournal:
         """Whether any record file exists (damaged ones included)."""
         return next(self._record_files(), None) is not None
 
+    def census(self) -> Tuple[Dict[str, int], List[Path]]:
+        """Intact journaled trials per batch, and the damaged record files.
+
+        Unlike :meth:`iter_records` this never raises on, or deletes, a
+        damaged file: it lists it, as one whose chunk a resume with
+        ``on_corrupt="discard"`` would delete and rerun.
+        """
+        per_batch: Dict[str, int] = {}
+        damaged: List[Path] = []
+        for batch, name_index, path in self._record_files():
+            try:
+                frames = _decode_frames(path, path.read_bytes(), name_index)
+            except CheckpointCorruptError:
+                damaged.append(path)
+                continue
+            per_batch[batch] = per_batch.get(batch, 0) + len(frames)
+        return per_batch, damaged
+
     def iter_records(self) -> Iterator[Tuple[str, int, Path]]:
         """Yield ``(batch, index, path)`` for every journaled trial.
 
@@ -453,14 +470,9 @@ class CampaignSession:
             metrics = active_metrics()
             if metrics is not None:
                 metrics.inc("checkpoint.cache_hits", len(outcomes))
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.event("checkpoint.resume", batch=batch, cached=len(outcomes))
-            feed = active_telemetry()
-            if feed is not None:
-                feed.event(
-                    "checkpoint.resume", batch=batch, cached=len(outcomes)
-                )
+            log = active_log()
+            if log is not None:
+                log.event("checkpoint.resume", batch=batch, cached=len(outcomes))
         return outcomes
 
     def record(self, batch: str, outcomes: Mapping[int, object]) -> None:
@@ -483,7 +495,7 @@ class CampaignSession:
         """A chunk is journaled and reported: fire any scripted ``abort``.
 
         The abort stands for a launcher dying after a fully recorded
-        chunk, so its feed and its journal hold the same trials.
+        chunk, so its event log and its journal hold the same trials.
         """
         if self.fault_plan is not None:
             for index in indices:

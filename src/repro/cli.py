@@ -16,14 +16,14 @@ Commands
     ``--executor serial|pool`` forces how trials run (default ``auto``:
     serial for one worker, a process pool otherwise).
 ``campaign status DIR`` / ``campaign watch DIR [--interval S] [--once]``
-    Per-batch journaled-trial counts of a checkpointed campaign.
-    ``watch`` follows the campaign live through its telemetry feeds
-    (``run --telemetry``): per-launcher throughput, completed-vs-total
-    per batch, ETA, and dead-launcher warnings.
-``timeline report DIR [--trace PATH] [--bin S]``
+    Per-batch journaled-trial counts of a checkpointed campaign, and its
+    damaged record files (exit 1 when there are any). ``watch`` follows
+    the campaign live through its event logs (``run --telemetry``):
+    per-launcher throughput, completed-vs-total per batch, ETA, and
+    dead-launcher warnings.
+``timeline report DIR [--bin S]``
     Post-hoc analysis of a telemetered campaign: per-launcher
-    utilization, throughput-over-time, merged metrics,
-    and per-phase attribution joined from ``--trace-dir`` traces.
+    utilization, throughput-over-time and merged metrics.
 ``bench compare OLD.json NEW.json [--threshold R]``
     Diff two committed ``BENCH_*.json`` snapshots per benchmark; exits
     1 on any regression beyond the threshold (the CI perf gate).
@@ -34,8 +34,8 @@ Commands
     trial records bit-for-bit.
 ``trace summarize PATH``
     Per-phase step/wall-time breakdown and per-worker throughput of the
-    JSONL traces written by ``run --trace-dir`` (see
-    ``docs/observability.md``). ``run`` also takes ``--metrics-out``
+    event logs written by ``run --trace-dir`` or ``run --telemetry``
+    (see ``docs/observability.md``). ``run`` also takes ``--metrics-out``
     (aggregated counters/histograms as JSON) and ``--profile-out``
     (cProfile hot paths per span).
 
@@ -151,15 +151,16 @@ def _build_parser() -> argparse.ArgumentParser:
     run.add_argument(
         "--telemetry",
         action="store_true",
-        help="stream per-launcher progress feeds under "
-        "<checkpoint dir>/<experiment>/telemetry/ for 'campaign watch' "
-        "and 'timeline report' (requires --checkpoint-dir)",
+        help="write this launcher's event log under "
+        "<checkpoint dir>/<experiment>/telemetry/ for 'campaign watch', "
+        "'timeline report' and 'trace summarize' (requires "
+        "--checkpoint-dir; not with --trace-dir)",
     )
     run.add_argument(
         "--trace-dir",
         metavar="DIR",
         default=None,
-        help="write one JSONL span/event trace per experiment under DIR "
+        help="write one JSONL event log per experiment under DIR "
         "(inspect with 'div-repro trace summarize DIR'; see "
         "docs/observability.md)",
     )
@@ -201,15 +202,19 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     trace = sub.add_parser(
-        "trace", help="inspect JSONL run traces written by 'run --trace-dir'"
+        "trace",
+        help="inspect the event logs written by 'run --trace-dir' or "
+        "'run --telemetry'",
     )
     trace_sub = trace.add_subparsers(dest="trace_command", required=True)
     summarize = trace_sub.add_parser(
         "summarize",
         help="per-phase step/wall-time breakdown and per-worker throughput "
-        "of a trace file or directory",
+        "of a log file, a directory of them, or a campaign",
     )
-    summarize.add_argument("path", help="trace .jsonl file or a directory of them")
+    summarize.add_argument(
+        "path", help="log .jsonl file, a directory of them, or a campaign dir"
+    )
 
     campaign = sub.add_parser(
         "campaign",
@@ -218,8 +223,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
     status = campaign_sub.add_parser(
         "status",
-        help="per-batch journaled-trial counts of a campaign directory, "
-        "plus a telemetry summary when it has feeds",
+        help="per-batch journaled-trial counts and damaged record files "
+        "of a campaign directory, plus a telemetry summary when it has logs",
     )
     status.add_argument("directory", help="campaign dir (or a parent of several)")
     watch = campaign_sub.add_parser(
@@ -244,7 +249,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     timeline = sub.add_parser(
         "timeline",
-        help="post-hoc analysis of a telemetered campaign's feeds",
+        help="post-hoc analysis of a telemetered campaign's event logs",
     )
     timeline_sub = timeline.add_subparsers(dest="timeline_command", required=True)
     tl_report = timeline_sub.add_parser(
@@ -253,13 +258,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "and merged metrics of a campaign run with --telemetry",
     )
     tl_report.add_argument("directory", help="campaign dir (or a parent of several)")
-    tl_report.add_argument(
-        "--trace",
-        metavar="PATH",
-        default=None,
-        help="join per-phase step/wall attribution from a trace file or "
-        "directory written by 'run --trace-dir'",
-    )
     tl_report.add_argument(
         "--bin",
         type=float,
@@ -336,12 +334,12 @@ def _cmd_run(args) -> int:
         from repro.errors import CheckpointError
 
         raise CheckpointError("--resume requires --checkpoint-dir")
-    if args.telemetry and args.checkpoint_dir is None:
-        from repro.errors import CheckpointError
+    if args.telemetry and args.trace_dir is not None:
+        from repro.errors import ObservabilityError
 
-        raise CheckpointError(
-            "--telemetry feeds live under the campaign journal; it "
-            "requires --checkpoint-dir"
+        raise ObservabilityError(
+            "--trace-dir and --telemetry are two destinations of the one "
+            "event log; pass only one of them"
         )
     campaign_options = dict(
         checkpoint_dir=args.checkpoint_dir,
@@ -378,18 +376,16 @@ def _cmd_run(args) -> int:
                     "running serially]"
                 )
             started = time.time()
-            tracer = None
+            log = None
             with ExitStack() as spec_stack:
                 if args.trace_dir is not None:
-                    from pathlib import Path
+                    from repro.obs.log import EventLog, recording
 
-                    from repro.obs.tracing import Tracer, activate
-
-                    tracer = Tracer(
-                        Path(args.trace_dir)
-                        / f"{spec.experiment_id.lower()}.jsonl"
+                    log = spec_stack.enter_context(
+                        recording(
+                            EventLog(args.trace_dir, spec.experiment_id.lower())
+                        )
                     )
-                    spec_stack.enter_context(activate(tracer))
                 report = spec.run_campaign(
                     "quick" if quick else "full",
                     seed=seed,
@@ -401,8 +397,8 @@ def _cmd_run(args) -> int:
                 f"\n[{spec.experiment_id} finished in "
                 f"{time.time() - started:.1f}s]\n"
             )
-            if tracer is not None:
-                print(f"[wrote trace {tracer.close()}]\n")
+            if log is not None:
+                print(f"[wrote trace {log.path}]\n")
             if json_dir is not None:
                 from pathlib import Path
 
@@ -472,9 +468,11 @@ def _campaign_dirs(directory) -> list:
 
 def _cmd_trace_summarize(path: str) -> int:
     from repro.experiments.tables import Table
-    from repro.obs.tracing import load_trace_dir, summarize_records
+    from repro.obs.log import read_log
+    from repro.obs.views import summarize
 
-    summary = summarize_records(load_trace_dir(path))
+    log = read_log(path)
+    summary = summarize(log.records)
     for record in summary.campaigns:
         workers = record.get("workers", 0)
         print(
@@ -525,59 +523,80 @@ def _cmd_trace_summarize(path: str) -> int:
             table.add_row(worker, trials, f"{busy:.3f}", f"{rate:.1f}")
         print()
         print(table.render())
+    if log.torn:
+        print(f"note: {sum(log.torn.values())} torn final line(s) skipped")
     return 0
 
 
-def _campaign_snapshot(campaign_dir):
-    """One campaign's merged state: journal truth and telemetry.
-
-    The single code path behind both ``campaign status`` and ``campaign
-    watch`` — the timeline is ``None`` when the campaign was not run
-    with ``--telemetry`` (or has produced no feeds yet).
-    """
+def _journal_snapshot(campaign_dir) -> dict:
+    """A campaign's journal truth: manifest, intact trials per batch, and
+    ``damaged``, the record files that fail their integrity check — the
+    ones a ``--discard-corrupt`` resume deletes and reruns."""
     from repro.checkpoint import MANIFEST_NAME, CheckpointJournal
-    from repro.obs.telemetry import TELEMETRY_DIRNAME
-    from repro.obs.timeline import load_timeline
 
-    manifest = {}
-    per_batch = {}
+    manifest, per_batch, damaged = {}, {}, []
     if (campaign_dir / MANIFEST_NAME).is_file():
         journal = CheckpointJournal(campaign_dir)
         manifest = journal.read_manifest()
-        for batch, _, _ in journal.iter_records():
-            per_batch[batch] = per_batch.get(batch, 0) + 1
-    timeline = None
-    if (campaign_dir / TELEMETRY_DIRNAME).is_dir() or (
-        campaign_dir.name == TELEMETRY_DIRNAME and campaign_dir.is_dir()
-    ):
-        timeline = load_timeline(campaign_dir)
+        per_batch, damaged = journal.census()
     return {
         "dir": campaign_dir,
         "manifest": manifest,
         "per_batch": per_batch,
-        "timeline": timeline,
+        "damaged": damaged,
     }
 
 
+def _campaign_snapshot(campaign_dir) -> dict:
+    """The journal snapshot plus the campaign timeline of its event logs.
+
+    The single code path behind ``campaign status`` and ``campaign
+    watch`` — the timeline is ``None`` when the campaign was not run
+    with ``--telemetry``.
+    """
+    from repro.obs.log import TELEMETRY_DIRNAME, read_log
+    from repro.obs.views import campaign_timeline
+
+    snapshot = _journal_snapshot(campaign_dir)
+    snapshot["timeline"] = None
+    if (campaign_dir / TELEMETRY_DIRNAME).is_dir() or (
+        campaign_dir.name == TELEMETRY_DIRNAME and campaign_dir.is_dir()
+    ):
+        snapshot["timeline"] = campaign_timeline(read_log(campaign_dir))
+    return snapshot
+
+
 def _batch_lines(snapshot) -> list:
-    """Per-batch journaled-trial lines shared by status and watch."""
+    """Per-batch journaled-trial and damaged-file lines (status, watch, show)."""
     per_batch = snapshot["per_batch"]
-    return [f"  {batch}: {per_batch[batch]} trial(s)" for batch in sorted(per_batch)]
+    return [
+        f"  {batch}: {per_batch[batch]} trial(s)" for batch in sorted(per_batch)
+    ] + [
+        f"  damaged: {path} (--discard-corrupt deletes it and reruns its trials)"
+        for path in snapshot["damaged"]
+    ]
+
+
+def _print_journal(snapshot) -> None:
+    """Print a journal snapshot: identity, trial counts, damaged files."""
+    manifest = snapshot["manifest"]
+    per_batch = snapshot["per_batch"]
+    print(
+        f"{snapshot['dir']}: {manifest.get('experiment_id', '?')} "
+        f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
+        f"— {sum(per_batch.values())} journaled trial(s) in "
+        f"{len(per_batch)} batch(es)"
+    )
+    for line in _batch_lines(snapshot):
+        print(line)
 
 
 def _cmd_campaign_status(directory: str) -> int:
+    damaged = False
     for campaign_dir in _campaign_dirs(directory):
         snapshot = _campaign_snapshot(campaign_dir)
-        manifest = snapshot["manifest"]
-        per_batch = snapshot["per_batch"]
-        print(
-            f"{campaign_dir}: {manifest.get('experiment_id', '?')} "
-            f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
-            f"— {sum(per_batch.values())} journaled trial(s) in "
-            f"{len(per_batch)} batch(es)"
-        )
-        for line in _batch_lines(snapshot):
-            print(line)
+        _print_journal(snapshot)
+        damaged = damaged or bool(snapshot["damaged"])
         timeline = snapshot["timeline"]
         if timeline is not None and timeline.launchers:
             closed = sum(1 for l in timeline.launchers.values() if l.closed)
@@ -586,16 +605,16 @@ def _cmd_campaign_status(directory: str) -> int:
                 f"({closed} closed), {timeline.executed} executed "
                 f"trial(s), {timeline.duplicates} duplicate(s)"
             )
-    return 0
+    return 1 if damaged else 0
 
 
 def _timeline_dirs(directory) -> list:
     """Campaign dirs under ``directory`` — accepting manifest-less dirs
-    that hold telemetry feeds (hand-built or partially-synced campaigns)."""
+    that hold telemetry logs (hand-built or partially-synced campaigns)."""
     from pathlib import Path
 
     from repro.errors import CheckpointError
-    from repro.obs.telemetry import TELEMETRY_DIRNAME
+    from repro.obs.log import TELEMETRY_DIRNAME
 
     try:
         return _campaign_dirs(directory)
@@ -669,12 +688,13 @@ def _cmd_campaign_watch(directory: str, interval: float, once: bool) -> int:
         print()
 
 
-def _cmd_timeline_report(directory: str, trace: Optional[str], bin_seconds: float) -> int:
+def _cmd_timeline_report(directory: str, bin_seconds: float) -> int:
     from repro.experiments.tables import Table
-    from repro.obs.timeline import load_timeline
+    from repro.obs.log import read_log
+    from repro.obs.views import campaign_timeline
 
     for campaign_dir in _timeline_dirs(directory):
-        timeline = load_timeline(campaign_dir)
+        timeline = campaign_timeline(read_log(campaign_dir))
         span = max(timeline.last_seen - timeline.started, 0.0)
         print(
             f"{campaign_dir}: {len(timeline.launchers)} launcher feed(s), "
@@ -742,29 +762,6 @@ def _cmd_timeline_report(directory: str, trace: Optional[str], bin_seconds: floa
                     f"mean={summary.mean:.6f}±{summary.stddev:.6f} "
                     f"min={summary.minimum:.6f} max={summary.maximum:.6f}"
                 )
-        if trace is not None:
-            from repro.obs.tracing import load_trace_dir, summarize_records
-
-            trace_summary = summarize_records(load_trace_dir(trace))
-            print()
-            print(
-                f"Trace join: {trace_summary.engine_spans} engine run(s), "
-                f"{trace_summary.total_steps} steps, "
-                f"{1e3 * trace_summary.mean_engine_seconds:.2f}"
-                f"±{1e3 * trace_summary.stddev_engine_seconds:.2f}ms/run"
-            )
-            if trace_summary.phase_steps:
-                table = Table(
-                    title="Per-phase attribution (joined from traces)",
-                    headers=["|support|", "steps", "wall s"],
-                )
-                for support in sorted(trace_summary.phase_steps, reverse=True):
-                    table.add_row(
-                        support,
-                        trace_summary.phase_steps[support],
-                        f"{trace_summary.phase_seconds.get(support, 0.0):.3f}",
-                    )
-                print(table.render())
     return 0
 
 
@@ -803,23 +800,12 @@ def _cmd_bench_compare(
 
 
 def _cmd_checkpoint_show(directory: str) -> int:
-    from repro.checkpoint import CheckpointJournal
-
+    damaged = False
     for campaign_dir in _campaign_dirs(directory):
-        journal = CheckpointJournal(campaign_dir)
-        manifest = journal.read_manifest()
-        records = list(journal.iter_records())
-        per_batch = {}
-        for batch, _, _ in records:
-            per_batch[batch] = per_batch.get(batch, 0) + 1
-        print(
-            f"{campaign_dir}: {manifest.get('experiment_id', '?')} "
-            f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
-            f"— {len(records)} journaled trial(s) in {len(per_batch)} batch(es)"
-        )
-        for batch in sorted(per_batch):
-            print(f"  {batch}: {per_batch[batch]} trial(s)")
-    return 0
+        snapshot = _journal_snapshot(campaign_dir)
+        _print_journal(snapshot)
+        damaged = damaged or bool(snapshot["damaged"])
+    return 1 if damaged else 0
 
 
 def _cmd_checkpoint_diff(left: str, right: str) -> int:
@@ -888,7 +874,7 @@ def _dispatch(args) -> int:
             return _cmd_campaign_watch(args.directory, args.interval, args.once)
         return _cmd_campaign_status(args.directory)
     if args.command == "timeline":
-        return _cmd_timeline_report(args.directory, args.trace, args.bin)
+        return _cmd_timeline_report(args.directory, args.bin)
     if args.command == "bench":
         return _cmd_bench_compare(
             args.old, args.new, args.threshold, args.min_seconds

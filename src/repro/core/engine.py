@@ -10,7 +10,7 @@ The hot loop itself lives in :mod:`repro.core.kernels`: this module
 resolves specs into objects, picks an execution kernel (the per-step
 ``"loop"`` reference, the vectorized ``"block"`` kernel, or the numba
 ``"compiled"`` kernel — all bit-identical for any seed) and wraps the
-run in the observability layer (tracing span, metrics counters,
+run in the observability layer (event-log span, metrics counters,
 profiler section).
 """
 
@@ -31,7 +31,7 @@ from repro.core.stopping import StopCondition, StopLike, make_stop_condition
 from repro.errors import ProcessError
 from repro.obs.metrics import active_metrics
 from repro.obs.profile import active_profiler
-from repro.obs.tracing import PhaseTraceObserver, current_tracer
+from repro.obs.log import PhaseTraceObserver, active_log
 from repro.rng import RngLike, make_rng
 
 #: Default number of interaction pairs drawn per RNG block.
@@ -150,12 +150,12 @@ def run_dynamics(
             f"it has no rebuild() to refresh its epoch caches"
         )
 
-    tracer = current_tracer()
+    log = active_log()
     metrics = active_metrics()
     profiler = active_profiler()
     phase_obs: Optional[PhaseTraceObserver] = None
-    if tracer is not None:
-        # Every traced run records the paper's phase structure without
+    if log is not None:
+        # Every logged run records the paper's phase structure without
         # the caller wiring an observer explicitly.
         phase_obs = PhaseTraceObserver()
         sampled.append(phase_obs)
@@ -184,8 +184,8 @@ def run_dynamics(
 
     with ExitStack() as stack:
         span = (
-            stack.enter_context(tracer.span("engine.run"))
-            if tracer is not None
+            stack.enter_context(log.span("engine.run"))
+            if log is not None
             else None
         )
         if profiler is not None:
@@ -199,7 +199,7 @@ def run_dynamics(
         if executed_kernel != engine_kernel.name:
             kernel_reason += f"; {engine_kernel.name} delegated to {executed_kernel}"
         if span is not None:
-            span.set(
+            span.update(
                 engine="generic",
                 kernel=executed_kernel,
                 kernel_reason=kernel_reason,
@@ -209,7 +209,7 @@ def run_dynamics(
                 rng_blocks=run.blocks,
                 n=state.n,
             )
-            phase_obs.emit(span)
+            span.update(phase_obs.attrs())
         if metrics is not None:
             metrics.inc("engine.runs")
             metrics.inc("engine.steps", run.steps)

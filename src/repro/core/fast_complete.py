@@ -54,7 +54,7 @@ from repro.core.stopping import MAX_STEPS_REASON
 from repro.errors import ProcessError
 from repro.obs.metrics import active_metrics
 from repro.obs.profile import active_profiler
-from repro.obs.tracing import current_tracer
+from repro.obs.log import PhaseTraceObserver, active_log
 from repro.rng import RngLike, make_rng
 
 #: Steps per RNG block; each block draws this many uniforms twice.
@@ -158,37 +158,22 @@ def run_div_complete(
         weights.append(top - sum(cum))
         next_sample = weight_interval
 
-    tracer = current_tracer()
+    log = active_log()
     metrics = active_metrics()
     profiler = active_profiler()
-    # Phase tracking (the paper's |support| decomposition) is maintained
-    # incrementally from the count updates; the generic engine gets the
-    # same accounting from PhaseTraceObserver.
-    track = tracer is not None
+    # Phase tracking (the paper's |support| decomposition) follows the
+    # count updates; the generic engine feeds the same observer through
+    # its hooks.
     support = len(present)
-    initial_support = support
-    transitions: List[tuple] = []
-    phase_steps: Dict[int, int] = {}
-    phase_seconds: Dict[int, float] = {}
-    phase_last = [0, time.perf_counter()]  # [step, perf_counter]
-
-    def accrue(at_step: int) -> None:
-        """Charge the open segment to the current support size."""
-        now = time.perf_counter()
-        if at_step > phase_last[0] or support not in phase_steps:
-            phase_steps[support] = (
-                phase_steps.get(support, 0) + at_step - phase_last[0]
-            )
-            phase_seconds[support] = (
-                phase_seconds.get(support, 0.0) + now - phase_last[1]
-            )
-        phase_last[0] = at_step
-        phase_last[1] = now
+    phases: Optional[PhaseTraceObserver] = None
+    if log is not None:
+        phases = PhaseTraceObserver()
+        phases.begin(0, support)
 
     with ExitStack() as stack:
         span = (
-            stack.enter_context(tracer.span("engine.run_complete"))
-            if tracer is not None
+            stack.enter_context(log.span("engine.run_complete"))
+            if log is not None
             else None
         )
         if profiler is not None:
@@ -242,15 +227,14 @@ def run_div_complete(
                             continue
                         changes += 1
                         emptied = cum[i] == cum[i - 1]
-                        if track:
+                        if phases is not None:
                             new_support = (
                                 support
                                 + (1 if cum[dest] - cum[dest - 1] == 1 else 0)
                                 - (1 if emptied else 0)
                             )
                             if new_support != support:
-                                accrue(step)
-                                transitions.append((step, new_support))
+                                phases.advance(step, new_support)
                                 support = new_support
                         if emptied:
                             if i == lo:
@@ -286,10 +270,8 @@ def run_div_complete(
                     if x == 0 or x == n:
                         lo = hi = hi if x == 0 else lo
                         reason = "consensus"
-                        if track:
-                            accrue(step)
-                            transitions.append((step, 1))
-                            support = 1
+                        if phases is not None:
+                            phases.advance(step, 1)
                 k += 1  # both loops leave k on the last draw they used
                 if step == next_sample:
                     weight_steps.append(step)
@@ -303,28 +285,17 @@ def run_div_complete(
             weight_steps.append(step)
             weights.append(top - sum(cum))
 
-        if span is not None:
-            accrue(step)
-            span.set(
+        if span is not None and phases is not None:
+            phases.end(step)
+            span.update(
                 engine="complete",
                 steps=step,
                 stop_reason=reason,
                 opinion_changes=changes,
                 rng_blocks=blocks,
                 n=n,
-                initial_support=initial_support,
-                phase_transitions=len(transitions),
-                phases=[
-                    {
-                        "support": s,
-                        "steps": phase_steps[s],
-                        "seconds": phase_seconds[s],
-                    }
-                    for s in sorted(phase_steps, reverse=True)
-                ],
+                **phases.attrs(),
             )
-            for at_step, new_support in transitions:
-                span.event("phase.transition", step=at_step, support=new_support)
         if metrics is not None:
             metrics.inc("engine.runs")
             metrics.inc("engine.steps", step)

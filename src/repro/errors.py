@@ -60,12 +60,8 @@ class ObservabilityError(ReproError):
     """Invalid metrics/tracing/profiling request or artifact."""
 
 
-class TraceError(ObservabilityError):
-    """A trace file is missing, malformed, or internally inconsistent."""
-
-
-class TelemetryError(ObservabilityError):
-    """A telemetry feed or campaign timeline is missing or malformed."""
+class EventLogError(ObservabilityError):
+    """An event log is missing, malformed, or internally inconsistent."""
 
 
 class BenchCompareError(ObservabilityError):

@@ -17,8 +17,7 @@ from repro.core.kernels import use_kernel
 from repro.errors import ExperimentError
 from repro.faults import FaultPlan
 from repro.obs.metrics import active_metrics, collecting
-from repro.obs.telemetry import TELEMETRY_DIRNAME, TelemetryFeed, telemetering
-from repro.obs.tracing import current_tracer
+from repro.obs.log import TELEMETRY_DIRNAME, EventLog, active_log, recording
 from repro.experiments import (
     e01_winning_distribution,
     e02_graph_classes,
@@ -130,14 +129,15 @@ class ExperimentSpec:
         support (see :attr:`supports_workers`) runs its batches
         serially whatever the executor.
 
-        ``telemetry=True`` (CLI: ``--telemetry``) opens an append-only
-        progress feed under ``<campaign dir>/telemetry/`` (see
-        :mod:`repro.obs.telemetry`) so ``div-repro campaign watch`` and
-        ``timeline report`` can observe the campaign live and post-hoc.
-        It requires a ``checkpoint_dir`` — the feeds live next to the
-        campaign's journal. When no ambient metrics registry
+        ``telemetry=True`` (CLI: ``--telemetry``) records the campaign in
+        an event log under ``<campaign dir>/telemetry/`` (see
+        :mod:`repro.obs.log`) so ``div-repro campaign watch``,
+        ``timeline report`` and ``trace summarize`` can observe it live
+        and post-hoc. It requires a ``checkpoint_dir`` — the logs live
+        next to the campaign's journal. When no ambient metrics registry
         is collecting, one is installed for the campaign so heartbeats
-        carry real counters.
+        carry real counters. Without it, an ambient log (``--trace-dir``)
+        records the campaign instead.
         """
         if scale not in ("full", "quick"):
             raise ExperimentError(f"unknown campaign scale {scale!r}")
@@ -167,7 +167,6 @@ class ExperimentSpec:
                 seed=seed,
                 config=repr(config),
             )
-        tracer = current_tracer()
         with ExitStack() as stack:
             # Ambient, not per-call: drivers thread kernel="auto" down to
             # the engine, and the Monte-Carlo layer re-ships the ambient
@@ -179,8 +178,8 @@ class ExperimentSpec:
                 if active_metrics() is None:
                     stack.enter_context(collecting())
                 stack.enter_context(
-                    telemetering(
-                        TelemetryFeed(
+                    recording(
+                        EventLog(
                             journal.directory / TELEMETRY_DIRNAME,
                             drop_indices=(
                                 fault_plan.telemetry_drop_indices()
@@ -195,9 +194,9 @@ class ExperimentSpec:
                         )
                     )
                 )
-            if tracer is not None:
-                span = stack.enter_context(tracer.span("campaign"))
-                span.set(
+            log = active_log()
+            if log is not None:
+                stack.enter_context(log.span("campaign")).update(
                     experiment=self.experiment_id,
                     scale=scale,
                     seed=repr(seed),

@@ -20,7 +20,7 @@ The plan is consulted in three places:
   :class:`InjectedAbort` after the chunk holding a trial is recorded
   (``abort``), simulating process death mid-campaign deterministically.
 * **telemetry side** — :meth:`FaultPlan.telemetry_drop_indices` names
-  the trials whose record the launcher's telemetry feed drops.
+  the trials whose record the launcher's ``--telemetry`` event log drops.
 
 SPEC grammar (``div-repro run --inject-faults SPEC``)::
 
@@ -35,11 +35,10 @@ attempts only, default every attempt); ``hang@I[:N]`` stalls it for
 then runs normally; ``corrupt@I`` / ``truncate@I`` damage the
 checkpoint record file holding trial ``I`` (its whole chunk) after it
 is written; ``abort@I`` aborts the campaign in the parent right after
-the chunk holding trial ``I`` is journaled and reported to the
-telemetry feed; ``telemetry-drop@I``
-suppresses trial ``I``'s record on the launcher's telemetry feed (no
-argument), drilling the timeline reader's tolerance for feeds with
-holes. Duplicate
+the chunk holding trial ``I`` is journaled and logged;
+``telemetry-drop@I`` suppresses trial ``I``'s record in the launcher's
+``--telemetry`` event log (no argument), drilling the timeline's
+tolerance for logs with holes. Duplicate
 ``(KIND, INDEX)`` clauses are rejected — a doubled clause is always a
 typo, never a feature.
 """
@@ -60,7 +59,7 @@ WORKER_KINDS = ("crash", "hang", "slow")
 #: Fault kinds that damage a checkpoint record after it is written.
 RECORD_KINDS = ("corrupt", "truncate")
 
-#: Fault kinds applied to the launcher's telemetry feed.
+#: Fault kinds applied to the launcher's --telemetry event log.
 TELEMETRY_KINDS = ("telemetry-drop",)
 
 #: All valid clause kinds.
@@ -286,11 +285,11 @@ class FaultPlan:
     def telemetry_drop_indices(self) -> Tuple[int, ...]:
         """Trial indices whose telemetry ``trial`` records are dropped.
 
-        Consulted when a telemetry feed is opened (the obs layer sits
-        below this module, so it receives the plain index set rather
-        than the plan). A dropped record simulates a launcher that died
-        between journaling a trial and telemetering it — the timeline
-        reader must tolerate the hole.
+        Consulted when a ``--telemetry`` event log is opened (the obs
+        layer sits below this module, so it receives the plain index set
+        rather than the plan). A dropped record simulates a launcher
+        that died between journaling a trial and logging it — the
+        timeline must tolerate the hole.
         """
         return tuple(
             sorted({c.index for c in self.clauses if c.kind in TELEMETRY_KINDS})

@@ -62,25 +62,6 @@ def atomic_write_text(path: PathLike, text: str, encoding: str = "utf-8") -> Non
     atomic_write_bytes(path, text.encode(encoding))
 
 
-def append_jsonl_line(path: PathLike, record: dict) -> None:
-    """Append one JSON record to a JSONL feed as a single whole-line write.
-
-    The sanctioned append primitive for the telemetry feeds of
-    :mod:`repro.obs.telemetry`: the record
-    is serialized to one complete ``\\n``-terminated line and written with
-    a single ``write`` call on an ``O_APPEND`` handle, so concurrent
-    appenders never interleave *within* a line and a crash can tear at
-    most the final line of the file — which the timeline reader treats
-    as an expected torn tail, never as corruption.
-    """
-    target = Path(path)
-    target.parent.mkdir(parents=True, exist_ok=True)
-    line = json.dumps(record, sort_keys=True, default=_jsonify) + "\n"
-    with open(target, "a", encoding="utf-8") as handle:
-        handle.write(line)
-        handle.flush()
-
-
 # ---------------------------------------------------------------------------
 # Graphs
 # ---------------------------------------------------------------------------

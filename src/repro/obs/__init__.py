@@ -1,16 +1,18 @@
-"""Observability: structured metrics, run tracing and profiling.
+"""Observability: structured metrics, the event log and profiling.
 
 The third cross-cutting layer (after parallelism and checkpointing):
 
 * :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
   with snapshot/merge semantics, aggregated across worker processes;
-* :mod:`repro.obs.tracing` — JSONL span/event traces, including the
-  paper's phase structure via :class:`~repro.obs.tracing.PhaseTraceObserver`;
+* :mod:`repro.obs.log` — the append-only event log that ``run
+  --trace-dir`` and ``run --telemetry`` write (trials, batches, engine
+  spans with the paper's phase structure via
+  :class:`~repro.obs.log.PhaseTraceObserver`, heartbeats), and the one
+  reader that merges any number of logs;
+* :mod:`repro.obs.views` — the two folds over a read log: the trace
+  summary (``div-repro trace summarize``) and the campaign timeline
+  (``campaign watch`` / ``timeline report``);
 * :mod:`repro.obs.profile` — opt-in cProfile sections keyed by span;
-* :mod:`repro.obs.telemetry` — per-launcher append-only JSONL progress
-  feeds under a campaign's checkpoint directory;
-* :mod:`repro.obs.timeline` — merges those feeds into one deterministic
-  campaign timeline (``div-repro campaign watch`` / ``timeline report``);
 * :mod:`repro.obs.bench` — committed benchmark-snapshot comparison
   (``div-repro bench compare``).
 
@@ -19,11 +21,12 @@ and drivers skip all recording (same zero-overhead contract as
 :mod:`repro.core.observers`). This package sits *below* ``repro.core``
 in the layering — it must never import core, analysis or experiments.
 
-See ``docs/observability.md`` for the span/metric schema and CLI usage
-(``div-repro run --trace-dir/--metrics-out/--profile-out`` and
-``div-repro trace summarize``).
+See ``docs/observability.md`` for the record schema and CLI usage.
 """
 
+import sys
+
+from repro.obs import log
 from repro.obs.metrics import (
     EMPTY_SNAPSHOT,
     HistogramSummary,
@@ -34,31 +37,28 @@ from repro.obs.metrics import (
     merge_snapshots,
 )
 from repro.obs.bench import BenchDelta, compare_snapshots, load_snapshot
-from repro.obs.profile import SpanProfiler, active_profiler, profiling
-from repro.obs.telemetry import (
+from repro.obs.log import (
     TELEMETRY_DIRNAME,
-    TelemetryFeed,
-    active_telemetry,
-    telemetering,
+    EventLog,
+    Log,
+    PhaseTraceObserver,
+    active_log,
+    read_log,
+    recording,
 )
-from repro.obs.timeline import (
+from repro.obs.profile import SpanProfiler, active_profiler, profiling
+from repro.obs.views import (
     BatchProgress,
     CampaignTimeline,
     LauncherTimeline,
-    load_timeline,
-    read_feed,
-)
-from repro.obs.tracing import (
-    PhaseTraceObserver,
-    Span,
-    Tracer,
     TraceSummary,
-    activate,
-    current_tracer,
-    iter_trace_records,
-    load_trace_dir,
-    summarize_records,
+    campaign_timeline,
+    summarize,
 )
+
+# ``repro.obs.telemetry`` held the feed writer the log replaced; code
+# that imports the feed format tag from it keeps working.
+sys.modules[f"{__name__}.telemetry"] = log
 
 __all__ = [
     "EMPTY_SNAPSHOT",
@@ -66,30 +66,25 @@ __all__ = [
     "BatchProgress",
     "BenchDelta",
     "CampaignTimeline",
+    "EventLog",
     "HistogramSummary",
     "LauncherTimeline",
+    "Log",
     "MetricsRegistry",
     "MetricsSnapshot",
     "PhaseTraceObserver",
-    "Span",
     "SpanProfiler",
-    "TelemetryFeed",
     "TraceSummary",
-    "Tracer",
-    "activate",
+    "active_log",
     "active_metrics",
     "active_profiler",
-    "active_telemetry",
+    "campaign_timeline",
     "collecting",
     "compare_snapshots",
-    "current_tracer",
-    "iter_trace_records",
     "load_snapshot",
-    "load_timeline",
-    "load_trace_dir",
     "merge_snapshots",
     "profiling",
-    "read_feed",
-    "summarize_records",
-    "telemetering",
+    "read_log",
+    "recording",
+    "summarize",
 ]

@@ -1,6 +1,6 @@
 """Opt-in profiler hook: cProfile sections keyed by span name.
 
-Tracing (:mod:`repro.obs.tracing`) answers *where the steps went*;
+The event log (:mod:`repro.obs.log`) answers *where the steps went*;
 this module answers *where the CPU went* inside a span. A
 :class:`SpanProfiler` keeps one ``cProfile.Profile`` per section key
 ("campaign", "trials.batch", "engine.run", ...) and switches between

@@ -22,10 +22,9 @@ import numpy as np
 from repro.core.kernels import use_kernel
 from repro.errors import AnalysisError
 from repro.faults import FaultPlan
+from repro.obs.log import suspended as log_suspended
 from repro.obs.metrics import MetricsSnapshot, collecting
 from repro.obs.profile import suspended as profiling_suspended
-from repro.obs.telemetry import suspended as telemetry_suspended
-from repro.obs.tracing import suspended as tracing_suspended
 from repro.rng import make_rng
 
 #: Default number of retry rounds after a worker crash or round timeout.
@@ -242,13 +241,12 @@ def _run_task_chunk(
     """
     label = _worker_label()
     records = []
-    # Forked workers inherit copies of the parent's ambient tracer,
-    # profiler and telemetry stacks; suspend all three so instrumented
-    # code does not buffer spans no one will collect — or append
-    # worker-pid records under the parent launcher's feed identity.
-    # Metrics are handled below (per-trial shadow registry when
-    # collect_metrics).
-    with use_kernel(kernel), tracing_suspended(), profiling_suspended(), telemetry_suspended():
+    # Forked workers inherit copies of the parent's ambient event log
+    # and profiler stacks; suspend both so instrumented code neither
+    # writes worker-pid records under the parent launcher's name nor
+    # profiles sections no one will collect. Metrics are handled below
+    # (per-trial shadow registry when collect_metrics).
+    with use_kernel(kernel), log_suspended(), profiling_suspended():
         for index, args, trial_seed in chunk:
             if fault_plan is not None:
                 fault_plan.worker_fault(index)

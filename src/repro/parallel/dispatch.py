@@ -23,7 +23,7 @@ workers behind.
 
 Both paths hand each finished chunk's records to ``on_chunk`` (the
 checkpoint journal, which writes the chunk as one file, then the
-telemetry feed) as soon as the chunk is done — the serial path in
+event log) as soon as the chunk is done — the serial path in
 chunks of one trial, the pool in submission order as each chunk's
 future resolves — so a campaign killed mid-batch keeps every chunk
 that had finished.
@@ -51,7 +51,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 from repro.errors import AnalysisError, ParallelExecutionError
 from repro.faults import FaultPlan
-from repro.obs.telemetry import active_telemetry
+from repro.obs.log import active_log
 from repro.parallel.base import (
     DEFAULT_MAX_RETRIES,
     TrialRecord,
@@ -115,7 +115,7 @@ def execute_tasks(
         Optional parent-side callback invoked with each chunk's records
         as soon as the chunk is done (one trial at a time on the serial
         path). The Monte-Carlo layer journals the chunk here in one
-        write, then reports its trials to the telemetry feed, so a
+        write, then writes one event-log record per trial, so a
         killed campaign keeps every chunk that finished.
     collect_metrics:
         When true, each trial runs under a fresh worker-local metrics
@@ -202,9 +202,9 @@ def execute_tasks(
         fallback_trials=fallback_trials,
         executor=resolved,
     )
-    feed = active_telemetry()
-    if feed is not None:
-        feed.event(
+    log = active_log()
+    if log is not None:
+        log.event(
             "executor.resolved",
             executor=timings.executor,
             tasks=len(tasks),

@@ -19,7 +19,7 @@ from typing import Dict, List, Optional
 from repro.core.fast_complete import _BLOCK, CompleteRunResult
 from repro.core.stopping import MAX_STEPS_REASON
 from repro.obs.metrics import active_metrics
-from repro.obs.tracing import current_tracer
+from repro.obs.log import active_log
 from repro.rng import make_rng
 
 
@@ -59,7 +59,7 @@ def reference_run_div_complete(
             return "two_adjacent"
         return None
 
-    tracer = current_tracer()
+    log = active_log()
     metrics = active_metrics()
     support = len(present)
     initial_support = support
@@ -75,8 +75,8 @@ def reference_run_div_complete(
 
     stack = ExitStack()
     span = (
-        stack.enter_context(tracer.span("engine.run_complete"))
-        if tracer is not None
+        stack.enter_context(log.span("engine.run_complete"))
+        if log is not None
         else None
     )
     reason = stopped()
@@ -147,7 +147,7 @@ def reference_run_div_complete(
 
     if span is not None:
         accrue(step)
-        span.set(
+        span.update(
             engine="complete",
             steps=step,
             stop_reason=reason,
@@ -160,9 +160,8 @@ def reference_run_div_complete(
                 {"support": s, "steps": phase_steps[s], "seconds": 0.0}
                 for s in sorted(phase_steps, reverse=True)
             ],
+            transitions=transitions,
         )
-        for at_step, new_support in transitions:
-            span.event("phase.transition", step=at_step, support=new_support)
     stack.close()
     if metrics is not None:
         metrics.inc("engine.runs")

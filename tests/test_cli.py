@@ -83,6 +83,15 @@ class TestRun:
         assert main(["run", "E1", "--resume"]) == 2
         assert "--checkpoint-dir" in capsys.readouterr().err
 
+    def test_trace_dir_with_telemetry_exits_2(self, tmp_path, capsys):
+        argv = ["run", "E10", "--quick", "--checkpoint-dir", str(tmp_path / "c"),
+                "--telemetry", "--trace-dir", str(tmp_path / "t")]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("div-repro: error: --trace-dir and --telemetry")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "c").exists() and not (tmp_path / "t").exists()
+
     def test_bad_fault_spec_exits_2(self, capsys):
         assert main(["run", "E1", "--inject-faults", "explode@1"]) == 2
         assert "explode" in capsys.readouterr().err
@@ -268,6 +277,31 @@ class TestCampaignStatus:
         out = capsys.readouterr().out
         assert "E10 [quick] seed=5 — 6 journaled trial(s) in 1 batch(es)" in out
         assert "  b0000-trials-6: 6 trial(s)" in out
+
+    def test_damaged_record_listed_beside_intact_counts(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        _shrink_e10(monkeypatch)
+        ckpt = tmp_path / "ckpt"
+        assert (
+            main(
+                ["run", "E10", "--quick", "--seed", "5", "--checkpoint-dir", str(ckpt)]
+            )
+            == 0
+        )
+        victim = ckpt / "e10" / "trials" / "b0000-trials-6" / "t1.rec"
+        victim.write_bytes(b"garbage")
+        capsys.readouterr()
+        for command in (["campaign", "status"], ["checkpoint", "show"]):
+            assert main([*command, str(ckpt)]) == 1
+            out = capsys.readouterr().out
+            assert "— 5 journaled trial(s) in 1 batch(es)" in out
+            assert "  b0000-trials-6: 5 trial(s)" in out
+            assert (
+                f"  damaged: {victim} (--discard-corrupt deletes it and reruns "
+                "its trials)" in out
+            )
+        assert victim.read_bytes() == b"garbage"  # inspection never deletes
 
     def test_status_of_non_campaign_exits_2(self, tmp_path, capsys):
         assert main(["campaign", "status", str(tmp_path)]) == 2

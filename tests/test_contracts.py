@@ -9,8 +9,8 @@ under the drivers. The four contracts:
 1. **Determinism** — no global-state randomness and no unseeded
    generator anywhere in the tree; literal seeds are reproducible.
 2. **Worker ambient state** — a trial runs under the parent's kernel
-   choice and nothing else of the parent's ambient stacks (tracer,
-   profiler, telemetry feed, metrics registry), pooled or serial.
+   choice and nothing else of the parent's ambient stacks (event log,
+   profiler, metrics registry), pooled or serial.
 3. **Kernel-agnostic drivers** — experiment drivers and baselines never
    import a kernel module or hard-code a backend.
 4. **Substrate declaration** — a dynamics with a kernel fast path
@@ -39,10 +39,9 @@ import repro.parallel.base
 from repro.analysis.montecarlo import run_trials
 from repro.core.dynamics import BlockDynamics
 from repro.core.kernels import active_kernel, use_kernel
-from repro.obs import tracing
+from repro.obs.log import EventLog, active_log, recording
 from repro.obs.metrics import active_metrics, collecting
 from repro.obs.profile import active_profiler, profiling
-from repro.obs.telemetry import TelemetryFeed, active_telemetry, telemetering
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -183,11 +182,7 @@ PARENT_COUNTER = "contracts.parent_only"
 
 def ambient_probe(index: int, rng: np.random.Generator) -> List[str]:
     """A trial naming every piece of the parent's ambient state it sees."""
-    ambient = {
-        "tracer": tracing.current_tracer(),
-        "profiler": active_profiler(),
-        "telemetry": active_telemetry(),
-    }
+    ambient = {"log": active_log(), "profiler": active_profiler()}
     leaked = [name for name, live in ambient.items() if live is not None]
     registry = active_metrics()
     if registry is None or PARENT_COUNTER in registry.snapshot().counters:
@@ -202,9 +197,8 @@ def probe_under_parent_state(tmp_path: Path, **dispatch) -> List[List[str]]:
     with contextlib.ExitStack() as stack:
         stack.enter_context(use_kernel("loop"))
         stack.enter_context(collecting()).inc(PARENT_COUNTER)
-        stack.enter_context(tracing.activate(tracing.Tracer()))
+        stack.enter_context(recording(EventLog(tmp_path / "telemetry")))
         stack.enter_context(profiling())
-        stack.enter_context(telemetering(TelemetryFeed(tmp_path / "telemetry")))
         return run_trials(4, ambient_probe, seed=0, **dispatch).outcomes
 
 
@@ -220,9 +214,8 @@ class TestWorkerAmbientState:
     @pytest.mark.parametrize(
         "suspension, leak",
         [
-            ("tracing_suspended", "tracer"),
+            ("log_suspended", "log"),
             ("profiling_suspended", "profiler"),
-            ("telemetry_suspended", "telemetry"),
         ],
     )
     def test_seeded_violation_is_caught(self, tmp_path, monkeypatch, suspension, leak):

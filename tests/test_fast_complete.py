@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import hashlib
+import tempfile
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from repro.analysis.gof import chi_square_gof
 from repro.analysis.montecarlo import run_trials
 from repro.core.fast_complete import run_div_complete
 from repro.errors import ProcessError
-from repro.obs import Tracer, activate, collecting
+from repro.obs import EventLog, collecting, read_log, recording
 from tests.complete_reference import reference_run_div_complete
 
 
@@ -344,11 +345,11 @@ class TestDifferentialAgainstReference:
 
 
 def _traced(engine, kwargs):
-    """Run under a tracer and a metrics registry; return what they saw."""
-    tracer = Tracer()
-    with collecting() as registry, activate(tracer):
-        result = engine(**kwargs)
-    records = tracer.records()
+    """Run under an event log and a metrics registry; return what they saw."""
+    with tempfile.TemporaryDirectory() as scratch:
+        with collecting() as registry, recording(EventLog(scratch)) as log:
+            result = engine(**kwargs)
+        records = read_log(log.path).records
     (span,) = [r for r in records if r.get("name") == "engine.run_complete"]
     fields = {
         key: span[key]
@@ -362,9 +363,7 @@ def _traced(engine, kwargs):
         )
     }
     fields["phases"] = [(p["support"], p["steps"]) for p in span["phases"]]
-    events = [
-        (r["step"], r["support"]) for r in records if r.get("name") == "phase.transition"
-    ]
+    events = [tuple(transition) for transition in span["transitions"]]
     counters = {
         name: value
         for name, value in registry.snapshot().counters.items()

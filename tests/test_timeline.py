@@ -1,12 +1,12 @@
-"""Tests for campaign telemetry feeds, the merged timeline, and the CLI
-surface built on them (``campaign watch``, ``timeline report``,
-``bench compare``).
+"""Tests for the event log as a campaign feed, the campaign timeline
+folded from it, and the CLI surface built on them (``campaign watch``,
+``timeline report``, ``bench compare``).
 
 Covers the accounting rules (completed vs executed vs duplicates),
-merge determinism over shuffled and torn feeds, the heartbeat delta
+merge determinism over shuffled and torn logs, the heartbeat delta
 scheme reconstructing cumulative metrics exactly, the telemetry-drop
-fault, the zero-overhead contract when telemetry is off, an aborted and
-then resumed campaign reconciled against its journal, and the
+fault, the zero-overhead contract when no log is installed, an aborted
+and then resumed campaign reconciled against its journal, and the
 bench-compare perf gate's edge cases.
 """
 
@@ -22,7 +22,7 @@ import pytest
 
 from repro.analysis.montecarlo import run_trials, run_trials_over
 from repro.checkpoint import CheckpointJournal, campaign
-from repro.errors import BenchCompareError, ExperimentError, TelemetryError
+from repro.errors import BenchCompareError, EventLogError, ExperimentError
 from repro.faults import FaultPlan, InjectedAbort
 from repro.cli import main as cli_main
 from repro.obs.bench import (
@@ -32,20 +32,20 @@ from repro.obs.bench import (
     snapshot_origin,
 )
 from repro.obs.metrics import active_metrics, collecting
-from repro.obs.telemetry import (
+from repro.obs.log import (
     FEED_FORMAT,
     TELEMETRY_DIRNAME,
-    TelemetryFeed,
-    active_telemetry,
+    EventLog,
+    active_log,
+    read_log,
+    recording,
     suspended,
-    telemetering,
 )
-from repro.obs.timeline import (
-    LauncherTimeline,
-    load_timeline,
-    read_feed,
-    resolve_telemetry_dir,
-)
+from repro.obs.views import LauncherTimeline, campaign_timeline
+
+
+def load_timeline(source):
+    return campaign_timeline(read_log(source))
 
 
 def counting_trial(index, rng):
@@ -57,8 +57,8 @@ def counting_trial(index, rng):
 
 
 def probe_trial(index, rng):
-    """Returns whether the worker saw an ambient feed (it never should)."""
-    return (index, active_telemetry() is not None)
+    """Returns whether the worker saw an ambient log (it never should)."""
+    return (index, active_log() is not None)
 
 
 def journal_trial(index, rng):
@@ -152,14 +152,14 @@ def hand_built_campaign(root, age=120.0):
 
 class TestFeed:
     def test_hello_first_bye_last_seq_monotonic(self, tmp_path):
-        feed = TelemetryFeed(tmp_path / TELEMETRY_DIRNAME, experiment="E99")
-        feed.batch_begin("b0", "trials", 2)
-        feed.trial(0, 0.01, "w")
-        feed.trial(1, 0.02, "w")
-        feed.batch_end("b0", "serial", 0.05, 2)
+        feed = EventLog(tmp_path / TELEMETRY_DIRNAME, experiment="E99")
+        with feed.batch("b0", "trials", 2) as end:
+            feed.trial(0, 0.01, "w")
+            feed.trial(1, 0.02, "w")
+            end["executor"] = "serial"
         feed.close()
-        records, torn = read_feed(feed.path)
-        assert torn == 0
+        records, torn = read_log(feed.path)
+        assert torn == {}
         assert [r["seq"] for r in records] == list(range(len(records)))
         assert records[0]["kind"] == "hello"
         assert records[0]["format"] == FEED_FORMAT
@@ -167,25 +167,29 @@ class TestFeed:
         assert records[-1]["kind"] == "bye"
 
     def test_close_is_idempotent(self, tmp_path):
-        feed = TelemetryFeed(tmp_path / TELEMETRY_DIRNAME)
+        feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
         feed.close()
         feed.close()
-        records, _ = read_feed(feed.path)
+        records, _ = read_log(feed.path)
         assert [r["kind"] for r in records] == ["hello", "bye"]
 
     def test_anonymous_batch_key_is_deterministic(self, tmp_path):
-        feed = TelemetryFeed(tmp_path / TELEMETRY_DIRNAME)
-        key = feed.batch_begin(None, "trials", 8)
-        assert key == "anon-0000-trials-8"
+        feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
+        with feed.batch(None, "trials", 8):
+            feed.trial(0, 0.01, "w")
+        feed.close()
+        records, _ = read_log(feed.path)
+        assert {r["batch"] for r in records if "batch" in r} == {
+            "anon-0000-trials-8"
+        }
 
     def test_heartbeat_deltas_reconstruct_metrics_exactly(self, tmp_path):
         values = [2.0, 4.0, 5.0, 1.0, 8.0]
         with collecting() as registry:
-            feed = TelemetryFeed(
+            feed = EventLog(
                 tmp_path / TELEMETRY_DIRNAME, heartbeat_interval=0.0
             )
-            with telemetering(feed):
-                feed.batch_begin("b0", "trials", len(values))
+            with recording(feed), feed.batch("b0", "trials", len(values)):
                 for index, value in enumerate(values):
                     registry.inc("trials.done")
                     registry.observe("trial.seconds", value)
@@ -206,30 +210,29 @@ class TestFeed:
         assert merged.stddev == pytest.approx(reference.stddev)
 
     def test_drop_indices_suppress_trial_records(self, tmp_path):
-        feed = TelemetryFeed(
+        feed = EventLog(
             tmp_path / TELEMETRY_DIRNAME, drop_indices=(1, 3)
         )
-        feed.batch_begin("b0", "trials", 4)
-        for index in range(4):
-            feed.trial(index, 0.01, "w")
+        with feed.batch("b0", "trials", 4):
+            for index in range(4):
+                feed.trial(index, 0.01, "w")
         feed.close()
-        records, _ = read_feed(feed.path)
+        records, _ = read_log(feed.path)
         trial_indices = [r["index"] for r in records if r["kind"] == "trial"]
         assert trial_indices == [0, 2]
         assert records[-1]["kind"] == "bye"
         assert records[-1]["dropped"] == 2
 
-    def test_failing_filesystem_disables_feed_with_warning(
-        self, tmp_path, monkeypatch
-    ):
-        import repro.io as io_module
+    def test_failing_filesystem_disables_feed_with_warning(self, tmp_path):
+        class FullDisk:
+            def write(self, data):
+                raise OSError("disk full")
 
-        feed = TelemetryFeed(tmp_path / TELEMETRY_DIRNAME)
+            def close(self):
+                pass
 
-        def explode(path, record):
-            raise OSError("disk full")
-
-        monkeypatch.setattr(io_module, "append_jsonl_line", explode)
+        feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
+        handle, feed._file = feed._file, FullDisk()
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             feed.trial(0, 0.01, "w")
@@ -243,18 +246,18 @@ class TestFeed:
         assert len(messages) == 1
         assert "stopped writing" in messages[0]
         # Only the hello made it to disk; no bye after the failure.
-        monkeypatch.undo()
-        records, _ = read_feed(feed.path)
+        handle.close()
+        records, _ = read_log(feed.path)
         assert [r["kind"] for r in records] == ["hello"]
 
     def test_suspended_hides_ambient_feed(self, tmp_path):
-        feed = TelemetryFeed(tmp_path / TELEMETRY_DIRNAME)
-        with telemetering(feed):
-            assert active_telemetry() is feed
+        feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
+        with recording(feed):
+            assert active_log() is feed
             with suspended():
-                assert active_telemetry() is None
-            assert active_telemetry() is feed
-        assert active_telemetry() is None
+                assert active_log() is None
+            assert active_log() is feed
+        assert active_log() is None
 
 
 class TestMergeDeterminism:
@@ -293,26 +296,29 @@ class TestMergeDeterminism:
         assert timeline.launchers["beta"].torn_lines == 1
         assert timeline.completed == 3  # the tear costs nothing else
 
-    def test_malformed_and_unknown_records_tolerated(self, tmp_path):
+    def test_unknown_kinds_pass_and_malformed_lines_raise(self, tmp_path):
         telemetry = tmp_path / TELEMETRY_DIRNAME
-        write_feed(
-            telemetry,
-            "feed.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "solo",
-                },
-                {"seq": 1, "t": 2.0, "kind": "sparkle", "payload": 7},
-            ],
-        )
-        with open(telemetry / "feed.jsonl", "a", encoding="utf-8") as handle:
-            handle.write("not json at all\n")
-            handle.write('{"t": 3.0, "no": "seq or kind"}\n')
+        records = [
+            {
+                "seq": 0, "t": 1.0, "kind": "hello",
+                "format": FEED_FORMAT, "launcher": "solo",
+            },
+            {"seq": 1, "t": 2.0, "kind": "sparkle", "payload": 7},
+        ]
+        path = write_feed(telemetry, "feed.jsonl", records)
         timeline = load_timeline(tmp_path)
-        assert timeline.torn_lines == 2
+        assert timeline.torn_lines == 0
         # Unknown kinds survive into the event stream (forward compat).
         assert [e["kind"] for e in timeline.events] == ["hello", "sparkle"]
+        # Only a cut final line is debris; a whole malformed line is
+        # damage, reported with its file and line.
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write("not json at all\n")
+        with pytest.raises(EventLogError, match="feed.jsonl:3: malformed"):
+            load_timeline(tmp_path)
+        write_feed(telemetry, "feed.jsonl", records + [{"t": 3.0, "no": "kind"}])
+        with pytest.raises(EventLogError, match="feed.jsonl:3: not a log record"):
+            load_timeline(tmp_path)
 
     def test_empty_telemetry_dir_is_empty_timeline(self, tmp_path):
         (tmp_path / TELEMETRY_DIRNAME).mkdir()
@@ -321,11 +327,11 @@ class TestMergeDeterminism:
         assert timeline.total == 0
 
     def test_missing_directory_raises(self, tmp_path):
-        with pytest.raises(TelemetryError, match="no such campaign"):
+        with pytest.raises(EventLogError, match="no such log file or directory"):
             load_timeline(tmp_path / "nope")
 
     def test_untelemetered_campaign_raises(self, tmp_path):
-        with pytest.raises(TelemetryError, match="has no telemetry/"):
+        with pytest.raises(EventLogError, match="has no telemetry/"):
             load_timeline(tmp_path)
 
     def test_foreign_format_feed_rejected(self, tmp_path):
@@ -334,14 +340,14 @@ class TestMergeDeterminism:
             "feed.jsonl",
             [{"seq": 0, "t": 1.0, "kind": "hello", "format": "otherproduct"}],
         )
-        with pytest.raises(TelemetryError, match="not a telemetry feed"):
+        with pytest.raises(EventLogError, match="not a div-repro event log"):
             load_timeline(tmp_path)
 
     def test_resolve_accepts_telemetry_dir_itself(self, tmp_path):
+        hand_built_campaign(tmp_path)
         telemetry = tmp_path / TELEMETRY_DIRNAME
-        telemetry.mkdir()
-        assert resolve_telemetry_dir(telemetry) == telemetry
-        assert resolve_telemetry_dir(tmp_path) == telemetry
+        assert read_log(telemetry) == read_log(tmp_path)
+        assert len(read_log(telemetry).records) == 9
 
 
 class TestTimelineAccounting:
@@ -415,13 +421,14 @@ class TestTimelineAccounting:
         timeline = load_timeline(hand_built_campaign(tmp_path))
         series = timeline.throughput_series(1.0)
         assert series == [(0.0, 4)]
-        with pytest.raises(TelemetryError, match="bin width"):
+        with pytest.raises(EventLogError, match="bin width"):
             timeline.throughput_series(0.0)
 
     def test_stale_launcher_detection(self, tmp_path):
         timeline = load_timeline(hand_built_campaign(tmp_path))
-        stale = timeline.stale_launchers(time.time())
-        assert [launcher.name for launcher in stale] == ["beta"]
+        now = time.time()
+        stale = [name for name, l in timeline.launchers.items() if l.is_stale(now)]
+        assert stale == ["beta"]
 
     def test_is_stale_unit(self):
         launcher = LauncherTimeline(
@@ -580,7 +587,7 @@ class TestTimelineAccounting:
 
 class TestAmbientIntegration:
     def test_off_means_off(self, tmp_path):
-        assert active_telemetry() is None
+        assert active_log() is None
         batch = run_trials(6, probe_trial, seed=1)
         # No worker/trial ever observed a feed, and nothing hit the disk.
         assert all(saw is False for _, saw in batch.outcomes)
@@ -588,10 +595,10 @@ class TestAmbientIntegration:
 
     def test_serial_run_trials_streams_batch(self, tmp_path):
         with collecting():
-            feed = TelemetryFeed(
+            feed = EventLog(
                 tmp_path / TELEMETRY_DIRNAME, heartbeat_interval=0.0
             )
-            with telemetering(feed):
+            with recording(feed):
                 run_trials(8, counting_trial, seed=3)
         timeline = load_timeline(tmp_path)
         assert timeline.completed == 8
@@ -606,8 +613,8 @@ class TestAmbientIntegration:
         assert histogram.maximum == pytest.approx(7.0)
 
     def test_workers_do_not_double_report(self, tmp_path):
-        feed = TelemetryFeed(tmp_path / TELEMETRY_DIRNAME)
-        with telemetering(feed):
+        feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
+        with recording(feed):
             batch = run_trials(8, probe_trial, seed=3, workers=2)
         assert all(saw is False for _, saw in batch.outcomes)
         timeline = load_timeline(tmp_path)
@@ -616,10 +623,10 @@ class TestAmbientIntegration:
 
     def test_journal_campaign_reconciles_with_journal(self, tmp_path):
         journal = _open_journal(tmp_path / "camp")
-        feed = TelemetryFeed(
+        feed = EventLog(
             tmp_path / "camp" / TELEMETRY_DIRNAME, heartbeat_interval=0.0
         )
-        with collecting(), telemetering(feed):
+        with collecting(), recording(feed):
             with campaign(journal):
                 run_trials(16, journal_trial, seed=7, workers=2, chunk_size=4)
         timeline = load_timeline(tmp_path / "camp")
@@ -635,15 +642,15 @@ class TestAmbientIntegration:
 
     def test_aborted_and_resumed_launchers_one_timeline(self, tmp_path):
         directory = tmp_path / "camp"
-        first = TelemetryFeed(directory / TELEMETRY_DIRNAME)
+        first = EventLog(directory / TELEMETRY_DIRNAME)
         with pytest.raises(InjectedAbort):
-            with collecting(), telemetering(first):
+            with collecting(), recording(first):
                 with campaign(
                     _open_journal(directory), FaultPlan.parse("abort@20")
                 ):
                     run_trials(40, journal_trial, seed=5, workers=2)
-        second = TelemetryFeed(directory / TELEMETRY_DIRNAME)
-        with collecting(), telemetering(second):
+        second = EventLog(directory / TELEMETRY_DIRNAME)
+        with collecting(), recording(second):
             with campaign(_open_journal(directory)):
                 run_trials(40, journal_trial, seed=5, workers=2)
         timeline = load_timeline(directory)
@@ -668,9 +675,9 @@ class TestAmbientIntegration:
     @pytest.mark.parametrize("grid", [False, True], ids=["trials", "grid"])
     def test_abort_leaves_feed_equal_to_journal(self, tmp_path, workers, grid):
         directory = tmp_path / "camp"
-        feed = TelemetryFeed(directory / TELEMETRY_DIRNAME)
+        feed = EventLog(directory / TELEMETRY_DIRNAME)
         with pytest.raises(InjectedAbort):
-            with telemetering(feed):
+            with recording(feed):
                 with campaign(
                     _open_journal(directory), FaultPlan.parse("abort@13")
                 ):

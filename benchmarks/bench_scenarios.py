@@ -75,8 +75,9 @@ def test_static_baseline_throughput(benchmark):
 
 
 def test_churn_throughput(benchmark):
-    """Epoch boundaries every 10k steps: 50 rewiring events per round,
-    each rebuilding the scheduler cache and rebinding the state."""
+    """Epoch boundaries every 10k steps: a 500k-step round crosses 49 of
+    them (10k … 490k), each a rewiring event that rebuilds the scheduler
+    cache and rebinds the state."""
 
     def build(graph):
         substrate = Substrate(

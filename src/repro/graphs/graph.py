@@ -39,6 +39,7 @@ class Graph:
         "_indices",
         "_edge_array",
         "_degrees",
+        "_upper",
         "name",
     )
 
@@ -86,21 +87,24 @@ class Graph:
         n: int,
         indptr: np.ndarray,
         indices: np.ndarray,
-        edge_array: np.ndarray,
-        degrees: Optional[np.ndarray],
+        degrees: np.ndarray,
+        upper: np.ndarray,
         name: str,
     ) -> "Graph":
         """Adopt canonical CSR arrays as they are, skipping canonicalisation.
 
         For internal producers that already hold canonical arrays — every
-        ``indices`` row sorted, ``edge_array`` lexicographically sorted
-        ``u < v`` rows — such as churn, which patches a few rows of a
-        parent graph and shares its ``indptr`` and ``degrees``.  The
-        caller is responsible for their validity; outside input goes
-        through the validating public constructor.
+        ``indices`` row sorted, ``upper`` the matching
+        :attr:`upper_offsets` — such as churn, which patches a few rows
+        of a parent graph and shares its ``indptr`` and ``degrees``.  The
+        edge list is left unbuilt until :attr:`edge_array` is first read.
+        The caller is responsible for the arrays' validity; outside input
+        goes through the validating public constructor.
         """
         graph = cls.__new__(cls)
-        graph._adopt(n, indptr, indices, edge_array, degrees, name)
+        graph._adopt(n, indptr, indices, None, degrees, name)
+        upper.setflags(write=False)
+        graph._upper = upper
         return graph
 
     def _adopt(
@@ -108,19 +112,21 @@ class Graph:
         n: int,
         indptr: np.ndarray,
         indices: np.ndarray,
-        edge_array: np.ndarray,
+        edge_array: Optional[np.ndarray],
         degrees: Optional[np.ndarray],
         name: str,
     ) -> None:
         self._n = int(n)
-        self._m = int(edge_array.shape[0])
+        self._m = int(indices.size // 2)
         self.name = name
         self._indptr = indptr
         self._indices = indices
         self._edge_array = edge_array
         self._degrees = degrees
+        self._upper = None
         for array in (indptr, indices, edge_array):
-            array.setflags(write=False)
+            if array is not None:
+                array.setflags(write=False)
 
     # ------------------------------------------------------------------
     # Basic properties
@@ -157,8 +163,38 @@ class Graph:
 
     @property
     def edge_array(self) -> np.ndarray:
-        """All edges as an ``(m, 2)`` array with ``u < v`` rows (read-only)."""
+        """All edges as an ``(m, 2)`` array with ``u < v`` rows (read-only).
+
+        Rows are in lexicographic order, which is the CSR order of each
+        vertex's neighbours above it.  The public constructor builds the
+        array eagerly; a graph produced by churn builds it from its CSR
+        rows on first access and caches it, so a run that never draws
+        edges (the vertex process) never pays for it.
+        """
+        if self._edge_array is None:
+            owner = np.repeat(np.arange(self._n), self.degrees)
+            above = self._indices > owner
+            edges = np.stack([owner[above], self._indices[above]], axis=1)
+            edges.setflags(write=False)
+            self._edge_array = edges
         return self._edge_array
+
+    @property
+    def upper_offsets(self) -> np.ndarray:
+        """Where each vertex's edges start in :attr:`edge_array` (read-only).
+
+        An ``n + 1`` prefix sum: ``upper_offsets[u]`` counts the edges
+        whose lower endpoint is below ``u``, so the edge of rank ``i`` is
+        ``(u, v)`` with ``u = searchsorted(upper_offsets, i, 'right') - 1``
+        and ``v`` the ``(i - upper_offsets[u])``-th neighbour of ``u``
+        above ``u``.  Cached; churn derives a rewired graph's offsets
+        from its parent's.
+        """
+        if self._upper is None:
+            upper = np.searchsorted(self.edge_array[:, 0], np.arange(self._n + 1))
+            upper.setflags(write=False)
+            self._upper = upper
+        return self._upper
 
     def degree(self, v: int) -> int:
         """Degree of vertex ``v``."""
@@ -180,7 +216,7 @@ class Graph:
 
     def edges(self) -> Iterator[Edge]:
         """Iterate over edges as ``(u, v)`` with ``u < v``."""
-        for u, v in self._edge_array:
+        for u, v in self.edge_array:
             yield int(u), int(v)
 
     # ------------------------------------------------------------------
@@ -253,11 +289,11 @@ class Graph:
         return (
             self._n == other._n
             and self._m == other._m
-            and np.array_equal(self._edge_array, other._edge_array)
+            and np.array_equal(self.edge_array, other.edge_array)
         )
 
     def __hash__(self) -> int:
-        return hash((self._n, self._m, self._edge_array.tobytes()))
+        return hash((self._n, self._m, self.edge_array.tobytes()))
 
     def _check_vertex(self, v: int) -> None:
         if not 0 <= v < self._n:

@@ -62,7 +62,7 @@ def _bench_engine(benchmark, scenario, build, expected_kernel="block"):
         assert result.kernel == expected_kernel
         return result
 
-    benchmark.pedantic(run, rounds=3, iterations=1)
+    benchmark.pedantic(run, rounds=10, iterations=1)
 
 
 def test_static_baseline_throughput(benchmark):

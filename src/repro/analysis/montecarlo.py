@@ -5,12 +5,14 @@ Every experiment in this package repeats a stochastic run many times.
 single master seed (see :mod:`repro.rng`), so results are exactly
 reproducible and trials remain statistically independent.
 
-Passing ``workers=N`` dispatches the trials across ``N`` worker
-processes (see :mod:`repro.parallel`). The per-trial seed sequences are
-spawned in the parent exactly as on the serial path and only the trial
-execution is farmed out, so for the same master seed the outcomes are
-bit-for-bit identical to ``workers=None`` — parallelism is purely a
-wall-clock optimization.
+Both drivers spawn the per-trial seed sequences here, build one flat
+``(index, args, SeedSequence)`` task list and run it through
+:func:`repro.parallel.execute_tasks` — the one code path that executes
+trials. ``workers=None`` runs them one at a time in this process, under
+its event log and profiler; ``workers=N`` farms them out to ``N``
+worker processes. Only trial execution moves, never seeding, so for
+the same master seed the outcomes are bit-for-bit identical for any
+worker count — parallelism is purely a wall-clock optimization.
 
 Inside an active checkpoint campaign (:func:`repro.checkpoint.campaign`)
 both drivers journal every finished chunk of trials and skip trials
@@ -22,10 +24,9 @@ an uninterrupted run.
 
 from __future__ import annotations
 
-import time
-from contextlib import ExitStack
+from contextlib import nullcontext
 from dataclasses import dataclass
-from typing import Callable, Dict, Generic, List, Optional, Sequence, TypeVar
+from typing import Callable, Generic, List, Optional, Sequence, TypeVar
 
 import numpy as np
 
@@ -37,12 +38,11 @@ from repro.obs.metrics import (
     MetricsRegistry,
     MetricsSnapshot,
     active_metrics,
-    collecting,
     merge_snapshots,
 )
 from repro.obs.log import EventLog, active_log
-from repro.parallel import TrialRecord, TrialTimings, execute_tasks
-from repro.rng import RngLike, make_rng, spawn_rngs, spawn_seed_sequences
+from repro.parallel import TrialRecord, TrialTask, TrialTimings, execute_tasks
+from repro.rng import RngLike, make_rng, spawn_seed_sequences
 
 T = TypeVar("T")
 
@@ -55,10 +55,10 @@ class TrialSet(Generic[T]):
     """Outcomes of a batch of independent trials.
 
     ``timings`` carries per-trial wall-time and per-worker throughput
-    when the batch ran through the parallel layer (``workers`` set);
-    it is ``None`` on the plain serial path. ``metrics`` is the merged
-    :class:`~repro.obs.metrics.MetricsSnapshot` of every trial executed
-    in this batch when an ambient metrics registry was active (see
+    when the batch was asked for ``workers`` or a named executor; it
+    is ``None`` for a default ``workers=None`` batch. ``metrics`` is the
+    merged :class:`~repro.obs.metrics.MetricsSnapshot` of every trial
+    executed in this batch when an ambient metrics registry was active (see
     :func:`repro.obs.metrics.collecting`); its counters are identical
     across worker counts, like the outcomes themselves.
     """
@@ -124,77 +124,19 @@ def run_trials(
     ``executor`` selects how the batch runs (``"auto"``, ``"serial"``
     or ``"pool"``; see :func:`repro.parallel.execute_tasks`); unset, it
     falls back to the ambient campaign session's choice and then to
-    ``"auto"``. An explicit ``"serial"`` or ``"pool"`` routes the batch
-    through :func:`repro.parallel.execute_tasks` even with
-    ``workers=None`` (one worker). Outcomes never depend on the
-    executor.
+    ``"auto"``. Outcomes never depend on the executor. ``timings`` is
+    attached only when ``workers`` or a non-``"auto"`` executor was
+    asked for.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
-    session = current_session()
-    batch, cached = _open_batch(session, "trials", trials)
-    fault_plan, timeout, max_retries, executor = _session_overrides(
-        session, fault_plan, timeout, max_retries, executor
+    trial_seeds = spawn_seed_sequences(seed, trials)
+    tasks = [(i, (i,), trial_seeds[i]) for i in range(trials)]
+    (trial_set,) = _run_batch(
+        "trials", trial, tasks, trials, workers, chunk_size, timeout,
+        max_retries, fault_plan, kernel, executor,
     )
-    log = active_log()
-    parent_metrics = active_metrics()
-    deliver = _deliverer(session, batch, log)
-    with ExitStack() as stack:
-        stack.enter_context(use_kernel(kernel))
-        end = (
-            stack.enter_context(log.batch(batch, "trials", trials, len(cached)))
-            if log is not None
-            else {}
-        )
-        if workers is None and executor in (None, "auto"):
-            rngs = spawn_rngs(seed, trials)
-            outcomes: List[T] = []
-            snapshots: List[MetricsSnapshot] = []
-            for i in range(trials):
-                if i in cached:
-                    outcomes.append(cached[i])
-                    continue
-                trial_started = time.perf_counter()
-                outcome, snapshot = _run_local_trial(
-                    trial, (i,), rngs[i], parent_metrics
-                )
-                if snapshot is not None:
-                    snapshots.append(snapshot)
-                seconds = time.perf_counter() - trial_started
-                deliver([TrialRecord(i, outcome, seconds, "local")])
-                outcomes.append(outcome)
-            end["executor"] = "serial"
-            return TrialSet(
-                outcomes=outcomes,
-                metrics=_merged_metrics(snapshots, parent_metrics),
-                executor="serial",
-            )
-        trial_seeds = spawn_seed_sequences(seed, trials)
-        tasks = [
-            (i, (i,), trial_seeds[i]) for i in range(trials) if i not in cached
-        ]
-        records, timings = execute_tasks(
-            trial,
-            tasks,
-            workers if workers is not None else 1,
-            fault_plan=fault_plan,
-            on_chunk=deliver,
-            collect_metrics=parent_metrics is not None,
-            kernel=active_kernel(),
-            executor=executor,
-            **_parallel_kwargs(chunk_size, timeout, max_retries),
-        )
-        end["executor"] = timings.executor
-        merged: Dict[int, object] = dict(cached)
-        merged.update((r.index, r.outcome) for r in records)
-        return TrialSet(
-            outcomes=[merged[i] for i in range(trials)],
-            timings=timings,
-            metrics=_merged_metrics(
-                [r.metrics for r in records], parent_metrics
-            ),
-            executor=timings.executor,
-        )
+    return trial_set
 
 
 def run_trials_over(
@@ -218,14 +160,14 @@ def run_trials_over(
     gets its own spawned seed so adding parameters never perturbs the
     others' streams.
 
-    With ``workers=N`` the full ``parameters × trials`` grid is flattened
-    into one task list and dispatched across the pool (better load
+    The full ``parameters × trials`` grid is flattened into one task
+    list and dispatched as one batch (with ``workers=N``, better load
     balance than parallelizing per parameter); outcomes are reassembled
-    per parameter, bit-for-bit identical to the serial path. Checkpoint
-    journaling keys trials by their flat grid index
-    (``parameter_index * trials + trial_index``) on both paths, so a
-    campaign interrupted under one worker count resumes correctly under
-    any other.
+    per parameter, bit-for-bit identical for any worker count.
+    Checkpoint journaling keys trials by their flat grid index
+    (``parameter_index * trials + trial_index``), so a campaign
+    interrupted under one worker count resumes correctly under any
+    other.
 
     ``kernel`` and ``executor`` behave as in :func:`run_trials`:
     ambient/session-resolved, shipped to wherever trials execute,
@@ -233,132 +175,102 @@ def run_trials_over(
     """
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
+    tasks = []
+    for p_index, (parameter, batch_seed) in enumerate(
+        zip(parameters, spawn_seed_sequences(seed, len(parameters)))
+    ):
+        # Spawned from the per-parameter generator, not the sequence
+        # itself: the derivation every journaled campaign was seeded by.
+        trial_seeds = spawn_seed_sequences(make_rng(batch_seed), trials)
+        tasks.extend(
+            (p_index * trials + i, (parameter, i), trial_seeds[i])
+            for i in range(trials)
+        )
+    trial_sets = _run_batch(
+        "grid", trial, tasks, trials, workers, chunk_size, timeout,
+        max_retries, fault_plan, kernel, executor,
+    )
+    return list(zip(parameters, trial_sets))
+
+
+def _run_batch(
+    kind: str,
+    trial: Callable,
+    tasks: Sequence[TrialTask],
+    trials: int,
+    workers: Optional[int],
+    chunk_size: Optional[int],
+    timeout: Optional[float],
+    max_retries: Optional[int],
+    fault_plan: Optional[FaultPlan],
+    kernel: Optional[str],
+    executor: Optional[str],
+) -> List[TrialSet]:
+    """Run one flat batch of tasks; one :class:`TrialSet` per ``trials``.
+
+    Opens the batch in the ambient campaign session (skipping journaled
+    trials), fills unset knobs from the session, brackets the batch in
+    the ambient event log and hands the rest to
+    :func:`repro.parallel.execute_tasks`. Task ``i`` of ``tasks`` must
+    carry flat index ``i``.
+    """
     session = current_session()
-    grid_key, cached = _open_batch(session, "grid", len(parameters) * trials)
+    batch, cached = _open_batch(session, kind, len(tasks))
     fault_plan, timeout, max_retries, executor = _session_overrides(
         session, fault_plan, timeout, max_retries, executor
     )
+    instrumented = workers is not None or executor not in (None, "auto")
     log = active_log()
     parent_metrics = active_metrics()
-    deliver = _deliverer(session, grid_key, log)
-    batch_seeds = spawn_seed_sequences(seed, len(parameters))
-    with ExitStack() as stack:
-        stack.enter_context(use_kernel(kernel))
-        end = (
-            stack.enter_context(
-                log.batch(grid_key, "grid", len(parameters) * trials, len(cached))
-            )
-            if log is not None
-            else {}
-        )
-        if workers is None and executor in (None, "auto"):
-            results = []
-            for p_index, (parameter, batch_seed) in enumerate(
-                zip(parameters, batch_seeds)
-            ):
-                rngs = spawn_rngs(make_rng(batch_seed), trials)
-                outcomes = []
-                snapshots: List[MetricsSnapshot] = []
-                for i in range(trials):
-                    flat = p_index * trials + i
-                    if flat in cached:
-                        outcomes.append(cached[flat])
-                        continue
-                    trial_started = time.perf_counter()
-                    outcome, snapshot = _run_local_trial(
-                        trial, (parameter, i), rngs[i], parent_metrics
-                    )
-                    if snapshot is not None:
-                        snapshots.append(snapshot)
-                    seconds = time.perf_counter() - trial_started
-                    deliver([TrialRecord(flat, outcome, seconds, "local")])
-                    outcomes.append(outcome)
-                results.append(
-                    (
-                        parameter,
-                        TrialSet(
-                            outcomes=outcomes,
-                            metrics=_merged_metrics(snapshots, parent_metrics),
-                            executor="serial",
-                        ),
-                    )
-                )
-            end["executor"] = "serial"
-            return results
-
-        tasks = []
-        for p_index, (parameter, batch_seed) in enumerate(
-            zip(parameters, batch_seeds)
-        ):
-            # Spawning from the per-parameter generator (not the sequence
-            # directly) reproduces the serial path's derivation exactly.
-            trial_seeds = spawn_seed_sequences(make_rng(batch_seed), trials)
-            for i in range(trials):
-                flat = p_index * trials + i
-                if flat not in cached:
-                    tasks.append((flat, (parameter, i), trial_seeds[i]))
+    bracket = (
+        log.batch(batch, kind, len(tasks), len(cached))
+        if log is not None
+        else nullcontext({})
+    )
+    with use_kernel(kernel), bracket as end:
         records, timings = execute_tasks(
             trial,
-            tasks,
-            workers if workers is not None else 1,
+            [task for task in tasks if task[0] not in cached],
+            1 if workers is None else workers,
+            chunk_size=chunk_size,
+            timeout=timeout,
+            max_retries=max_retries,
             fault_plan=fault_plan,
-            on_chunk=deliver,
+            on_chunk=_deliverer(session, batch, log),
             collect_metrics=parent_metrics is not None,
             kernel=active_kernel(),
             executor=executor,
-            **_parallel_kwargs(chunk_size, timeout, max_retries),
         )
         end["executor"] = timings.executor
-        merged: Dict[int, object] = dict(cached)
-        merged.update((r.index, r.outcome) for r in records)
-        executed = {r.index: r for r in records}
-        results = []
-        for p_index, parameter in enumerate(parameters):
-            indices = range(p_index * trials, (p_index + 1) * trials)
-            slice_records = [executed[i] for i in indices if i in executed]
-            batch_timings = TrialTimings.from_records(
-                slice_records,
-                mode=timings.mode,
-                requested_workers=timings.requested_workers,
-                total_seconds=timings.total_seconds,
-                retries=timings.retries,
-                fallback_trials=timings.fallback_trials,
+    executed = {r.index: r for r in records}
+    trial_sets = []
+    for start in range(0, len(tasks), trials):
+        indices = range(start, start + trials)
+        ran = [executed[i] for i in indices if i in executed]
+        trial_sets.append(
+            TrialSet(
+                outcomes=[
+                    cached[i] if i in cached else executed[i].outcome
+                    for i in indices
+                ],
+                timings=(
+                    TrialTimings.from_records(
+                        ran,
+                        mode=timings.mode,
+                        requested_workers=timings.requested_workers,
+                        total_seconds=timings.total_seconds,
+                        retries=timings.retries,
+                        fallback_trials=timings.fallback_trials,
+                        executor=timings.executor,
+                    )
+                    if instrumented
+                    else None
+                ),
+                metrics=_merged_metrics([r.metrics for r in ran], parent_metrics),
                 executor=timings.executor,
             )
-            results.append(
-                (
-                    parameter,
-                    TrialSet(
-                        outcomes=[merged[i] for i in indices],
-                        timings=batch_timings,
-                        metrics=_merged_metrics(
-                            [r.metrics for r in slice_records], parent_metrics
-                        ),
-                        executor=timings.executor,
-                    ),
-                )
-            )
-        return results
-
-
-def _run_local_trial(
-    trial: Callable,
-    args: tuple,
-    rng: np.random.Generator,
-    parent_metrics: Optional[MetricsRegistry],
-) -> tuple:
-    """Run one serial trial; returns ``(outcome, snapshot)``.
-
-    The snapshot is ``None`` unless a parent registry is collecting. The
-    trial then runs under a fresh child registry so its snapshot matches
-    what a worker process would ship back, keeping serial and parallel
-    aggregation identical.
-    """
-    if parent_metrics is None:
-        return trial(*args, rng), None
-    with collecting() as registry:
-        outcome = trial(*args, rng)
-    return outcome, registry.snapshot()
+        )
+    return trial_sets
 
 
 def _merged_metrics(
@@ -368,8 +280,8 @@ def _merged_metrics(
     """Merge per-trial snapshots into a batch snapshot (``None`` if idle).
 
     The merged snapshot is absorbed into the parent registry here —
-    exactly once per trial, on both the serial and the parallel path —
-    so ambient totals and per-batch ``TrialSet.metrics`` stay in sync.
+    exactly once per trial, whichever executor ran it — so ambient
+    totals and per-batch ``TrialSet.metrics`` stay in sync.
     """
     if parent_metrics is None:
         return None
@@ -414,10 +326,10 @@ def _deliverer(
     """Hand on a finished chunk: journal it in one write, log one record
     per trial, then fire scripted aborts.
 
-    Both the in-process path (chunks of one trial) and
-    :func:`repro.parallel.execute_tasks` deliver through it, so a
-    launcher killed between the two writes never leaves its log ahead
-    of its journal, and an injected ``abort`` leaves the two equal.
+    :func:`repro.parallel.execute_tasks` calls it once per chunk (one
+    trial per chunk in process), so a launcher killed between the two
+    writes never leaves its log ahead of its journal, and an injected
+    ``abort`` leaves the two equal.
     """
 
     def deliver(records: Sequence[TrialRecord]) -> None:
@@ -431,13 +343,3 @@ def _deliverer(
 
     return deliver
 
-
-def _parallel_kwargs(
-    chunk_size: Optional[int],
-    timeout: Optional[float],
-    max_retries: Optional[int],
-) -> dict:
-    kwargs = {"chunk_size": chunk_size, "timeout": timeout}
-    if max_retries is not None:
-        kwargs["max_retries"] = max_retries
-    return kwargs

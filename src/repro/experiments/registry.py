@@ -204,15 +204,6 @@ class ExperimentSpec:
                     checkpointed=journal is not None,
                     kernel="auto" if kernel is None else kernel,
                 )
-            if (
-                journal is None
-                and fault_plan is None
-                and trial_timeout is None
-                and max_retries is None
-                and executor is None
-            ):
-                # No campaign machinery requested: plain direct run.
-                return self.run(config, seed=seed, **self._run_kwargs(workers))
             with campaign(
                 journal,
                 fault_plan,

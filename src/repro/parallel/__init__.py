@@ -3,22 +3,23 @@
 The Monte-Carlo drivers in :mod:`repro.analysis.montecarlo` already pay
 for per-trial :class:`~numpy.random.SeedSequence` independence; this
 package turns that independence into wall-clock speedup.
-:func:`execute_tasks` runs a batch one of two ways:
+:func:`execute_tasks` runs every trial batch, one of two ways:
 
-* ``serial`` — instrumented in-process execution (``workers=1``);
+* ``serial`` — in-process execution (``workers=None`` or ``1``), under
+  the launcher's own event log and profiler;
 * ``pool`` — a local :class:`~concurrent.futures.ProcessPoolExecutor`
-  with bounded retries and transparent in-process fallback.
+  with bounded retries and transparent in-process fallback; workers
+  hide the log and profiler they inherit.
 
 Determinism contract
 --------------------
-The parent process spawns the per-trial seed sequences exactly as the
-serial path does (:func:`repro.rng.spawn_seed_sequences`) and ships
-``(index, args, SeedSequence)`` tasks out; whoever executes a trial
-only constructs ``make_rng(trial_seed)`` — the very generator the
-serial path would have built — and runs the trial. Outcomes are
-reassembled by task index, so for the same master seed both paths
-return **bit-for-bit identical outcomes** to the serial run, for any
-worker count, chunking, scheduling order, or injected fault.
+The parent process spawns the per-trial seed sequences
+(:func:`repro.rng.spawn_seed_sequences`) and hands out
+``(index, args, SeedSequence)`` tasks; whoever executes a trial only
+constructs ``make_rng(trial_seed)`` and runs the trial. Outcomes are
+reassembled by task index, so for the same master seed both executors
+return **bit-for-bit identical outcomes**, for any worker count,
+chunking, scheduling order, or injected fault.
 
 Robustness
 ----------
@@ -29,7 +30,7 @@ Robustness
   triggers a bounded retry on a fresh pool; chunks that still fail
   after ``max_retries`` rounds execute transparently in-process, with
   a :class:`RuntimeWarning`. Exceptions raised *by the trial itself*
-  propagate unchanged, exactly as on the serial path.
+  propagate unchanged, exactly as in process.
 * Every finished chunk is handed to the checkpoint journal as soon as
   it is done, so a killed campaign resumes from every chunk that had
   finished (see :mod:`repro.checkpoint`).

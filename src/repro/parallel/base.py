@@ -2,11 +2,15 @@
 
 The task/record/timings dataclasses, the picklability and chunking
 helpers, and :func:`_run_task_chunk` — the single function that ever
-executes trials, whether inside a pool worker or in-process (the serial
-loop and the pool's fallback). Keeping one execution function is what
-makes the serial-equivalence guarantee hold for both paths: each runs
+executes trials, whether in-process (the serial executor and the
+pool's fallback) or inside a pool worker (through
+:func:`_run_pooled_chunk`). Keeping one execution function is what
+makes the serial-equivalence guarantee hold for every path: each runs
 ``trial(*args, make_rng(seed))`` on the very seed sequence the parent
 spawned.
+
+In-process trials run under the launcher's own event log and profiler.
+Only a pool worker hides the copies it inherits through ``fork``.
 """
 
 from __future__ import annotations
@@ -177,8 +181,8 @@ def summarize_timings(
 ) -> Optional[str]:
     """Merge the timings of several trial batches into one summary line.
 
-    ``None`` entries (serial batches without instrumentation) are
-    skipped; returns ``None`` when nothing was instrumented.
+    ``None`` entries (default batches, which attach no timings) are
+    skipped; returns ``None`` when no batch carried timings.
     """
     present = [t for t in timings if t is not None]
     if not present:
@@ -222,17 +226,19 @@ def _run_task_chunk(
     collect_metrics: bool = False,
     kernel: Optional[str] = None,
 ) -> List[TrialRecord]:
-    """Execute a chunk of tasks; runs inside a worker (or in-process).
+    """Execute a chunk of tasks, in-process or inside a pool worker.
 
-    The generator construction here is the *only* RNG work a worker does:
-    ``make_rng(trial_seed)`` on the shipped child sequence reproduces the
-    serial path's generator exactly. A fault plan may kill or stall the
-    worker before a scripted trial index (never in the parent process),
-    which is how the chaos drills exercise the retry/fallback paths.
+    The generator construction here is the *only* RNG work done where
+    trials run: ``make_rng(trial_seed)`` on the parent-spawned child
+    sequence, the same generator in process or in a worker. A fault
+    plan may kill or stall the worker before a scripted trial index
+    (never in the parent process), which is how the chaos drills
+    exercise the retry/fallback paths.
 
     With ``collect_metrics=True`` each trial runs under a fresh metrics
-    registry (shadowing anything inherited through ``fork``) and its
-    snapshot is attached to the record for parent-side aggregation.
+    registry (shadowing the caller's, or anything inherited through
+    ``fork``) and its snapshot is attached to the record for
+    parent-side aggregation.
 
     ``kernel`` re-installs the parent's ambient execution-kernel choice
     (see :func:`repro.core.kernels.use_kernel`) inside the worker — the
@@ -241,12 +247,7 @@ def _run_task_chunk(
     """
     label = _worker_label()
     records = []
-    # Forked workers inherit copies of the parent's ambient event log
-    # and profiler stacks; suspend both so instrumented code neither
-    # writes worker-pid records under the parent launcher's name nor
-    # profiles sections no one will collect. Metrics are handled below
-    # (per-trial shadow registry when collect_metrics).
-    with use_kernel(kernel), log_suspended(), profiling_suspended():
+    with use_kernel(kernel):
         for index, args, trial_seed in chunk:
             if fault_plan is not None:
                 fault_plan.worker_fault(index)
@@ -268,6 +269,18 @@ def _run_task_chunk(
                 )
             )
     return records
+
+
+def _run_pooled_chunk(*args) -> List[TrialRecord]:
+    """Pool entry point: :func:`_run_task_chunk` with inherited state hidden.
+
+    Forked workers inherit copies of the parent's ambient event log and
+    profiler stacks; suspend both so instrumented code neither writes
+    worker-pid records under the parent launcher's name nor profiles
+    sections no one will collect.
+    """
+    with log_suspended(), profiling_suspended():
+        return _run_task_chunk(*args)
 
 
 def _validate_picklable(trial: Callable, tasks: Sequence[TrialTask]) -> None:

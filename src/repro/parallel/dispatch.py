@@ -9,8 +9,8 @@ index, one record per task, and a
 executor path (``"serial"``, ``"pool"`` or ``"pool->serial"``) so
 callers can assert which machinery actually ran.
 
-``serial`` runs the tasks one at a time in the calling process.
-``pool`` dispatches chunks across a local
+``serial`` runs the tasks one at a time in the calling process, under
+its event log and profiler. ``pool`` dispatches chunks across a local
 :class:`~concurrent.futures.ProcessPoolExecutor`; infrastructure
 failures (worker crash, round timeout, pool breakage) are retried on a
 fresh pool for ``max_retries`` rounds, and chunks that still fail run
@@ -58,6 +58,7 @@ from repro.parallel.base import (
     TrialTask,
     TrialTimings,
     _chunk_tasks,
+    _run_pooled_chunk,
     _run_task_chunk,
     _validate_picklable,
 )
@@ -76,7 +77,7 @@ def execute_tasks(
     *,
     chunk_size: Optional[int] = None,
     timeout: Optional[float] = None,
-    max_retries: int = DEFAULT_MAX_RETRIES,
+    max_retries: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     on_chunk: Optional[Callable[[Sequence[TrialRecord]], None]] = None,
     collect_metrics: bool = False,
@@ -107,7 +108,8 @@ def execute_tasks(
         budget of later ones); timed-out chunks retry and eventually
         fall back in-process.
     max_retries:
-        Pool rounds to attempt after the first before falling back.
+        Pool rounds to attempt after the first before falling back
+        (``None``: :data:`~repro.parallel.base.DEFAULT_MAX_RETRIES`).
     fault_plan:
         Optional scripted faults (see :mod:`repro.faults`); worker
         faults fire inside pool workers only.
@@ -132,6 +134,8 @@ def execute_tasks(
     """
     if workers < 1:
         raise AnalysisError(f"workers must be >= 1 (or None), got {workers}")
+    if max_retries is None:
+        max_retries = DEFAULT_MAX_RETRIES
     if max_retries < 0:
         raise AnalysisError(f"max_retries must be >= 0, got {max_retries}")
     if executor not in (None,) + EXECUTORS:
@@ -243,7 +247,7 @@ def _run_round(
         futures = [
             (
                 pool.submit(
-                    _run_task_chunk,
+                    _run_pooled_chunk,
                     trial,
                     chunk,
                     fault_plan,

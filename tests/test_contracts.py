@@ -8,9 +8,10 @@ under the drivers. The four contracts:
 
 1. **Determinism** — no global-state randomness and no unseeded
    generator anywhere in the tree; literal seeds are reproducible.
-2. **Worker ambient state** — a trial runs under the parent's kernel
-   choice and nothing else of the parent's ambient stacks (event log,
-   profiler, metrics registry), pooled or serial.
+2. **Worker ambient state** — every trial runs under the parent's
+   kernel choice and a fresh metrics registry. An in-process trial also
+   runs under the launcher's event log and profiler; a pool worker
+   hides the copies it inherits.
 3. **Kernel-agnostic drivers** — experiment drivers and baselines never
    import a kernel module or hard-code a backend.
 4. **Substrate declaration** — a dynamics with a kernel fast path
@@ -205,11 +206,22 @@ def probe_under_parent_state(tmp_path: Path, **dispatch) -> List[List[str]]:
 class TestWorkerAmbientState:
     @pytest.mark.parametrize(
         "dispatch",
-        [{"workers": 2}, {"executor": "serial"}],
-        ids=["pool", "serial"],
+        [{"workers": 2}],
+        ids=["pool"],
     )
     def test_trials_see_only_the_kernel_choice(self, tmp_path, dispatch):
         assert probe_under_parent_state(tmp_path, **dispatch) == [[]] * 4
+
+    @pytest.mark.parametrize(
+        "dispatch",
+        [{}, {"workers": 1}, {"executor": "serial"}],
+        ids=["default", "one-worker", "serial"],
+    )
+    def test_in_process_trials_see_the_launchers_log_and_profiler(
+        self, tmp_path, dispatch
+    ):
+        outcomes = probe_under_parent_state(tmp_path, **dispatch)
+        assert outcomes == [["log", "profiler"]] * 4
 
     @pytest.mark.parametrize(
         "suspension, leak",
@@ -219,8 +231,9 @@ class TestWorkerAmbientState:
         ],
     )
     def test_seeded_violation_is_caught(self, tmp_path, monkeypatch, suspension, leak):
+        # Patched before the pool forks, so the workers inherit the leak.
         monkeypatch.setattr(repro.parallel.base, suspension, contextlib.nullcontext)
-        outcomes = probe_under_parent_state(tmp_path, executor="serial")
+        outcomes = probe_under_parent_state(tmp_path, workers=2)
         assert all(leak in seen for seen in outcomes)
 
 

@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_trials, run_trials_over
+from repro.core.div import run_div
 from repro.errors import AnalysisError
+from repro.graphs import complete_graph
+from repro.obs.log import EventLog, read_log, recording
+from repro.obs.metrics import collecting
 from repro.rng import derive_seed, iter_rngs, make_rng, spawn_rngs
 
 
@@ -71,6 +75,28 @@ class TestRunTrials:
     def test_validation(self):
         with pytest.raises(AnalysisError):
             run_trials(0, lambda i, rng: None)
+
+
+def div_trial(index, rng):
+    return run_div(complete_graph(12), rng.integers(0, 4, 12), rng=rng).steps
+
+
+class TestInProcessTracing:
+    @pytest.mark.parametrize(
+        "dispatch",
+        [{}, {"workers": 1}, {"executor": "serial"}],
+        ids=["default", "one-worker", "serial"],
+    )
+    def test_every_engine_run_is_logged(self, tmp_path, dispatch):
+        with collecting() as registry, recording(EventLog(tmp_path)):
+            run_trials(4, div_trial, seed=0, **dispatch)
+        spans = [
+            record
+            for record in read_log(tmp_path).records
+            if record["kind"] == "span" and record["name"] == "engine.run"
+        ]
+        assert registry.snapshot().counters["engine.runs"] == 4
+        assert len(spans) == 4
 
 
 class TestRunTrialsOver:

@@ -112,7 +112,12 @@ def emit_fixture(benchmark):
 
 
 def consolidate(records_path, out_path):
-    """Fold a JSONL records file into one sorted snapshot JSON."""
+    """Fold a JSONL records file into one sorted snapshot JSON.
+
+    The header's ``select`` is the run's ``BENCH_SELECT`` (the whole
+    ``benchmarks`` suite when unset), so ``div-repro bench compare``
+    can tell a subset snapshot from one that dropped a benchmark.
+    """
     source = Path(records_path)
     records = []
     for line in source.read_text(encoding="utf-8").splitlines():
@@ -124,6 +129,7 @@ def consolidate(records_path, out_path):
         "generated": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": git_sha(),
         "dirty": git_dirty(),
+        "select": " ".join(os.environ.get("BENCH_SELECT", "benchmarks").split()),
         "benchmarks": records,
     }
     Path(out_path).write_text(

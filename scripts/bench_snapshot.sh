@@ -9,6 +9,8 @@
 #
 # Usage: scripts/bench_snapshot.sh [OUT_DIR]        (default: repo root)
 #   BENCH_SELECT="benchmarks/bench_engine_throughput.py ..."  runs a subset
+#                  (recorded as the snapshot's "select", so `div-repro bench
+#                  compare` skips, rather than fails, benches the other side ran)
 #   BENCH_OUT=BENCH_custom.json                               names the file
 set -euo pipefail
 
@@ -32,6 +34,6 @@ if [ ! -s "$DIV_REPRO_BENCH_JSONL" ]; then
 fi
 
 mkdir -p "$OUT_DIR"
-(cd "$ROOT" && python benchmarks/_emit.py consolidate \
+(cd "$ROOT" && BENCH_SELECT="$SELECT" python benchmarks/_emit.py consolidate \
     "$DIV_REPRO_BENCH_JSONL" "$OUT_DIR/$OUT_NAME")
 say "snapshot written to $OUT_DIR/$OUT_NAME"

@@ -4,14 +4,15 @@
 #
 # Runs E1 (--quick) once per backend — loop, block, auto, compiled —
 # and byte-compares the JSON reports pairwise against the loop
-# reference. The auto leg picks loop or block per run by the
-# scheduler's expected window (`RunResult.kernel_reason` says which and
-# why), so its reports must match the fixed legs byte for byte; E2
-# runs DIV on every graph class. E1 runs on the count engine, so E11
-# (run_div on star and lollipop graphs) adds a static-graph run_div
-# report: under block its runs commit whole windows around run_div's
-# two-adjacent mark, under loop they step one pair at a time, and the
-# reports must not differ.
+# reference. The auto leg runs block for DIV, pull and push (every
+# dynamics with step_block) and loop for the rest
+# (`RunResult.kernel_reason` says which and why), so its reports must
+# match the fixed legs byte for byte; E2 runs DIV on every graph class.
+# E1 runs on the count engine, so E11 (run_div on star and lollipop
+# graphs) adds a static-graph run_div report: under block (and auto)
+# its runs solve growing prefixes and commit whole windows around
+# run_div's two-adjacent mark, under loop they step one pair at a time,
+# and the reports must not differ.
 # Then repeats the comparison for the non-static substrate scenarios:
 # E17 (zealots: frozen vertices through every commit path) and E18
 # (edge churn: epoch-crossing runs with scheduler cache rebuilds) —

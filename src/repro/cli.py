@@ -85,8 +85,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="engine execution kernel: 'loop' (per-step reference), "
         "'block' (vectorized fixed-point solve per block), 'compiled' "
         "(numba machine-code loop; falls back to block without numba) "
-        "or 'auto' (default; loop or block by the expected length of a "
-        "block window). "
+        "or 'auto' (default; block wherever the dynamics has step_block, "
+        "else loop). "
         "Reports are bit-for-bit identical across kernels "
         "(docs/kernels.md)",
     )
@@ -273,7 +273,8 @@ def _build_parser() -> argparse.ArgumentParser:
     compare = bench_sub.add_parser(
         "compare",
         help="diff two BENCH_*.json snapshots per benchmark; exit 1 on "
-        "regressions beyond the threshold or missing benchmarks",
+        "regressions beyond the threshold or missing benchmarks (absent "
+        "ones are only skipped when the snapshots ran different selections)",
     )
     compare.add_argument("old", help="baseline snapshot (the committed one)")
     compare.add_argument("new", help="candidate snapshot")
@@ -782,7 +783,7 @@ def _cmd_bench_compare(
     failed = [delta for delta in deltas if delta.failed]
     width = max((len(delta.name) for delta in deltas), default=4)
     for delta in deltas:
-        if delta.status == "missing":
+        if delta.status in ("missing", "skipped"):
             detail = f"{1e3 * delta.old_mean:9.3f}ms ->   (absent)"
         elif delta.status == "new":
             detail = f"  (absent)   -> {1e3 * delta.new_mean:9.3f}ms"

@@ -60,9 +60,9 @@ class RunResult(BaseRunResult):
         reports the delegate, see :class:`KernelRun`).
     kernel_reason:
         Why that kernel ran: the origin of the choice (an explicit
-        ``kernel=``, an ambient ``use_kernel``, or ``"auto"``'s cost
-        estimate) followed by each degradation applied, e.g.
-        ``"auto: window 3.0 < 5"`` or
+        ``kernel=``, an ambient ``use_kernel``, or ``"auto"``) followed
+        by each degradation applied, e.g.
+        ``"auto: dynamics has step_block"`` or
         ``"kernel='block'; dynamics has no step_block"``; see
         :func:`repro.core.kernels.resolve_kernel`.
     """
@@ -116,14 +116,12 @@ def run_dynamics(
     kernel:
         Execution backend: ``"loop"``, ``"block"``, ``"compiled"`` or
         ``"auto"`` (the default — honours the ambient
-        :func:`repro.core.kernels.use_kernel` override, then picks by
-        cost: ``"loop"`` where the scheduler's expected conflict-free
-        window is shorter than
-        :data:`~repro.core.kernels.BLOCK_MIN_WINDOW` pairs, else
-        ``"block"`` when the dynamics supports it). Unsatisfiable
-        requests degrade ``compiled -> block -> loop``; kernels are
-        bit-identical; the choice and its reason are recorded on the
-        result; see ``docs/kernels.md``.
+        :func:`repro.core.kernels.use_kernel` override, then runs
+        ``"block"`` when the dynamics has ``step_block``, else
+        ``"loop"``). Unsatisfiable requests degrade
+        ``compiled -> block -> loop``; kernels are bit-identical; the
+        choice and its reason are recorded on the result; see
+        ``docs/kernels.md``.
     """
     dynamics = make_dynamics(dynamics)
     stop_condition: StopCondition = make_stop_condition(stop)
@@ -165,9 +163,7 @@ def run_dynamics(
     # ``interval`` attribute default to 1 here *and* at every re-arm.
     intervals = [resolve_interval(obs) for obs in sampled]
 
-    engine_kernel = resolve_kernel(
-        kernel, dynamics, state=state, substrate=substrate, scheduler=scheduler
-    )
+    engine_kernel = resolve_kernel(kernel, dynamics, state=state, substrate=substrate)
     ctx = KernelContext(
         state=state,
         scheduler=scheduler,

@@ -29,20 +29,19 @@ whole campaign::
         run_trials(...)        # every engine call resolves "auto" -> block
 
 mirroring how :mod:`repro.obs.metrics` scopes its active sink. The
-default ``"auto"`` picks by cost: the block kernel solves a block in a
-few numpy passes over all its pairs, which only pays off when the pairs
-rarely depend on each other, so ``"auto"`` runs the loop wherever the
-scheduler's expected conflict-free window (its ``expected_window()``)
-is below :data:`BLOCK_MIN_WINDOW`, and the block kernel elsewhere when
-the dynamics supports it. The resolved
-kernel carries a one-line ``reason`` for its choice, which the engine
-records as ``RunResult.kernel_reason``.
+default ``"auto"`` runs the block kernel wherever the dynamics has
+:meth:`Dynamics.step_block` and the loop otherwise: solving each run's
+first blocks in growing prefixes (see :mod:`repro.core.kernels.block`)
+made block the faster kernel on every graph measured, hubs and K_10
+included (``docs/kernels.md``). The resolved kernel carries a one-line
+``reason`` for its choice, which the engine records as
+``RunResult.kernel_reason``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional, Tuple
+from typing import Iterator, Optional
 
 from repro.core.dynamics import Dynamics, supports_substrate
 from repro.core.kernels.base import (
@@ -64,7 +63,6 @@ from repro.core.kernels.loop import LoopKernel
 from repro.errors import ProcessError
 
 __all__ = [
-    "BLOCK_MIN_WINDOW",
     "KERNEL_NAMES",
     "NUMBA_AVAILABLE",
     "BlockKernel",
@@ -93,30 +91,6 @@ _KERNELS = {
 
 #: Kernel specs accepted by the engine entry points.
 KERNEL_NAMES = ("auto",) + tuple(sorted(_KERNELS))
-
-#: Expected window length (pairs) from which ``"auto"`` picks the block
-#: kernel over the loop. Calibrated on ``run_div`` to consensus, k=5,
-#: both kernels alternating on the same runs, 2-vCPU host; windows from
-#: the schedulers' ``expected_window()``:
-#:
-#: ================  =======  ===========  ==========  ============
-#: graph             window   block µs     loop µs     block ÷ loop
-#: ================  =======  ===========  ==========  ============
-#: star(61)          1.0      3.6–4.1      2.5–3.0     1.36–1.43
-#: lollipop(12,24)   2.3–3.0  1.29         1.32–1.56   0.83–0.98
-#: K_10              1.6      248–349      9.6–13.9    25–26
-#: RR(64,10)         4.0      2.0–2.5      2.1–2.6     0.95–0.96
-#: RR(128,10)        5.7      0.72–0.90    2.0–2.6     0.34–0.36
-#: RR(256,10)        8.0      0.46–0.48    2.4–2.5     0.19–0.20
-#: RR(512,10)        11.3     0.26–0.33    1.5–2.0     0.16–0.18
-#: RR(1000,10)       15.8     0.23–0.24    1.8         0.13
-#: RR(2000,10)       22.4     0.25–0.31    2.2–2.3     0.12–0.13
-#: ================  =======  ===========  ==========  ============
-#:
-#: The crossover lies between 4.0 and 5.7. K_10 runs end within a few
-#: dozen steps but the block kernel solves the whole first block, and
-#: lollipop's small gain is within noise, so hubs stay on the loop.
-BLOCK_MIN_WINDOW = 5
 
 # Ambient kernel override for ``kernel="auto"`` calls, innermost wins —
 # same scoping idiom as ``repro.obs.metrics._ACTIVE``. Note this stack
@@ -167,20 +141,15 @@ def resolve_kernel(
     *,
     state=None,
     substrate=None,
-    scheduler=None,
 ) -> ExecutionKernel:
     """Resolve a kernel spec against a concrete dynamics.
 
     ``"auto"`` consults the ambient :func:`use_kernel` override first and
-    otherwise picks by cost. A dynamics without :meth:`step_block` runs
-    the loop. Otherwise, when ``scheduler`` has an ``expected_window()``
-    (every built-in scheduler does; the state-bound probes report the
-    neutral vertex law they propose from), a window shorter than
-    :data:`BLOCK_MIN_WINDOW` pairs runs the loop — on hubs and small
-    graphs nearly every pair depends on an earlier one, so the block
-    kernel's solve needs many passes and loses to the per-step loop —
-    and a longer one the block kernel. Without a
-    scheduler or an estimate, ``"auto"`` picks block. ``"compiled"`` is
+    otherwise runs the block kernel when the dynamics has
+    :meth:`step_block` and the loop when it has not, whatever the graph
+    or scheduler: the block kernel solves a run's first pairs in growing
+    prefixes, so short runs and hub graphs no longer pay for a whole
+    block (``docs/kernels.md``, *Growing prefixes*). ``"compiled"`` is
     opt-in: its speed-up depends on numba being installed, so ``"auto"``
     stays dependency-free and predictable.
 
@@ -202,8 +171,8 @@ def resolve_kernel(
 
     The returned kernel's ``reason`` says why it was chosen: the origin
     of the choice (``"kernel='block'"``, ``"use_kernel('loop')"`` or
-    ``"auto: window 3.0 < 5"``) followed by each degradation applied,
-    e.g. ``"kernel='block'; dynamics has no step_block"``. The engine
+    ``"auto: dynamics has step_block"``) followed by each degradation
+    applied, e.g. ``"kernel='block'; dynamics has no step_block"``. The engine
     records the name as ``RunResult.kernel`` and the reason as
     ``RunResult.kernel_reason``, so scenario runs never silently
     diverge across kernels.
@@ -212,8 +181,10 @@ def resolve_kernel(
     ambient = active_kernel()
     if name == "auto" and ambient not in (None, "auto"):
         name, reason = ambient, f"use_kernel({ambient!r})"
-    if name == "auto":
-        name, reason = _by_cost(dynamics, scheduler)
+    if name == "auto" and supports_block(dynamics):
+        name, reason = "block", "auto: dynamics has step_block"
+    elif name == "auto":
+        name, reason = "loop", "auto: dynamics has no step_block"
     if name != "loop":
         needs = []
         if state is not None and state.has_frozen:
@@ -237,15 +208,3 @@ def resolve_kernel(
     kernel.reason = reason
     return kernel
 
-
-def _by_cost(dynamics: Dynamics, scheduler) -> Tuple[str, str]:
-    """``"auto"``'s ``(name, reason)``: loop where windows are short."""
-    if not supports_block(dynamics):
-        return "loop", "auto: dynamics has no step_block"
-    expected_window = getattr(scheduler, "expected_window", None)
-    if expected_window is None:
-        return "block", "auto: no window estimate"
-    window = expected_window()
-    if window < BLOCK_MIN_WINDOW:
-        return "loop", f"auto: window {window:.1f} < {BLOCK_MIN_WINDOW}"
-    return "block", f"auto: window {window:.1f} >= {BLOCK_MIN_WINDOW}"

@@ -30,6 +30,14 @@ wrote that vertex, or the block-start state if none did. So
    :meth:`OpinionState.apply_block` then commits the last write of each
    vertex up to that step.
 
+A block is drawn whole but solved in *growing prefixes*, each from the
+committed state: a run's first solve takes :data:`FIRST_PREFIX` pairs
+and each later one twice the last, up to the block size, so a run that
+stops a few dozen pairs in pays for about the pairs it used. The prefix
+does not reset between blocks; a long run pays about seven extra solves
+once. A block that cannot stop the run (no opaque stop, and
+:func:`_may_fire` rules out every stop term) is solved whole.
+
 Sampled observers split the commit at their due steps, without changing
 the solve. Change observers that are not marks, and opaque stop
 callables that publish no :class:`StopTerm`, need the live state after
@@ -46,6 +54,10 @@ import numpy as np
 
 from repro.core.kernels.base import KernelContext, KernelRun, epoch_window
 from repro.core.stopping import MAX_STEPS_REASON, StopTerm, support_range_terms
+
+#: Pairs in a run's first solve; each later solve takes twice the last,
+#: up to the block size.
+FIRST_PREFIX = 64
 
 
 def solve_block(
@@ -188,7 +200,8 @@ def _gate_terms(terms: Sequence[StopTerm], pending_marks) -> List[StopTerm]:
 
 
 class BlockKernel:
-    """Vectorized execution: one fixed-point solve per drawn block."""
+    """Vectorized execution: each drawn block solved as fixed points of
+    growing prefixes."""
 
     name = "block"
     reason = ""
@@ -227,25 +240,36 @@ class BlockKernel:
         step = 0
         blocks = 0
         changes = 0
+        drawn = used = 0  # pairs in the current block / solved from it
+        prefix = FIRST_PREFIX
         while reason is None:
-            remaining = block_size
-            if max_steps is not None:
-                remaining = min(remaining, max_steps - step)
-                if remaining <= 0:
-                    reason = MAX_STEPS_REASON
-                    break
-            remaining = epoch_window(ctx, step, remaining)
-            v_block, w_block = scheduler.draw_block(generator, remaining)
-            blocks += 1
-            base = step  # steps completed before this block
+            if used == drawn:
+                remaining = block_size
+                if max_steps is not None:
+                    remaining = min(remaining, max_steps - step)
+                    if remaining <= 0:
+                        reason = MAX_STEPS_REASON
+                        break
+                remaining = epoch_window(ctx, step, remaining)
+                v_block, w_block = scheduler.draw_block(generator, remaining)
+                blocks += 1
+                drawn, used = remaining, 0
+                # A block that cannot stop the run is solved whole.
+                whole = not replay and not _may_fire(state, drawn, terms)
+            size = drawn - used if whole else min(prefix, drawn - used)
+            prefix = min(2 * prefix, block_size)
+            v_part = v_block[used : used + size]
+            w_part = w_block[used : used + size]
+            used += size
+            base = step  # steps completed before this solve
             targets, before, after, next_write = solve_block(
-                rule, writes_v, state.values, v_block, w_block, state.frozen_mask
+                rule, writes_v, state.values, v_part, w_part, state.frozen_mask
             )
             moved = np.flatnonzero(before != after)
-            pos = 0  # pairs of this block committed so far
+            pos = 0  # pairs of this solve committed so far
             done = 0  # entries of ``moved`` committed so far
-            while pos < remaining:
-                end = remaining
+            while pos < size:
+                end = size
                 if next_due:
                     # A sampled observer never comes due strictly inside
                     # a commit: split it at the next due step.
@@ -255,7 +279,7 @@ class BlockKernel:
                 fire_index, fire_reason = None, None
                 if at.size and replay:
                     fire_index, fire_reason = self._replay_changes(
-                        ctx, v_block, w_block, targets, after, at, base
+                        ctx, v_part, w_part, targets, after, at, base
                     )
                 elif at.size and _may_fire(state, at.size, gate_terms):
                     support_sizes, range_widths = state.support_range_timeline(

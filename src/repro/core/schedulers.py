@@ -59,19 +59,6 @@ class Scheduler(Protocol):
         ...  # pragma: no cover - protocol
 
 
-def _birthday_window(p: np.ndarray) -> float:
-    """Pairs a window holds before two of them likely share a vertex.
-
-    ``p[x]`` is the chance that vertex ``x`` is in one drawn pair; by the
-    birthday bound a run of ``(Σ p_x²)^(-1/2)`` pairs expects about one
-    collision.  That is ``√n/2`` on any d-regular graph under either
-    process and at most 1 on a star, whose hub is in nearly every pair.
-    ``kernel="auto"`` reads it to choose between the loop and block
-    kernels (see :func:`repro.core.kernels.resolve_kernel`).
-    """
-    return float(np.dot(p, p)) ** -0.5
-
-
 class _EpochCached:
     """Shared epoch bookkeeping: cache versioning plus the staleness guard."""
 
@@ -123,17 +110,6 @@ class VertexScheduler(_EpochCached):
         w = graph.indices[graph.indptr[v] + offsets]
         return v, w
 
-    def expected_window(self) -> float:
-        """Expected conflict-free window length under eq. (2).
-
-        ``x`` is in a drawn pair with probability
-        ``p_x = 1/n + Σ_{u~x} 1/(n·d_u)`` (as ``v``, or as some ``u``'s
-        chosen neighbour); see :func:`_birthday_window`.
-        """
-        graph = self._cached
-        observed = np.add.reduceat((1.0 / self._degrees)[graph.indices], graph.indptr[:-1])
-        return _birthday_window((1.0 + observed) / graph.n)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"VertexScheduler({self.graph.name})"
 
@@ -158,13 +134,6 @@ class EdgeScheduler(_EpochCached):
         w = endpoints[np.arange(size), 1 - sides]
         return v, w
 
-    def expected_window(self) -> float:
-        """Expected conflict-free window length: ``p_x = d_x / m``.
-
-        See :func:`_birthday_window`.
-        """
-        return _birthday_window(self._cached.degrees / self._cached.m)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"EdgeScheduler({self.graph.name})"
 
@@ -183,8 +152,6 @@ class _StateBound(_EpochCached):
             )
 
     _rebuild = VertexScheduler._rebuild
-    # The window of the neutral vertex law the probes propose from.
-    expected_window = VertexScheduler.expected_window
 
 
 class BiasedScheduler(_StateBound):

@@ -19,6 +19,10 @@ Comparison semantics, chosen to stay honest on noisy shared runners:
 - ``ok``: within the threshold band either way.
 - ``missing``: present in the old snapshot only — treated as a failure,
   because silently dropping a benchmark is how perf coverage rots.
+- ``skipped``: present in the old snapshot only when the two snapshots
+  ran different selections (their ``select`` headers, the
+  ``BENCH_SELECT`` of ``scripts/bench_snapshot.sh``, differ) —
+  informational, since a subset snapshot leaves out the rest by design.
 - ``new``: present in the new snapshot only — informational.
 - Benchmarks whose *old* mean is below ``min_seconds`` are reported
   ``ok`` regardless of ratio: sub-noise-floor timings produce wild
@@ -92,7 +96,7 @@ class BenchDelta:
     """The comparison verdict for one benchmark name."""
 
     name: str
-    status: str  # ok | improved | regressed | missing | new
+    status: str  # ok | improved | regressed | missing | skipped | new
     old_mean: float = 0.0
     new_mean: float = 0.0
 
@@ -124,18 +128,20 @@ def compare_snapshots(
     """Diff two loaded snapshots; returns one delta per benchmark name.
 
     Deltas come back name-sorted; the run failed if any delta's
-    :attr:`~BenchDelta.failed` is true.
+    :attr:`~BenchDelta.failed` is true. A benchmark absent from ``new``
+    is ``skipped`` when the snapshots' ``select`` headers differ, else
+    ``missing``.
     """
     if threshold <= 0.0:
         raise BenchCompareError("regression threshold must be positive")
     old_means = _mean_by_name(old)
     new_means = _mean_by_name(new)
+    same_selection = old.get("select") == new.get("select")
     deltas: List[BenchDelta] = []
     for name in sorted(set(old_means) | set(new_means)):
         if name not in new_means:
-            deltas.append(
-                BenchDelta(name=name, status="missing", old_mean=old_means[name])
-            )
+            status = "missing" if same_selection else "skipped"
+            deltas.append(BenchDelta(name=name, status=status, old_mean=old_means[name]))
             continue
         if name not in old_means:
             deltas.append(

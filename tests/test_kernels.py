@@ -19,6 +19,8 @@ import pytest
 
 from repro.core import (
     AdversarialScheduler,
+    BestOfThree,
+    BestOfTwo,
     BiasedScheduler,
     ChurnPlan,
     EdgeScheduler,
@@ -82,13 +84,18 @@ def initial_state(graph, seed, k=6):
 SWEEP_KERNELS = ("loop", "block", "compiled")
 
 
-def run_pair(graph, dynamics, scheduler_cls, *, stop, seed, observers=(), **kw):
+def run_pair(
+    graph, dynamics, scheduler_cls, *, stop, seed, observers=(), frozen=None, **kw
+):
     """Run the same configuration under every kernel; return all results
-    plus the observer sets for sequence comparison."""
+    plus the observer sets for sequence comparison. ``frozen`` lists
+    zealot vertices of the initial state."""
     results, observer_sets = [], []
     with interpreted_compiled():
         for kernel in SWEEP_KERNELS:
             state = initial_state(graph, seed)
+            if frozen is not None:
+                state = OpinionState(graph, state.values, frozen=frozen)
             obs = [factory() for factory in observers]
             result = run_dynamics(
                 state,
@@ -512,6 +519,155 @@ class TestMarkEquivalence:
         assert commits and max(commits) <= graph.n
 
 
+def solve_sizes(monkeypatch):
+    """Record the pair count of every :func:`solve_block` call."""
+    sizes = []
+
+    def spy(rule, writes_v, values, v_block, w_block, frozen=None):
+        sizes.append(int(v_block.size))
+        return solve_block(rule, writes_v, values, v_block, w_block, frozen)
+
+    monkeypatch.setattr("repro.core.kernels.block.solve_block", spy)
+    return sizes
+
+
+class TestGrowingPrefixes:
+    """The block kernel solves a run's first pairs in prefixes of 64,
+    128, 256, ... pairs (cumulative boundaries at 64, 192, 448, ...);
+    every boundary case must match the loop bit for bit."""
+
+    @pytest.mark.parametrize(
+        "seed, steps",
+        [(14, 30), (13, 64), (39, 65), (634, 192), (1255, 193)],
+        ids=["inside_first", "at_64", "after_64", "at_192", "after_192"],
+    )
+    def test_consensus_around_prefix_boundaries(self, seed, steps):
+        results, observers = run_pair(
+            complete_graph(10),
+            IncrementalVoting(),
+            VertexScheduler,
+            stop="consensus",
+            seed=seed,
+        )
+        assert_equivalent(results, observers)
+        assert (results[0].steps, results[0].stop_reason) == (steps, "consensus")
+
+    @pytest.mark.parametrize("interval", [64, 192])
+    def test_sampled_observer_due_on_boundary(self, interval):
+        results, observers = run_pair(
+            complete_graph(21),
+            IncrementalVoting(),
+            EdgeScheduler,
+            stop="consensus",
+            seed=3,
+            observers=(lambda: SupportTrace(interval=interval),),
+        )
+        assert_equivalent(results, observers)
+        assert results[0].steps > 2 * interval
+
+    @pytest.mark.parametrize("max_steps", [1, 63, 65])
+    def test_max_steps_around_first_prefix(self, max_steps):
+        results, observers = run_pair(
+            random_regular_graph(64, 4, rng=1),
+            IncrementalVoting(),
+            VertexScheduler,
+            stop="consensus",
+            seed=2,
+            max_steps=max_steps,
+        )
+        assert_equivalent(results, observers)
+        assert (results[0].steps, results[0].stop_reason) == (max_steps, "max_steps")
+
+    def test_churn_epochs_shorter_than_prefix(self):
+        plan = ChurnPlan(period=40, swaps=3, seed=7)
+        results, observers = run_pair(
+            random_regular_graph(26, 5, rng=3),
+            IncrementalVoting(),
+            lambda graph: VertexScheduler(Substrate(graph, plan)),
+            stop="consensus",
+            seed=1,
+            observers=(lambda: SupportTrace(interval=50),),
+        )
+        assert_equivalent(results, observers)
+        assert results[0].steps > 4 * plan.period
+
+    def test_frozen_targets(self):
+        # Every third vertex a zealot: the stop is near from the start,
+        # so the first prefixes are solved with frozen targets in them.
+        graph = random_regular_graph(26, 5, rng=3)
+        frozen = list(range(0, graph.n, 3))
+        zealots = OpinionState(graph, initial_state(graph, 4).values, frozen=frozen)
+        results, observers = run_pair(
+            graph,
+            IncrementalVoting(),
+            VertexScheduler,
+            stop=frozen_consensus(zealots),
+            seed=4,
+            frozen=frozen,
+        )
+        assert_equivalent(results, observers)
+        assert (results[0].steps, results[0].stop_reason) == (235, "frozen_consensus")
+
+    def test_push_writes_the_observed_endpoint(self):
+        assert PushVoting.writes == "w"
+        results, observers = run_pair(
+            star_graph(25),
+            PushVoting(),
+            VertexScheduler,
+            stop="consensus",
+            seed=6,
+        )
+        assert_equivalent(results, observers)
+        assert results[0].stop_reason == "consensus"
+
+    def test_opaque_stop_replays_each_prefix(self):
+        def two_left(state):
+            return "two_left" if state.support_size <= 2 else None
+
+        results, observers = run_pair(
+            complete_graph(10),
+            IncrementalVoting(),
+            VertexScheduler,
+            stop=two_left,
+            seed=634,
+            observers=(ChangeLog,),
+        )
+        assert_equivalent(results, observers)
+        assert results[0].stop_reason == "two_left"
+        assert observers[0][0].entries == observers[1][0].entries
+
+    @pytest.mark.parametrize("seed", [13, 39, 634, 1255, 7])
+    def test_solved_pairs_track_steps_on_k10(self, monkeypatch, seed):
+        sizes = solve_sizes(monkeypatch)
+        graph = complete_graph(10)
+        result = run_dynamics(
+            initial_state(graph, seed),
+            VertexScheduler(graph),
+            IncrementalVoting(),
+            rng=seed + 1,
+            kernel="block",
+        )
+        assert result.stop_reason == "consensus"
+        assert sizes[: len(sizes) - 1] == [64 << i for i in range(len(sizes) - 1)]
+        assert sum(sizes) <= 2 * result.steps + 64
+
+    def test_never_run_solves_each_block_whole(self, monkeypatch):
+        sizes = solve_sizes(monkeypatch)
+        graph = random_regular_graph(64, 4, rng=1)
+        result = run_dynamics(
+            initial_state(graph, 1),
+            VertexScheduler(graph),
+            IncrementalVoting(),
+            stop="never",
+            rng=2,
+            max_steps=3 * 256 + 5,
+            block_size=256,
+            kernel="block",
+        )
+        assert result.steps == 3 * 256 + 5
+        assert sizes == [256, 256, 256, 5]
+
+
 def sequential_block(dynamics, values, v_block, w_block, frozen=()):
     """:func:`solve_block`'s result, from ``dynamics.step`` pair by pair."""
     state = OpinionState(complete_graph(len(values)), values, frozen=list(frozen) or None)
@@ -734,11 +890,11 @@ class TestKernelSelection:
                 pass  # pragma: no cover
 
     def test_result_records_resolved_kernel(self):
-        # "auto" picks by the scheduler's expected window: K_10's 1.6
-        # pairs run the loop, RR(2000,10)'s 22.4 the block kernel.
+        # "auto" runs DIV on the block kernel whatever the graph; an
+        # explicit kernel is recorded as given.
         expander = random_regular_graph(2000, 10, rng=1)
         for graph, kernel, expected in (
-            (complete_graph(10), "auto", "loop"),
+            (complete_graph(10), "auto", "block"),
             (complete_graph(10), "loop", "loop"),
             (expander, "auto", "block"),
         ):
@@ -778,12 +934,6 @@ class TestKernelSelection:
         assert result.kernel == "block"
 
 
-class _NoWindowScheduler(VertexScheduler):
-    """A user scheduler that publishes no ``expected_window``."""
-
-    expected_window = None
-
-
 class _Undeclared(IncrementalVoting):
     """Block-capable dynamics that declares no substrate feature."""
 
@@ -802,35 +952,61 @@ def run_div_dynamics(graph, process="vertex", **kwargs):
 
 
 class TestAutoByCost:
-    """``"auto"`` runs the loop where a block window would hold few pairs."""
+    """``"auto"`` runs block wherever the dynamics has ``step_block``.
 
-    def test_regular_window_is_half_root_n(self):
-        for n, d in ((64, 10), (256, 10), (2000, 10)):
-            graph = random_regular_graph(n, d, rng=3)
-            for scheduler in (VertexScheduler(graph), EdgeScheduler(graph)):
-                assert scheduler.expected_window() == pytest.approx(np.sqrt(n) / 2)
-
-    def test_star_window_at_most_one(self):
-        graph = star_graph(61)
-        assert VertexScheduler(graph).expected_window() <= 1.0
-        assert EdgeScheduler(graph).expected_window() <= 1.0
+    Growing prefixes made the block kernel the cheaper one on every
+    graph measured, hubs and K_10 included, so the graph and scheduler
+    no longer enter the choice.
+    """
 
     @pytest.mark.parametrize(
-        "graph, expected",
+        "graph",
         [
-            (star_graph(61), "loop"),
-            (lollipop_graph(12, 24), "loop"),
-            (random_regular_graph(64, 10, rng=1), "loop"),
-            (random_regular_graph(128, 10, rng=1), "block"),
-            (random_regular_graph(2000, 10, rng=1), "block"),
+            star_graph(61),
+            lollipop_graph(12, 24),
+            random_regular_graph(64, 10, rng=1),
+            random_regular_graph(128, 10, rng=1),
+            random_regular_graph(2000, 10, rng=1),
         ],
         ids=["star", "lollipop", "rr64", "rr128", "expander"],
     )
     @pytest.mark.parametrize("process", ["vertex", "edge"])
-    def test_auto_choice(self, graph, expected, process):
-        result = run_div_dynamics(graph, process, max_steps=3000)
-        assert result.kernel == expected
-        assert result.kernel_reason.startswith("auto: window ")
+    def test_auto_choice(self, graph, process):
+        for dynamics in (IncrementalVoting(), PullVoting(), PushVoting()):
+            result = run_dynamics(
+                initial_state(graph, 4, k=5),
+                make_scheduler(graph, process),
+                dynamics,
+                rng=5,
+                max_steps=3000,
+            )
+            assert (result.kernel, result.kernel_reason) == (
+                "block",
+                "auto: dynamics has step_block",
+            )
+
+    @pytest.mark.parametrize("dynamics", [IncrementalVoting, PullVoting, PushVoting])
+    def test_auto_runs_block_on_complete_graph(self, dynamics):
+        graph = complete_graph(10)
+        result = run_dynamics(
+            initial_state(graph, 1), VertexScheduler(graph), dynamics(), rng=2
+        )
+        assert result.kernel == "block"
+
+    @pytest.mark.parametrize("dynamics", [MedianVoting, BestOfTwo, BestOfThree])
+    def test_auto_runs_loop_without_step_block(self, dynamics):
+        graph = star_graph(61)
+        result = run_dynamics(
+            initial_state(graph, 4, k=5),
+            VertexScheduler(graph),
+            dynamics(),
+            rng=5,
+            max_steps=500,
+        )
+        assert (result.kernel, result.kernel_reason) == (
+            "loop",
+            "auto: dynamics has no step_block",
+        )
 
     def test_explicit_and_ambient_block_still_run_block(self):
         graph = star_graph(61)
@@ -847,42 +1023,18 @@ class TestAutoByCost:
     def test_without_scheduler_auto_is_block(self):
         kernel = resolve_kernel("auto", IncrementalVoting())
         assert isinstance(kernel, BlockKernel)
-        assert kernel.reason == "auto: no window estimate"
-
-    def test_scheduler_without_estimate_keeps_block(self):
-        graph = star_graph(61)
-        kernel = resolve_kernel(
-            "auto", IncrementalVoting(), scheduler=_NoWindowScheduler(graph)
-        )
-        assert kernel.name == "block"
-
-    def test_state_bound_schedulers_use_vertex_law(self):
-        graph = lollipop_graph(12, 24)
-        state = initial_state(graph, 1)
-        vertex = VertexScheduler(graph).expected_window()
-        assert EdgeScheduler(graph).expected_window() != pytest.approx(vertex)
-        for scheduler in (
-            BiasedScheduler(graph, state, bias=0.5),
-            AdversarialScheduler(graph, state, strength=0.3),
-        ):
-            assert scheduler.expected_window() == vertex
-            assert resolve_kernel(
-                "auto", IncrementalVoting(), scheduler=scheduler
-            ).reason == f"auto: window {vertex:.1f} < 5"
+        assert kernel.reason == "auto: dynamics has step_block"
 
     def test_reason_for_every_branch(self):
         star = star_graph(61)
-        expander = random_regular_graph(2000, 10, rng=1)
         frozen = OpinionState(star, np.ones(star.n, dtype=np.int64), frozen=[0])
         churn = Substrate(star, ChurnPlan(period=50, swaps=2, seed=1))
         undeclared = _Undeclared()
         cases = [
-            (("auto", IncrementalVoting()), {"scheduler": VertexScheduler(star)},
-             "loop", "auto: window 1.0 < 5"),
-            (("auto", IncrementalVoting()), {"scheduler": EdgeScheduler(expander)},
-             "block", "auto: window 22.4 >= 5"),
-            (("auto", MedianVoting()), {"scheduler": VertexScheduler(expander)},
-             "loop", "auto: dynamics has no step_block"),
+            (("auto", IncrementalVoting()), {}, "block", "auto: dynamics has step_block"),
+            (("auto", MedianVoting()), {}, "loop", "auto: dynamics has no step_block"),
+            (("auto", undeclared), {"state": frozen},
+             "loop", "auto: dynamics has step_block; dynamics does not declare frozen"),
             (("loop", IncrementalVoting()), {}, "loop", "kernel='loop'"),
             (("block", MedianVoting()), {},
              "loop", "kernel='block'; dynamics has no step_block"),

@@ -931,6 +931,46 @@ class TestBenchCompare:
             assert payload["dirty"] is dirty
             assert load_snapshot(tmp_path / "BENCH.json")["dirty"] is dirty
 
+    def test_consolidate_records_selection(self, tmp_path, monkeypatch):
+        source = Path(__file__).resolve().parent.parent / "benchmarks" / "_emit.py"
+        spec = importlib.util.spec_from_file_location("bench_emit", source)
+        emit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(emit)
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"name": "a", "mean_seconds": 1.0}) + "\n")
+        monkeypatch.delenv("BENCH_SELECT", raising=False)
+        assert emit.consolidate(records, tmp_path / "full.json")["select"] == "benchmarks"
+        monkeypatch.setenv("BENCH_SELECT", "  benchmarks/bench_kernels.py\n benchmarks/x.py ")
+        payload = emit.consolidate(records, tmp_path / "subset.json")
+        assert payload["select"] == "benchmarks/bench_kernels.py benchmarks/x.py"
+
+    def test_different_selections_skip_absent_benchmarks(self, tmp_path, capsys):
+        full = dict(make_snapshot({"a": 1.0, "b": 2.0}), select="benchmarks")
+        subset = dict(make_snapshot({"a": 1.1, "c": 3.0}), select="benchmarks/bench_a.py")
+        by_name = {d.name: d for d in compare_snapshots(full, subset)}
+        assert [by_name[n].status for n in "abc"] == ["ok", "skipped", "new"]
+        assert not any(d.failed for d in by_name.values())
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(full))
+        new.write_text(json.dumps(subset))
+        assert cli_main(["bench", "compare", str(old), str(new)]) == 0
+        out = capsys.readouterr().out
+        assert "SKIPPED  b" in out and "0 regression(s)/missing" in out
+
+    def test_same_selection_still_fails_a_dropped_benchmark(self, tmp_path, capsys):
+        full = dict(make_snapshot({"a": 1.0, "b": 2.0}), select="benchmarks")
+        dropped = dict(make_snapshot({"a": 1.0}), select="benchmarks")
+        deltas = compare_snapshots(full, dropped)
+        assert [(d.name, d.status, d.failed) for d in deltas] == [
+            ("a", "ok", False),
+            ("b", "missing", True),
+        ]
+        old, new = tmp_path / "old.json", tmp_path / "new.json"
+        old.write_text(json.dumps(full))
+        new.write_text(json.dumps(dropped))
+        assert cli_main(["bench", "compare", str(old), str(new)]) == 1
+        assert "MISSING" in capsys.readouterr().out
+
     def test_cli_malformed_snapshot_is_usage_error(self, tmp_path, capsys):
         old = write_snapshot(tmp_path / "old.json", {"a": 1.0})
         assert cli_main(["bench", "compare", str(old), str(tmp_path / "x.json")]) == 2

@@ -14,10 +14,10 @@
 #   4. two --telemetry launchers in sequence on one campaign — the first
 #      aborted by an injected fault, the second resuming it — leave logs
 #      whose merged timeline reconciles exactly with the checkpoint
-#      journal, and `campaign watch --once` / `timeline report` /
-#      `trace summarize` render them; one log feeds both views, so the
-#      engine spans of the trace summary equal the timeline's executed
-#      trials;
+#      journal; `campaign status` exits 0, reports 80/80 trials and
+#      names exactly one unclosed launcher (the aborted one); `trace
+#      summarize` renders the same log, so the engine spans of the trace
+#      summary equal the timeline's executed trials;
 #   5. `bench compare` passes on a snapshot against itself and catches a
 #      seeded >=50% regression with a nonzero exit (the CI perf gate).
 #
@@ -83,9 +83,17 @@ fi
 $RUN run E10 --quick --seed 0 --checkpoint-dir "$WORK/ckpt" --telemetry \
     --resume > /dev/null
 
-say "rendering the live view and the post-hoc report"
-$RUN campaign watch "$WORK/ckpt" --once
-$RUN timeline report "$WORK/ckpt/e10" --bin 1 > /dev/null
+say "campaign status: 80/80 trials, one unclosed launcher"
+$RUN campaign status "$WORK/ckpt" | tee "$WORK/status.txt"
+if ! grep -q "telemetry: 80/80 trial(s)" "$WORK/status.txt"; then
+    say "FAIL: campaign status does not report 80/80 trials"
+    exit 1
+fi
+UNCLOSED=$(grep -c "unclosed launcher" "$WORK/status.txt" || true)
+if [ "$UNCLOSED" != 1 ]; then
+    say "FAIL: campaign status names $UNCLOSED unclosed launcher(s), expected 1"
+    exit 1
+fi
 $RUN trace summarize "$WORK/ckpt/e10" > /dev/null
 
 say "reconciling the merged timeline against the checkpoint journal"

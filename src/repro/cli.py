@@ -15,23 +15,20 @@ Commands
     runs a deterministic chaos drill (see ``docs/robustness.md``).
     ``--executor serial|pool`` forces how trials run (default ``auto``:
     serial for one worker, a process pool otherwise).
-``campaign status DIR`` / ``campaign watch DIR [--interval S] [--once]``
+``campaign status DIR``
     Per-batch journaled-trial counts of a checkpointed campaign, and its
-    damaged record files (exit 1 when there are any). ``watch`` follows
-    the campaign live through its event logs (``run --telemetry``):
-    per-launcher throughput, completed-vs-total per batch, ETA, and
-    dead-launcher warnings.
-``timeline report DIR [--bin S]``
-    Post-hoc analysis of a telemetered campaign: per-launcher
-    utilization, throughput-over-time and merged metrics.
+    damaged record files (exit 1 when there are any). A campaign run
+    with ``--telemetry`` also gets a line with completed/total trials,
+    the recent rate and the ETA, and one line per launcher that never
+    closed its log. Follow a live campaign with
+    ``watch -n 2 div-repro campaign status DIR``.
 ``bench compare OLD.json NEW.json [--threshold R]``
     Diff two committed ``BENCH_*.json`` snapshots per benchmark; exits
     1 on any regression beyond the threshold (the CI perf gate).
 ``demo``
     A 30-second tour: one DIV run with a stage trace on a small graph.
-``checkpoint show DIR`` / ``checkpoint diff A B``
-    Inspect a campaign directory, or compare two campaigns' journaled
-    trial records bit-for-bit.
+``checkpoint diff A B``
+    Compare two campaigns' journaled trial records bit-for-bit.
 ``trace summarize PATH``
     Per-phase step/wall-time breakdown and per-worker throughput of the
     event logs written by ``run --trace-dir`` or ``run --telemetry``
@@ -152,9 +149,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         action="store_true",
         help="write this launcher's event log under "
-        "<checkpoint dir>/<experiment>/telemetry/ for 'campaign watch', "
-        "'timeline report' and 'trace summarize' (requires "
-        "--checkpoint-dir; not with --trace-dir)",
+        "<checkpoint dir>/<experiment>/telemetry/ for 'campaign status' "
+        "and 'trace summarize' (requires --checkpoint-dir; not with "
+        "--trace-dir)",
     )
     run.add_argument(
         "--trace-dir",
@@ -224,47 +221,11 @@ def _build_parser() -> argparse.ArgumentParser:
     status = campaign_sub.add_parser(
         "status",
         help="per-batch journaled-trial counts and damaged record files "
-        "of a campaign directory, plus a telemetry summary when it has logs",
+        "of a campaign directory, plus progress, ETA and unclosed "
+        "launchers when it was run with --telemetry (follow it live with "
+        "'watch -n 2 div-repro campaign status DIR')",
     )
     status.add_argument("directory", help="campaign dir (or a parent of several)")
-    watch = campaign_sub.add_parser(
-        "watch",
-        help="follow a telemetered campaign live: per-launcher "
-        "throughput, batch progress, ETA and dead-launcher warnings "
-        "(campaigns run with --telemetry)",
-    )
-    watch.add_argument("directory", help="campaign dir (or a parent of several)")
-    watch.add_argument(
-        "--interval",
-        type=float,
-        default=2.0,
-        metavar="SECONDS",
-        help="refresh interval (default 2s)",
-    )
-    watch.add_argument(
-        "--once",
-        action="store_true",
-        help="render one snapshot and exit (scripting/CI)",
-    )
-
-    timeline = sub.add_parser(
-        "timeline",
-        help="post-hoc analysis of a telemetered campaign's event logs",
-    )
-    timeline_sub = timeline.add_subparsers(dest="timeline_command", required=True)
-    tl_report = timeline_sub.add_parser(
-        "report",
-        help="per-launcher utilization, throughput-over-time "
-        "and merged metrics of a campaign run with --telemetry",
-    )
-    tl_report.add_argument("directory", help="campaign dir (or a parent of several)")
-    tl_report.add_argument(
-        "--bin",
-        type=float,
-        default=5.0,
-        metavar="SECONDS",
-        help="bin width of the throughput-over-time series (default 5s)",
-    )
 
     bench = sub.add_parser(
         "bench", help="compare committed benchmark snapshots"
@@ -296,13 +257,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     checkpoint = sub.add_parser(
-        "checkpoint", help="inspect or compare campaign checkpoint directories"
+        "checkpoint", help="compare campaign checkpoint directories"
     )
     checkpoint_sub = checkpoint.add_subparsers(dest="checkpoint_command", required=True)
-    show = checkpoint_sub.add_parser(
-        "show", help="summarize a campaign directory's manifest and records"
-    )
-    show.add_argument("directory", help="campaign dir (or a parent of several)")
     diff = checkpoint_sub.add_parser(
         "diff",
         help="compare two campaigns' trial records bit-for-bit "
@@ -529,241 +486,58 @@ def _cmd_trace_summarize(path: str) -> int:
     return 0
 
 
-def _journal_snapshot(campaign_dir) -> dict:
-    """A campaign's journal truth: manifest, intact trials per batch, and
-    ``damaged``, the record files that fail their integrity check — the
-    ones a ``--discard-corrupt`` resume deletes and reruns."""
-    from repro.checkpoint import MANIFEST_NAME, CheckpointJournal
-
-    manifest, per_batch, damaged = {}, {}, []
-    if (campaign_dir / MANIFEST_NAME).is_file():
-        journal = CheckpointJournal(campaign_dir)
-        manifest = journal.read_manifest()
-        per_batch, damaged = journal.census()
-    return {
-        "dir": campaign_dir,
-        "manifest": manifest,
-        "per_batch": per_batch,
-        "damaged": damaged,
-    }
-
-
-def _campaign_snapshot(campaign_dir) -> dict:
-    """The journal snapshot plus the campaign timeline of its event logs.
-
-    The single code path behind ``campaign status`` and ``campaign
-    watch`` — the timeline is ``None`` when the campaign was not run
-    with ``--telemetry``.
-    """
+def _cmd_campaign_status(directory: str) -> int:
+    """Print each campaign's journal: identity, intact trials per batch,
+    and the record files that fail their integrity check (the ones a
+    ``--discard-corrupt`` resume deletes and reruns). Exit 1 when any
+    file is damaged. A campaign with a ``telemetry/`` log gets its
+    progress line and its unclosed launchers below."""
+    from repro.checkpoint import CheckpointJournal
     from repro.obs.log import TELEMETRY_DIRNAME, read_log
     from repro.obs.views import campaign_timeline
 
-    snapshot = _journal_snapshot(campaign_dir)
-    snapshot["timeline"] = None
-    if (campaign_dir / TELEMETRY_DIRNAME).is_dir() or (
-        campaign_dir.name == TELEMETRY_DIRNAME and campaign_dir.is_dir()
-    ):
-        snapshot["timeline"] = campaign_timeline(read_log(campaign_dir))
-    return snapshot
-
-
-def _batch_lines(snapshot) -> list:
-    """Per-batch journaled-trial and damaged-file lines (status, watch, show)."""
-    per_batch = snapshot["per_batch"]
-    return [
-        f"  {batch}: {per_batch[batch]} trial(s)" for batch in sorted(per_batch)
-    ] + [
-        f"  damaged: {path} (--discard-corrupt deletes it and reruns its trials)"
-        for path in snapshot["damaged"]
-    ]
-
-
-def _print_journal(snapshot) -> None:
-    """Print a journal snapshot: identity, trial counts, damaged files."""
-    manifest = snapshot["manifest"]
-    per_batch = snapshot["per_batch"]
-    print(
-        f"{snapshot['dir']}: {manifest.get('experiment_id', '?')} "
-        f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
-        f"— {sum(per_batch.values())} journaled trial(s) in "
-        f"{len(per_batch)} batch(es)"
-    )
-    for line in _batch_lines(snapshot):
-        print(line)
-
-
-def _cmd_campaign_status(directory: str) -> int:
-    damaged = False
+    any_damaged = False
     for campaign_dir in _campaign_dirs(directory):
-        snapshot = _campaign_snapshot(campaign_dir)
-        _print_journal(snapshot)
-        damaged = damaged or bool(snapshot["damaged"])
-        timeline = snapshot["timeline"]
-        if timeline is not None and timeline.launchers:
-            closed = sum(1 for l in timeline.launchers.values() if l.closed)
-            print(
-                f"  telemetry: {len(timeline.launchers)} launcher feed(s) "
-                f"({closed} closed), {timeline.executed} executed "
-                f"trial(s), {timeline.duplicates} duplicate(s)"
-            )
-    return 1 if damaged else 0
-
-
-def _timeline_dirs(directory) -> list:
-    """Campaign dirs under ``directory`` — accepting manifest-less dirs
-    that hold telemetry logs (hand-built or partially-synced campaigns)."""
-    from pathlib import Path
-
-    from repro.errors import CheckpointError
-    from repro.obs.log import TELEMETRY_DIRNAME
-
-    try:
-        return _campaign_dirs(directory)
-    except CheckpointError:
-        root = Path(directory)
-        if root.name == TELEMETRY_DIRNAME or (root / TELEMETRY_DIRNAME).is_dir():
-            return [root]
-        raise
-
-
-def _render_watch(campaign_dir, now: float) -> None:
-    snapshot = _campaign_snapshot(campaign_dir)
-    timeline = snapshot["timeline"]
-    manifest = snapshot["manifest"]
-    if timeline is None or not timeline.launchers:
+        journal = CheckpointJournal(campaign_dir)
+        manifest = journal.read_manifest()
+        per_batch, damaged = journal.census()
         print(
-            f"{campaign_dir}: no telemetry feeds yet (campaign not "
-            "started, or run without --telemetry)"
+            f"{campaign_dir}: {manifest.get('experiment_id', '?')} "
+            f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
+            f"— {sum(per_batch.values())} journaled trial(s) in "
+            f"{len(per_batch)} batch(es)"
         )
-        for line in _batch_lines(snapshot):
-            print(line)
+        for batch in sorted(per_batch):
+            print(f"  {batch}: {per_batch[batch]} trial(s)")
+        for path in damaged:
+            print(
+                f"  damaged: {path} (--discard-corrupt deletes it and reruns "
+                "its trials)"
+            )
+        any_damaged = any_damaged or bool(damaged)
+        if (campaign_dir / TELEMETRY_DIRNAME).is_dir():
+            _print_progress(campaign_timeline(read_log(campaign_dir)), time.time())
+    return 1 if any_damaged else 0
+
+
+def _print_progress(timeline, now: float) -> None:
+    """The telemetry lines of ``campaign status``: completed/total
+    trials, recent rate and ETA, then each launcher without a ``bye``."""
+    if not timeline.launchers:
         return
-    total = timeline.total
-    completed = timeline.completed
-    rate = timeline.recent_rate()
     eta = timeline.eta_seconds()
-    percent = 100.0 * completed / total if total else 0.0
     eta_text = "done" if eta == 0.0 else ("?" if eta is None else f"{eta:.0f}s")
     print(
-        f"{campaign_dir}: {manifest.get('experiment_id', '?')} "
-        f"[{manifest.get('scale', '?')}] — {completed}/{total} trial(s) "
-        f"({percent:.0f}%), {rate:.1f} trials/s, ETA {eta_text}"
+        f"  telemetry: {timeline.completed}/{timeline.total} trial(s), "
+        f"{timeline.recent_rate():.1f} trials/s recently, ETA {eta_text}"
     )
-    for key in sorted(timeline.batches):
-        batch = timeline.batches[key]
-        executors = sorted(set(batch.finished_by.values()))
-        suffix = f" [{'+'.join(executors)}]" if executors else ""
-        dup = f", {batch.duplicates} duplicate(s)" if batch.duplicates else ""
-        print(f"  {key}: {batch.completed}/{batch.size}{suffix}{dup}")
     for name in sorted(timeline.launchers):
         launcher = timeline.launchers[name]
-        if launcher.closed:
-            state = "closed"
-        elif launcher.is_stale(now):
-            quiet = now - launcher.last_seen
-            state = f"SILENT {quiet:.1f}s (heartbeat due every {launcher.heartbeat_interval:.1f}s — dead launcher?)"
-        else:
-            state = f"live, last seen {max(0.0, now - launcher.last_seen):.1f}s ago"
-        print(
-            f"  launcher {launcher.name}: {launcher.executed} trial(s), "
-            f"{launcher.trials_per_second:.1f}/s, "
-            f"util {100.0 * launcher.utilization:.0f}%, {state}"
-        )
-    if timeline.torn_lines:
-        print(f"  note: {timeline.torn_lines} torn feed line(s) skipped")
-
-
-def _cmd_campaign_watch(directory: str, interval: float, once: bool) -> int:
-    dirs = _timeline_dirs(directory)
-    while True:
-        now = time.time()
-        for campaign_dir in dirs:
-            _render_watch(campaign_dir, now)
-        if once:
-            return 0
-        sys.stdout.flush()
-        try:
-            time.sleep(max(interval, 0.1))
-        except KeyboardInterrupt:  # pragma: no cover - interactive
-            return 0
-        print()
-
-
-def _cmd_timeline_report(directory: str, bin_seconds: float) -> int:
-    from repro.experiments.tables import Table
-    from repro.obs.log import read_log
-    from repro.obs.views import campaign_timeline
-
-    for campaign_dir in _timeline_dirs(directory):
-        timeline = campaign_timeline(read_log(campaign_dir))
-        span = max(timeline.last_seen - timeline.started, 0.0)
-        print(
-            f"{campaign_dir}: {len(timeline.launchers)} launcher feed(s), "
-            f"{timeline.completed}/{timeline.total} trial(s) over "
-            f"{span:.1f}s, {timeline.duplicates} duplicate(s), "
-            f"{timeline.torn_lines} torn line(s)"
-        )
-        if timeline.launchers:
-            table = Table(
-                title="Per-launcher utilization",
-                headers=[
-                    "launcher", "trials", "busy s", "wall s", "util %",
-                    "trials/s",
-                ],
+        if not launcher.closed:
+            print(
+                f"  unclosed launcher {name}: last record "
+                f"{max(0.0, now - launcher.last_seen):.1f}s ago"
             )
-            for name in sorted(timeline.launchers):
-                launcher = timeline.launchers[name]
-                table.add_row(
-                    launcher.name,
-                    launcher.executed,
-                    f"{launcher.busy_seconds:.2f}",
-                    f"{launcher.wall_seconds:.2f}",
-                    f"{100.0 * launcher.utilization:.0f}",
-                    f"{launcher.trials_per_second:.1f}",
-                )
-            table.add_note(
-                "util = busy trial seconds / observed launcher lifetime"
-            )
-            print()
-            print(table.render())
-        if timeline.batches:
-            table = Table(
-                title="Per-batch progress",
-                headers=["batch", "size", "completed", "duplicates", "executors"],
-            )
-            for key in sorted(timeline.batches):
-                batch = timeline.batches[key]
-                executors = sorted(set(batch.finished_by.values()))
-                table.add_row(
-                    key,
-                    batch.size,
-                    batch.completed,
-                    batch.duplicates,
-                    "+".join(executors) if executors else "-",
-                )
-            print()
-            print(table.render())
-        series = timeline.throughput_series(bin_seconds)
-        if series:
-            peak = max(count for _, count in series)
-            print()
-            print(f"Throughput over time ({bin_seconds:g}s bins):")
-            for offset, count in series:
-                bar = "#" * max(1, round(30 * count / peak))
-                print(f"  t+{offset:6.1f}s  {bar} {count}")
-        metrics = timeline.metrics
-        if not metrics.empty:
-            print()
-            print("Merged campaign metrics (all launchers):")
-            for name_, value in sorted(metrics.counters.items()):
-                print(f"  {name_} = {value:g}")
-            for name_, summary in sorted(metrics.histograms.items()):
-                print(
-                    f"  {name_}: n={summary.count} "
-                    f"mean={summary.mean:.6f}±{summary.stddev:.6f} "
-                    f"min={summary.minimum:.6f} max={summary.maximum:.6f}"
-                )
-    return 0
 
 
 def _cmd_bench_compare(
@@ -798,15 +572,6 @@ def _cmd_bench_compare(
         f"{threshold:.0%}: {len(failed)} regression(s)/missing"
     )
     return 1 if failed else 0
-
-
-def _cmd_checkpoint_show(directory: str) -> int:
-    damaged = False
-    for campaign_dir in _campaign_dirs(directory):
-        snapshot = _journal_snapshot(campaign_dir)
-        _print_journal(snapshot)
-        damaged = damaged or bool(snapshot["damaged"])
-    return 1 if damaged else 0
 
 
 def _cmd_checkpoint_diff(left: str, right: str) -> int:
@@ -871,18 +636,12 @@ def _dispatch(args) -> int:
     if args.command == "trace":
         return _cmd_trace_summarize(args.path)
     if args.command == "campaign":
-        if args.campaign_command == "watch":
-            return _cmd_campaign_watch(args.directory, args.interval, args.once)
         return _cmd_campaign_status(args.directory)
-    if args.command == "timeline":
-        return _cmd_timeline_report(args.directory, args.bin)
     if args.command == "bench":
         return _cmd_bench_compare(
             args.old, args.new, args.threshold, args.min_seconds
         )
     if args.command == "checkpoint":
-        if args.checkpoint_command == "show":
-            return _cmd_checkpoint_show(args.directory)
         return _cmd_checkpoint_diff(args.left, args.right)
     return 2  # pragma: no cover - argparse enforces the choices
 
@@ -903,7 +662,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"div-repro: error: {exc}", file=sys.stderr)
         return 2
     except BrokenPipeError:
-        # Downstream consumer closed early (`div-repro timeline report | head`).
+        # Downstream consumer closed early (`div-repro trace summarize | head`).
         # Detach stdout so the interpreter's shutdown flush can't raise again.
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())

@@ -16,7 +16,6 @@ from repro.checkpoint import CheckpointJournal, campaign, config_fingerprint
 from repro.core.kernels import use_kernel
 from repro.errors import ExperimentError
 from repro.faults import FaultPlan
-from repro.obs.metrics import active_metrics, collecting
 from repro.obs.log import TELEMETRY_DIRNAME, EventLog, active_log, recording
 from repro.experiments import (
     e01_winning_distribution,
@@ -131,13 +130,11 @@ class ExperimentSpec:
 
         ``telemetry=True`` (CLI: ``--telemetry``) records the campaign in
         an event log under ``<campaign dir>/telemetry/`` (see
-        :mod:`repro.obs.log`) so ``div-repro campaign watch``,
-        ``timeline report`` and ``trace summarize`` can observe it live
-        and post-hoc. It requires a ``checkpoint_dir`` — the logs live
-        next to the campaign's journal. When no ambient metrics registry
-        is collecting, one is installed for the campaign so heartbeats
-        carry real counters. Without it, an ambient log (``--trace-dir``)
-        records the campaign instead.
+        :mod:`repro.obs.log`) so ``div-repro campaign status`` can report
+        its progress and ETA, live or post-hoc, and ``trace summarize``
+        its phases. It requires a ``checkpoint_dir`` — the logs live
+        next to the campaign's journal. Without it, an ambient log
+        (``--trace-dir``) records the campaign instead.
         """
         if scale not in ("full", "quick"):
             raise ExperimentError(f"unknown campaign scale {scale!r}")
@@ -173,10 +170,6 @@ class ExperimentSpec:
             # choice to worker processes.
             stack.enter_context(use_kernel(kernel))
             if telemetry:
-                # Heartbeats ship metric deltas; make sure there are
-                # metrics to ship even when the caller installed none.
-                if active_metrics() is None:
-                    stack.enter_context(collecting())
                 stack.enter_context(
                     recording(
                         EventLog(

@@ -7,11 +7,12 @@ The third cross-cutting layer (after parallelism and checkpointing):
 * :mod:`repro.obs.log` — the append-only event log that ``run
   --trace-dir`` and ``run --telemetry`` write (trials, batches, engine
   spans with the paper's phase structure via
-  :class:`~repro.obs.log.PhaseTraceObserver`, heartbeats), and the one
-  reader that merges any number of logs;
+  :class:`~repro.obs.log.PhaseTraceObserver`), and the one reader that
+  merges any number of logs;
 * :mod:`repro.obs.views` — the two folds over a read log: the trace
   summary (``div-repro trace summarize``) and the campaign timeline
-  (``campaign watch`` / ``timeline report``);
+  (the progress, ETA and unclosed-launcher lines of ``div-repro
+  campaign status``);
 * :mod:`repro.obs.profile` — opt-in cProfile sections keyed by span;
 * :mod:`repro.obs.bench` — committed benchmark-snapshot comparison
   (``div-repro bench compare``).
@@ -24,9 +25,6 @@ in the layering — it must never import core, analysis or experiments.
 See ``docs/observability.md`` for the record schema and CLI usage.
 """
 
-import sys
-
-from repro.obs import log
 from repro.obs.metrics import (
     EMPTY_SNAPSHOT,
     HistogramSummary,
@@ -55,10 +53,6 @@ from repro.obs.views import (
     campaign_timeline,
     summarize,
 )
-
-# ``repro.obs.telemetry`` held the feed writer the log replaced; code
-# that imports the feed format tag from it keeps working.
-sys.modules[f"{__name__}.telemetry"] = log
 
 __all__ = [
     "EMPTY_SNAPSHOT",

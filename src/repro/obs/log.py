@@ -19,8 +19,7 @@ Record schema (one JSON object per line; ``seq`` counts up from 0 in
 each file, ``t`` is the epoch time of the write)::
 
     {"seq": 0, "t": ..., "kind": "hello", "format": "div-repro-telemetry",
-     "version": 2, "launcher": ..., "host": ..., "pid": ...,
-     "heartbeat_interval": 1.0, ...context}
+     "version": 2, "launcher": ..., "host": ..., "pid": ..., ...context}
     {"kind": "batch.begin", "batch": "b0000-trials-40",
      "batch_kind": "trials", "size": 40, "cached": 0}
     {"kind": "trial", "batch": ..., "index": 7, "seconds": 0.012,
@@ -31,18 +30,14 @@ each file, ``t`` is the epoch time of the write)::
     {"kind": "executor.resolved", "batch": ..., "executor": "pool", ...}
     {"kind": "batch.end", "batch": ..., "executor": "pool",
      "seconds": 1.73, "trials": 40}
-    {"kind": "heartbeat", "metrics": {...delta...}}
-    {"kind": "bye", "metrics": {...final delta...}, "dropped": 0}
+    {"kind": "bye", "dropped": 0}
 
 A span is written when it closes. Engine spans (``engine.run``,
 ``engine.run_complete``) carry ``steps``, ``stop_reason``,
 ``rng_blocks``, ``opinion_changes``, the phase totals of
 :class:`PhaseTraceObserver` — whose per-phase ``steps`` always sum to
 the span's ``steps`` — and the ``transitions`` list of
-``[step, support]`` pairs. Heartbeats carry metric *deltas*: counters
-and the additive histogram moments subtract, while histogram
-``min``/``max`` ride as cumulative extremes, so merging every delta of
-a launcher rebuilds its cumulative snapshot exactly.
+``[step, support]`` pairs.
 
 Writing and reading
 -------------------
@@ -56,7 +51,10 @@ A log whose filesystem fails disables itself with a
 :class:`~repro.errors.EventLogError` naming ``file:line``. Trace files
 written before the one log (``{"type": "span"|"event", ...}``) load
 through the same reader: ``type`` becomes ``kind``, and an event's
-``name`` becomes its kind.
+``name`` becomes its kind. Logs written before heartbeats were dropped
+hold ``heartbeat`` records, a hello ``heartbeat_interval`` and a
+``bye`` ``metrics`` payload; they read as any other record, and the
+folds ignore them.
 
 Like metrics and profiling, the log is ambient and opt-in: instrumented
 code asks :func:`active_log` once and does nothing when it is ``None``.
@@ -76,7 +74,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
 
 from repro.errors import EventLogError
-from repro.obs.metrics import HistogramSummary, MetricsSnapshot, active_metrics
 
 __all__ = [
     "FEED_FORMAT",
@@ -88,8 +85,6 @@ __all__ = [
     "active_log",
     "read_log",
     "recording",
-    "snapshot_from_payload",
-    "snapshot_to_payload",
     "suspended",
 ]
 
@@ -130,79 +125,6 @@ def _json_default(value: object) -> object:
 
 
 # ---------------------------------------------------------------------------
-# Snapshot <-> JSON payload (heartbeat metrics)
-# ---------------------------------------------------------------------------
-
-
-def snapshot_to_payload(snapshot: MetricsSnapshot) -> dict:
-    """A JSON-ready, lossless encoding of a snapshot.
-
-    Unlike ``MetricsSnapshot.to_dict`` (the ``--metrics-out`` schema)
-    this round-trips through :func:`snapshot_from_payload` exactly,
-    including the mergeable ``sum_squares`` moment.
-    """
-    return {
-        "counters": dict(sorted(snapshot.counters.items())),
-        "gauges": dict(sorted(snapshot.gauges.items())),
-        "histograms": {
-            name: [
-                summary.count,
-                summary.total,
-                summary.sum_squares,
-                summary.minimum if summary.count else None,
-                summary.maximum if summary.count else None,
-            ]
-            for name, summary in sorted(snapshot.histograms.items())
-        },
-    }
-
-
-def snapshot_from_payload(payload: dict) -> MetricsSnapshot:
-    """Inverse of :func:`snapshot_to_payload`."""
-    histograms = {}
-    for name, moments in payload.get("histograms", {}).items():
-        count, total, sum_squares, minimum, maximum = moments
-        histograms[str(name)] = HistogramSummary(
-            count=int(count),
-            total=float(total),
-            minimum=float("inf") if minimum is None else float(minimum),
-            maximum=float("-inf") if maximum is None else float(maximum),
-            sum_squares=float(sum_squares),
-        )
-    return MetricsSnapshot(
-        counters={str(k): v for k, v in payload.get("counters", {}).items()},
-        gauges={str(k): v for k, v in payload.get("gauges", {}).items()},
-        histograms=histograms,
-    )
-
-
-def _snapshot_delta(
-    current: MetricsSnapshot, shipped: MetricsSnapshot
-) -> MetricsSnapshot:
-    """What ``current`` added on top of ``shipped`` (see module docstring)."""
-    counters = {}
-    for name, value in current.counters.items():
-        delta = value - shipped.counters.get(name, 0)
-        if delta:
-            counters[name] = delta
-    histograms = {}
-    for name, summary in current.histograms.items():
-        previous = shipped.histograms.get(name, HistogramSummary())
-        if summary.count == previous.count:
-            continue
-        histograms[name] = HistogramSummary(
-            count=summary.count - previous.count,
-            total=summary.total - previous.total,
-            minimum=summary.minimum,
-            maximum=summary.maximum,
-            sum_squares=summary.sum_squares - previous.sum_squares,
-        )
-    return MetricsSnapshot(
-        counters=counters, gauges=dict(current.gauges), histograms=histograms
-    )
-
-
-# ---------------------------------------------------------------------------
 # The writer
 # ---------------------------------------------------------------------------
 
@@ -218,9 +140,6 @@ class EventLog:
         The launcher name, which is also the file stem. Defaults to a
         fresh ``<host>-pid<pid>-F<seq>-<ns>``; ``--trace-dir`` passes the
         experiment id so a rerun replaces its trace.
-    heartbeat_interval:
-        Minimum seconds between metric-carrying heartbeats. Heartbeats
-        ride on trial and batch records; the log runs no thread.
     drop_indices:
         Trial indices whose ``trial`` records are dropped — the
         launcher-side ``telemetry-drop`` fault of :mod:`repro.faults`.
@@ -234,20 +153,16 @@ class EventLog:
         directory: Union[str, Path],
         name: Optional[str] = None,
         *,
-        heartbeat_interval: float = 1.0,
         drop_indices: Sequence[int] = (),
         **context: object,
     ) -> None:
         self.launcher = _launcher_name() if name is None else name
         self.path = Path(directory) / f"{self.launcher}.jsonl"
-        self.heartbeat_interval = float(heartbeat_interval)
         self.drop_indices = frozenset(int(i) for i in drop_indices)
         #: Trial records suppressed by ``drop_indices``.
         self.dropped = 0
         self._file = None
         self._seq = 0
-        self._last_heartbeat = 0.0
-        self._shipped = MetricsSnapshot()
         self._anonymous_batches = itertools.count()
         self._batch: Optional[str] = None
         self._batch_trials = 0
@@ -266,7 +181,6 @@ class EventLog:
             launcher=self.launcher,
             host=socket.gethostname(),
             pid=os.getpid(),
-            heartbeat_interval=self.heartbeat_interval,
             **context,
         )
 
@@ -353,40 +267,21 @@ class EventLog:
             seconds=time.perf_counter() - started,
             trials=self._batch_trials,
         )
-        self.maybe_heartbeat()
 
     def trial(self, index: int, seconds: float, worker: str) -> None:
-        """Record one executed trial; throttled heartbeat."""
+        """Record one executed trial."""
         self._batch_trials += 1
         if index in self.drop_indices:
             self.dropped += 1
             return
         self.event("trial", index=index, seconds=seconds, worker=worker)
-        self.maybe_heartbeat()
-
-    def _metrics_delta(self) -> dict:
-        """The metrics recorded since the last shipped delta, as a payload."""
-        registry = active_metrics()
-        delta = MetricsSnapshot()
-        if registry is not None:
-            current = registry.snapshot()
-            delta = _snapshot_delta(current, self._shipped)
-            self._shipped = current
-        return snapshot_to_payload(delta)
-
-    def maybe_heartbeat(self) -> None:
-        """Write a heartbeat carrying the metrics since the previous one,
-        if ``heartbeat_interval`` has passed since it."""
-        if time.monotonic() - self._last_heartbeat >= self.heartbeat_interval:
-            self._write("heartbeat", metrics=self._metrics_delta())
-            self._last_heartbeat = time.monotonic()
 
     def close(self, bye: bool = True) -> None:
         """Write the ``bye`` record (unless ``bye`` is false) and close."""
         if self._file is None:
             return
         if bye:
-            self._write("bye", metrics=self._metrics_delta(), dropped=self.dropped)
+            self._write("bye", dropped=self.dropped)
         if self._file is not None:
             self._file.close()
             self._file = None

@@ -8,9 +8,8 @@ stream. This module folds that stream two ways:
   and the check that every engine span's per-phase steps sum to its
   ``steps``;
 * :func:`campaign_timeline` — the campaign view behind ``div-repro
-  campaign watch``, ``campaign status`` and ``timeline report``:
-  launchers, batch progress, duplicates, ETA and merged heartbeat
-  metrics.
+  campaign status``: launchers and whether each closed its log, batch
+  progress, duplicates, recent rate and ETA.
 
 Timeline accounting rules:
 
@@ -21,8 +20,8 @@ Timeline accounting rules:
   count at batch open is a completion *floor*, not an additive term
   (see :meth:`BatchProgress.completed`).
 - Every trial record counts as a trial its launcher **executed**.
-- Kinds a fold does not know — such as the ``lease.*`` records of older
-  feeds — stay in ``CampaignTimeline.events`` untouched.
+- Kinds a fold does not know — such as the ``lease.*`` and
+  ``heartbeat`` records of older feeds — are skipped.
 """
 
 from __future__ import annotations
@@ -31,8 +30,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.errors import EventLogError
-from repro.obs.log import Log, snapshot_from_payload
-from repro.obs.metrics import MetricsSnapshot, merge_snapshots
+from repro.obs.log import Log
 
 __all__ = [
     "BatchProgress",
@@ -45,6 +43,10 @@ __all__ = [
 
 #: Span-name prefix shared by all engine-level spans.
 ENGINE_SPAN_PREFIX = "engine."
+
+#: Trailing seconds of log time that :meth:`CampaignTimeline.recent_rate`
+#: counts trials over.
+RATE_WINDOW = 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -156,53 +158,14 @@ class LauncherTimeline:
     started: float = 0.0
     #: Timestamp of the last record seen from this launcher.
     last_seen: float = 0.0
-    #: Heartbeat cadence promised in the hello record (staleness yardstick).
-    heartbeat_interval: float = 1.0
     #: ``True`` once the log's ``bye`` record was observed.
     closed: bool = False
     #: Trials this launcher executed.
     executed: int = 0
-    #: Wall seconds spent inside executed trials (utilization numerator).
-    busy_seconds: float = 0.0
-    #: Cumulative metrics, rebuilt by merging heartbeat deltas.
-    metrics: MetricsSnapshot = field(default_factory=MetricsSnapshot)
     #: Trial records dropped by the telemetry-drop fault (self-reported).
     self_dropped: int = 0
     #: Torn final lines the reader skipped.
     torn_lines: int = 0
-    #: ``(t, batch, index, seconds)`` for executed trials, in log order.
-    trials: List[Tuple[float, str, int, float]] = field(default_factory=list)
-
-    @property
-    def wall_seconds(self) -> float:
-        """Observed lifetime of the launcher (first to last record)."""
-        return max(0.0, self.last_seen - self.started)
-
-    @property
-    def utilization(self) -> float:
-        """Fraction of its observed lifetime spent executing trials."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return min(1.0, self.busy_seconds / self.wall_seconds)
-
-    @property
-    def trials_per_second(self) -> float:
-        """Lifetime average throughput of executed trials."""
-        if self.wall_seconds <= 0.0:
-            return 0.0
-        return self.executed / self.wall_seconds
-
-    def is_stale(self, now: float, grace: float = 5.0) -> bool:
-        """A launcher that stopped reporting without saying goodbye.
-
-        ``grace`` multiplies the log's own promised heartbeat interval —
-        a launcher silent for that long either died or is wedged, and
-        ``campaign watch`` flags it.
-        """
-        if self.closed:
-            return False
-        quiet = now - self.last_seen
-        return quiet > grace * max(self.heartbeat_interval, 0.1)
 
 
 @dataclass
@@ -260,18 +223,10 @@ class CampaignTimeline:
 
     launchers: Dict[str, LauncherTimeline] = field(default_factory=dict)
     batches: Dict[str, BatchProgress] = field(default_factory=dict)
-    #: Every record, ordered by ``(t, launcher, seq)``, each carrying its
-    #: ``launcher``.
-    events: List[dict] = field(default_factory=list)
+    #: Log time of every executed trial, in log order.
+    trial_times: List[float] = field(default_factory=list)
     #: Torn final lines skipped across logs.
     torn_lines: int = 0
-
-    @property
-    def metrics(self) -> MetricsSnapshot:
-        """Campaign-cumulative metrics (all launchers' deltas merged)."""
-        return merge_snapshots(
-            self.launchers[name].metrics for name in sorted(self.launchers)
-        )
 
     @property
     def executed(self) -> int:
@@ -290,64 +245,38 @@ class CampaignTimeline:
         return sum(b.duplicates for b in self.batches.values())
 
     @property
-    def started(self) -> float:
-        if not self.launchers:
-            return 0.0
-        return min(l.started for l in self.launchers.values())
-
-    @property
     def last_seen(self) -> float:
         if not self.launchers:
             return 0.0
         return max(l.last_seen for l in self.launchers.values())
 
-    def recent_rate(self, window: float = 10.0) -> float:
-        """Executed trials/sec over the trailing ``window`` of log time.
+    def recent_rate(self) -> float:
+        """Executed trials/sec over the trailing :data:`RATE_WINDOW`.
 
-        The throughput behind ``campaign watch``'s ETA; measured against
-        the newest record so it also works on finished campaigns.
+        Measured against the newest record, not the clock, so it also
+        works on finished campaigns.
         """
-        horizon = self.last_seen - window
-        recent = [
-            t
-            for launcher in self.launchers.values()
-            for (t, _batch, _index, _seconds) in launcher.trials
-            if t >= horizon
-        ]
+        horizon = self.last_seen - RATE_WINDOW
+        recent = [t for t in self.trial_times if t >= horizon]
         if not recent:
             return 0.0
         span = max(self.last_seen - min(recent), 1e-9)
         return len(recent) / span
 
-    def eta_seconds(self, window: float = 10.0) -> Optional[float]:
+    def eta_seconds(self) -> Optional[float]:
         """Seconds to drain the remaining trials at the recent rate."""
         remaining = sum(b.remaining for b in self.batches.values())
         if remaining == 0:
             return 0.0
-        rate = self.recent_rate(window)
+        rate = self.recent_rate()
         if rate <= 0.0:
             return None
         return remaining / rate
 
-    def throughput_series(
-        self, bin_seconds: float = 1.0
-    ) -> List[Tuple[float, int]]:
-        """``(offset_seconds, trials)`` per non-empty time bin since start."""
-        if bin_seconds <= 0.0:
-            raise EventLogError("throughput bin width must be positive")
-        bins: Dict[int, int] = {}
-        for launcher in self.launchers.values():
-            for t, _batch, _index, _seconds in launcher.trials:
-                slot = int((t - self.started) / bin_seconds)
-                bins[slot] = bins.get(slot, 0) + 1
-        return [(slot * bin_seconds, bins[slot]) for slot in sorted(bins)]
-
 
 def campaign_timeline(log: Log) -> CampaignTimeline:
     """Fold a campaign's merged log records into its timeline."""
-    timeline = CampaignTimeline(
-        events=log.records, torn_lines=sum(log.torn.values())
-    )
+    timeline = CampaignTimeline(torn_lines=sum(log.torn.values()))
     for record in log.records:
         name = record["launcher"]
         launcher = timeline.launchers.get(name)
@@ -358,19 +287,9 @@ def campaign_timeline(log: Log) -> CampaignTimeline:
             )
         launcher.last_seen = max(launcher.last_seen, t)
         kind = record["kind"]
-        if kind == "hello":
-            launcher.heartbeat_interval = float(
-                record.get("heartbeat_interval", 1.0)
-            )
-        elif kind in ("heartbeat", "bye"):
-            payload = record.get("metrics")
-            if isinstance(payload, dict):
-                launcher.metrics = merge_snapshots(
-                    [launcher.metrics, snapshot_from_payload(payload)]
-                )
-            if kind == "bye":
-                launcher.closed = True
-                launcher.self_dropped = int(record.get("dropped", 0))
+        if kind == "bye":
+            launcher.closed = True
+            launcher.self_dropped = int(record.get("dropped", 0))
         elif kind in ("batch.begin", "trial", "batch.end"):
             key = str(record.get("batch"))
             batch = timeline.batches.setdefault(key, BatchProgress(key=key))
@@ -387,10 +306,8 @@ def campaign_timeline(log: Log) -> CampaignTimeline:
                 else:
                     batch.completed_indices.add(index)
                 batch.launcher_indices.setdefault(name, set()).add(index)
-                seconds = float(record.get("seconds", 0.0))
                 launcher.executed += 1
-                launcher.busy_seconds += seconds
-                launcher.trials.append((t, key, index, seconds))
+                timeline.trial_times.append(t)
             else:
                 batch.finished_by[name] = str(record.get("executor") or "?")
     return timeline

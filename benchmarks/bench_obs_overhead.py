@@ -1,12 +1,11 @@
 """Observability overhead on the hot engine loops (repro.obs).
 
-Runs the same fixed-step engine workload bare, under an active metrics
-registry, and under an installed event log, for both the generic
-scheduler engine and the complete-graph count engine. The bare rounds
-are the acceptance baseline: with no registry/log installed the
-instrumentation must stay within noise (budget: <= 2% — see
-docs/observability.md for recorded numbers). The instrumented rounds
-price what `--metrics-out` and `--trace-dir` actually cost.
+Runs the same fixed-step engine workload bare and under an installed
+event log, for both the generic scheduler engine and the complete-graph
+count engine. The bare rounds are the acceptance baseline: with no log
+installed the instrumentation must stay within noise (budget: <= 2% —
+see docs/observability.md for recorded numbers). The logged rounds
+price what `--trace-dir` actually costs.
 
 The trial-level rounds price the campaign log the same way: a
 ``run_trials`` batch bare versus writing a live event log
@@ -26,7 +25,7 @@ from repro.analysis.montecarlo import run_trials
 from repro.core import IncrementalVoting, OpinionState, run_div_complete, run_dynamics
 from repro.core.schedulers import VertexScheduler
 from repro.graphs import random_regular_graph
-from repro.obs import EventLog, collecting, recording
+from repro.obs import EventLog, recording
 
 _STEPS = 100_000
 _N = 1000
@@ -68,17 +67,6 @@ def test_generic_engine_bare(benchmark):
     graph = random_regular_graph(_N, _D, rng=0)
     benchmark.extra_info.update(engine="generic", obs="off", n=_N, d=_D, steps=_STEPS)
     benchmark.pedantic(lambda: _run_generic(graph), rounds=3, iterations=1)
-
-
-def test_generic_engine_with_metrics(benchmark):
-    graph = random_regular_graph(_N, _D, rng=0)
-    benchmark.extra_info.update(engine="generic", obs="metrics", n=_N, d=_D, steps=_STEPS)
-
-    def run():
-        with collecting():
-            return _run_generic(graph)
-
-    benchmark.pedantic(run, rounds=3, iterations=1)
 
 
 def test_generic_engine_with_tracing(benchmark):
@@ -129,7 +117,7 @@ def test_trials_with_telemetry(benchmark):
     benchmark.extra_info.update(layer="trials", obs="telemetry", trials=_TRIALS)
 
     def run():
-        with collecting(), _logging():
+        with _logging():
             return _run_batch()
 
     benchmark.pedantic(run, rounds=3, iterations=1)

@@ -5,8 +5,8 @@
 #   1. a traced quick campaign writes a JSONL event log that `div-repro
 #      trace summarize` renders (the summary itself validates that every
 #      engine span's per-phase steps sum to the span's total steps);
-#   2. the metrics snapshot and the trace agree on the work done
-#      (engine.runs == engine spans, engine.steps == total steps);
+#   2. the log holds one engine span per trial record (80 for E10
+#      --quick), and its opinion-change and RNG-block totals are positive;
 #   3. the trace's phase-transition counts are consistent with the final
 #      E10 report: support-*size* transitions are a subset of the
 #      support-*set* changes the report counts as stages, so
@@ -35,13 +35,12 @@ say() { echo "[trace-drill] $*"; }
 say "traced quick campaign: E10 --quick --seed 0"
 mkdir -p "$OUT"
 $RUN run E10 --quick --seed 0 \
-    --trace-dir "$OUT/trace" --metrics-out "$OUT/metrics.json" \
-    --json "$OUT/json" > /dev/null
+    --trace-dir "$OUT/trace" --json "$OUT/json" > /dev/null
 
 say "rendering the trace summary (validates the per-phase step invariant)"
 $RUN trace summarize "$OUT/trace"
 
-say "cross-checking trace vs metrics vs final report"
+say "cross-checking trace vs final report"
 python - "$OUT" <<'EOF'
 import json
 import sys
@@ -50,16 +49,15 @@ from pathlib import Path
 from repro.obs import read_log, summarize
 
 out = Path(sys.argv[1])
-summary = summarize(read_log(out / "trace").records)
-metrics = json.loads((out / "metrics.json").read_text(encoding="utf-8"))
+records = read_log(out / "trace").records
+summary = summarize(records)
 report = json.loads((out / "json" / "e10.json").read_text(encoding="utf-8"))
 
-counters = metrics["counters"]
-assert counters["engine.runs"] == summary.engine_spans, (
-    counters["engine.runs"], summary.engine_spans)
-assert counters["engine.steps"] == summary.total_steps, (
-    counters["engine.steps"], summary.total_steps)
-assert summary.engine_spans == 80, summary.engine_spans  # E10 --quick trials
+# E10 --quick: 80 trials, one engine run each.
+trials = sum(1 for record in records if record["kind"] == "trial")
+assert summary.engine_spans == trials == 80, (summary.engine_spans, trials)
+assert summary.total_opinion_changes > 0, summary.total_opinion_changes
+assert summary.total_rng_blocks > 0, summary.total_rng_blocks
 
 # Every support-size transition in the trace is also a support-set
 # change in the report's stage count, plus the initial stage.
@@ -69,7 +67,8 @@ assert mean_transitions + 1 <= mean_stages + 1e-9, (mean_transitions, mean_stage
 assert summary.phase_transitions > 0
 
 print(f"[trace-drill] OK: {summary.engine_spans} engine spans, "
-      f"{summary.total_steps} steps, mean transitions {mean_transitions:.2f} "
+      f"{summary.total_steps} steps, {summary.total_opinion_changes} changes, "
+      f"{summary.total_rng_blocks} RNG blocks, mean transitions {mean_transitions:.2f} "
       f"<= mean stages {mean_stages:.2f}")
 EOF
 

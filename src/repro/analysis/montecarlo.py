@@ -34,12 +34,6 @@ from repro.checkpoint import CampaignSession, current_session
 from repro.core.kernels import active_kernel, use_kernel
 from repro.errors import AnalysisError
 from repro.faults import FaultPlan
-from repro.obs.metrics import (
-    MetricsRegistry,
-    MetricsSnapshot,
-    active_metrics,
-    merge_snapshots,
-)
 from repro.obs.log import EventLog, active_log
 from repro.parallel import TrialRecord, TrialTask, TrialTimings, execute_tasks
 from repro.rng import RngLike, make_rng, spawn_seed_sequences
@@ -56,16 +50,11 @@ class TrialSet(Generic[T]):
 
     ``timings`` carries per-trial wall-time and per-worker throughput
     when the batch was asked for ``workers`` or a named executor; it
-    is ``None`` for a default ``workers=None`` batch. ``metrics`` is the
-    merged :class:`~repro.obs.metrics.MetricsSnapshot` of every trial
-    executed in this batch when an ambient metrics registry was active (see
-    :func:`repro.obs.metrics.collecting`); its counters are identical
-    across worker counts, like the outcomes themselves.
+    is ``None`` for a default ``workers=None`` batch.
     """
 
     outcomes: List[T]
     timings: Optional[TrialTimings] = None
-    metrics: Optional[MetricsSnapshot] = None
     #: Resolved executor the batch ran through, including any
     #: degradation path (``"serial"``, ``"pool"``, ``"pool->serial"``).
     #: Mirrors ``RunResult.kernel``: what actually executed, not what
@@ -221,7 +210,6 @@ def _run_batch(
     )
     instrumented = workers is not None or executor not in (None, "auto")
     log = active_log()
-    parent_metrics = active_metrics()
     bracket = (
         log.batch(batch, kind, len(tasks), len(cached))
         if log is not None
@@ -237,7 +225,6 @@ def _run_batch(
             max_retries=max_retries,
             fault_plan=fault_plan,
             on_chunk=_deliverer(session, batch, log),
-            collect_metrics=parent_metrics is not None,
             kernel=active_kernel(),
             executor=executor,
         )
@@ -266,28 +253,10 @@ def _run_batch(
                     if instrumented
                     else None
                 ),
-                metrics=_merged_metrics([r.metrics for r in ran], parent_metrics),
                 executor=timings.executor,
             )
         )
     return trial_sets
-
-
-def _merged_metrics(
-    snapshots: Sequence[Optional[MetricsSnapshot]],
-    parent_metrics: Optional[MetricsRegistry],
-) -> Optional[MetricsSnapshot]:
-    """Merge per-trial snapshots into a batch snapshot (``None`` if idle).
-
-    The merged snapshot is absorbed into the parent registry here —
-    exactly once per trial, whichever executor ran it — so ambient
-    totals and per-batch ``TrialSet.metrics`` stay in sync.
-    """
-    if parent_metrics is None:
-        return None
-    batch = merge_snapshots(snapshots)
-    parent_metrics.absorb(batch)
-    return batch
 
 
 def _open_batch(

@@ -56,7 +56,6 @@ import hashlib
 import json
 import pickle
 import re
-import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -78,7 +77,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.io import atomic_write_bytes, atomic_write_text
-from repro.obs.metrics import active_metrics
 from repro.obs.log import active_log
 
 PathLike = Union[str, Path]
@@ -467,29 +465,15 @@ class CampaignSession:
             return {}
         outcomes = self.journal.completed(batch)
         if outcomes:
-            metrics = active_metrics()
-            if metrics is not None:
-                metrics.inc("checkpoint.cache_hits", len(outcomes))
             log = active_log()
             if log is not None:
                 log.event("checkpoint.resume", batch=batch, cached=len(outcomes))
         return outcomes
 
     def record(self, batch: str, outcomes: Mapping[int, object]) -> None:
-        """Journal one finished chunk in one write (a no-op without a journal).
-
-        ``checkpoint.records`` counts the chunk's trials;
-        ``checkpoint.record_seconds`` observes the one write.
-        """
+        """Journal one finished chunk in one write (a no-op without a journal)."""
         if self.journal is not None:
-            started = time.perf_counter()
             self.journal.record(batch, outcomes, fault_plan=self.fault_plan)
-            metrics = active_metrics()
-            if metrics is not None:
-                metrics.inc("checkpoint.records", len(outcomes))
-                metrics.observe(
-                    "checkpoint.record_seconds", time.perf_counter() - started
-                )
 
     def chunk_delivered(self, indices: Sequence[int]) -> None:
         """A chunk is journaled and reported: fire any scripted ``abort``.

@@ -32,8 +32,7 @@ Commands
 ``trace summarize PATH``
     Per-phase step/wall-time breakdown and per-worker throughput of the
     event logs written by ``run --trace-dir`` or ``run --telemetry``
-    (see ``docs/observability.md``). ``run`` also takes ``--metrics-out``
-    (aggregated counters/histograms as JSON) and ``--profile-out``
+    (see ``docs/observability.md``). ``run`` also takes ``--profile-out``
     (cProfile hot paths per span).
 
 Expected failures (unknown experiment, bad graph file, corrupt or
@@ -160,13 +159,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write one JSONL event log per experiment under DIR "
         "(inspect with 'div-repro trace summarize DIR'; see "
         "docs/observability.md)",
-    )
-    run.add_argument(
-        "--metrics-out",
-        metavar="FILE",
-        default=None,
-        help="write aggregated counters/gauges/histograms of the whole "
-        "invocation as JSON to FILE",
     )
     run.add_argument(
         "--profile-out",
@@ -317,11 +309,6 @@ def _cmd_run(args) -> int:
     from contextlib import ExitStack
 
     with ExitStack() as stack:
-        registry = None
-        if args.metrics_out is not None:
-            from repro.obs.metrics import collecting
-
-            registry = stack.enter_context(collecting())
         profiler = None
         if args.profile_out is not None:
             from repro.obs.profile import profiling
@@ -367,11 +354,6 @@ def _cmd_run(args) -> int:
                 target = directory / f"{spec.experiment_id.lower()}.json"
                 write_report_json(report, target)
                 print(f"[wrote {target}]\n")
-        if registry is not None:
-            from repro.io import write_json
-
-            write_json(registry.snapshot().to_dict(), args.metrics_out)
-            print(f"[wrote metrics {args.metrics_out}]")
         if profiler is not None:
             from repro.io import atomic_write_text
 
@@ -441,6 +423,8 @@ def _cmd_trace_summarize(path: str) -> int:
         )
     print(
         f"{summary.engine_spans} engine run(s), {summary.total_steps} steps, "
+        f"{summary.total_opinion_changes} opinion change(s), "
+        f"{summary.total_rng_blocks} RNG block(s), "
         f"{summary.total_engine_seconds:.3f}s engine wall time "
         f"({1e3 * summary.mean_engine_seconds:.2f}"
         f"±{1e3 * summary.stddev_engine_seconds:.2f}ms/run), "
@@ -525,11 +509,11 @@ def _print_progress(timeline, now: float) -> None:
     trials, recent rate and ETA, then each launcher without a ``bye``."""
     if not timeline.launchers:
         return
-    eta = timeline.eta_seconds()
+    eta = timeline.eta_seconds(now)
     eta_text = "done" if eta == 0.0 else ("?" if eta is None else f"{eta:.0f}s")
     print(
         f"  telemetry: {timeline.completed}/{timeline.total} trial(s), "
-        f"{timeline.recent_rate():.1f} trials/s recently, ETA {eta_text}"
+        f"{timeline.recent_rate(now):.1f} trials/s recently, ETA {eta_text}"
     )
     for name in sorted(timeline.launchers):
         launcher = timeline.launchers[name]

@@ -10,13 +10,11 @@ The hot loop itself lives in :mod:`repro.core.kernels`: this module
 resolves specs into objects, picks an execution kernel (the per-step
 ``"loop"`` reference, the vectorized ``"block"`` kernel, or the numba
 ``"compiled"`` kernel — all bit-identical for any seed) and wraps the
-run in the observability layer (event-log span, metrics counters,
-profiler section).
+run in the observability layer (event-log span, profiler section).
 """
 
 from __future__ import annotations
 
-import time
 from contextlib import ExitStack
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -29,7 +27,6 @@ from repro.core.schedulers import Scheduler
 from repro.core.state import OpinionState
 from repro.core.stopping import StopCondition, StopLike, make_stop_condition
 from repro.errors import ProcessError
-from repro.obs.metrics import active_metrics
 from repro.obs.profile import active_profiler
 from repro.obs.log import PhaseTraceObserver, active_log
 from repro.rng import RngLike, make_rng
@@ -149,7 +146,6 @@ def run_dynamics(
         )
 
     log = active_log()
-    metrics = active_metrics()
     profiler = active_profiler()
     phase_obs: Optional[PhaseTraceObserver] = None
     if log is not None:
@@ -186,7 +182,6 @@ def run_dynamics(
         )
         if profiler is not None:
             stack.enter_context(profiler.section("engine.run"))
-        started = time.perf_counter()
 
         run = engine_kernel.execute(ctx)
 
@@ -206,12 +201,6 @@ def run_dynamics(
                 n=state.n,
             )
             span.update(phase_obs.attrs())
-        if metrics is not None:
-            metrics.inc("engine.runs")
-            metrics.inc("engine.steps", run.steps)
-            metrics.inc("engine.opinion_changes", run.changes)
-            metrics.inc("engine.rng_blocks", run.blocks)
-            metrics.observe("engine.run_seconds", time.perf_counter() - started)
     return RunResult(
         steps=run.steps,
         stop_reason=run.stop_reason,

@@ -41,7 +41,6 @@ How a step is computed:
 
 from __future__ import annotations
 
-import time
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
@@ -52,7 +51,6 @@ import numpy as np
 from repro.core.results import BaseRunResult
 from repro.core.stopping import MAX_STEPS_REASON
 from repro.errors import ProcessError
-from repro.obs.metrics import active_metrics
 from repro.obs.profile import active_profiler
 from repro.obs.log import PhaseTraceObserver, active_log
 from repro.rng import RngLike, make_rng
@@ -159,7 +157,6 @@ def run_div_complete(
         next_sample = weight_interval
 
     log = active_log()
-    metrics = active_metrics()
     profiler = active_profiler()
     # Phase tracking (the paper's |support| decomposition) follows the
     # count updates; the generic engine feeds the same observer through
@@ -178,7 +175,6 @@ def run_div_complete(
         )
         if profiler is not None:
             stack.enter_context(profiler.section("engine.run_complete"))
-        started = time.perf_counter()
 
         reason: Optional[str] = None
         if hi == lo:
@@ -296,12 +292,6 @@ def run_div_complete(
                 n=n,
                 **phases.attrs(),
             )
-        if metrics is not None:
-            metrics.inc("engine.runs")
-            metrics.inc("engine.steps", step)
-            metrics.inc("engine.opinion_changes", changes)
-            metrics.inc("engine.rng_blocks", blocks)
-            metrics.observe("engine.run_seconds", time.perf_counter() - started)
 
     final_counts = {
         p + offset: cum[p] - cum[p - 1]

@@ -1,7 +1,7 @@
 """Backend-selectable execution kernels for the asynchronous engine.
 
 :func:`repro.core.engine.run_dynamics` delegates its hot loop to an
-*execution kernel*. Two ship with the package:
+*execution kernel*. Three ship with the package:
 
 ``"loop"``
     The per-step reference implementation (the engine's original loop,
@@ -28,7 +28,7 @@ whole campaign::
     with use_kernel("block"):
         run_trials(...)        # every engine call resolves "auto" -> block
 
-mirroring how :mod:`repro.obs.metrics` scopes its active sink. The
+mirroring how :mod:`repro.obs.log` scopes its active log. The
 default ``"auto"`` runs the block kernel wherever the dynamics has
 :meth:`Dynamics.step_block` and the loop otherwise: solving each run's
 first blocks in growing prefixes (see :mod:`repro.core.kernels.block`)
@@ -93,7 +93,7 @@ _KERNELS = {
 KERNEL_NAMES = ("auto",) + tuple(sorted(_KERNELS))
 
 # Ambient kernel override for ``kernel="auto"`` calls, innermost wins —
-# same scoping idiom as ``repro.obs.metrics._ACTIVE``. Note this stack
+# same scoping idiom as ``repro.obs.log._ACTIVE``. Note this stack
 # is per-process: parallel campaigns ship the kernel name to their
 # workers explicitly (see ``repro.parallel``).
 _ACTIVE: list = []

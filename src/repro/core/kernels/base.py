@@ -69,7 +69,7 @@ class KernelRun:
     """What a kernel reports back to the engine wrapper.
 
     ``steps`` and ``stop_reason`` become the :class:`RunResult`;
-    ``blocks`` and ``changes`` feed the metrics/trace span so both
+    ``blocks`` and ``changes`` feed the event-log span so all
     kernels stay comparable in the observability layer. ``kernel``,
     when set, names the backend that actually executed the run — a
     kernel that delegates mid-execution (the compiled kernel hands

@@ -57,7 +57,7 @@ class FaultSpecError(ReproError):
 
 
 class ObservabilityError(ReproError):
-    """Invalid metrics/tracing/profiling request or artifact."""
+    """Invalid tracing/profiling request or artifact."""
 
 
 class EventLogError(ObservabilityError):

@@ -139,18 +139,6 @@ def write_report_json(report: ExperimentReport, path: PathLike) -> None:
     atomic_write_text(path, report_to_json(report))
 
 
-def write_json(payload: object, path: PathLike, indent: int = 2) -> None:
-    """Write any JSON-ready payload atomically (sorted keys, trailing \\n).
-
-    Used for the ``--metrics-out`` file and the benchmark snapshots;
-    sorted keys keep successive snapshots diff-able.
-    """
-    atomic_write_text(
-        path,
-        json.dumps(payload, indent=indent, sort_keys=True, default=_jsonify) + "\n",
-    )
-
-
 def table_to_csv(table: Table) -> str:
     """Serialize one table as CSV (headers + rows; notes omitted)."""
     import csv

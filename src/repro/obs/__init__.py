@@ -1,14 +1,14 @@
-"""Observability: structured metrics, the event log and profiling.
+"""Observability: the event log, its views and profiling.
 
 The third cross-cutting layer (after parallelism and checkpointing):
 
-* :mod:`repro.obs.metrics` — process-local counters/gauges/histograms
-  with snapshot/merge semantics, aggregated across worker processes;
 * :mod:`repro.obs.log` — the append-only event log that ``run
   --trace-dir`` and ``run --telemetry`` write (trials, batches, engine
   spans with the paper's phase structure via
   :class:`~repro.obs.log.PhaseTraceObserver`), and the one reader that
-  merges any number of logs;
+  merges any number of logs. It is the one record of a run's work:
+  every engine run's steps, opinion changes, RNG blocks and seconds
+  are attributes of its span;
 * :mod:`repro.obs.views` — the two folds over a read log: the trace
   summary (``div-repro trace summarize``) and the campaign timeline
   (the progress, ETA and unclosed-launcher lines of ``div-repro
@@ -25,15 +25,6 @@ in the layering — it must never import core, analysis or experiments.
 See ``docs/observability.md`` for the record schema and CLI usage.
 """
 
-from repro.obs.metrics import (
-    EMPTY_SNAPSHOT,
-    HistogramSummary,
-    MetricsRegistry,
-    MetricsSnapshot,
-    active_metrics,
-    collecting,
-    merge_snapshots,
-)
 from repro.obs.bench import BenchDelta, compare_snapshots, load_snapshot
 from repro.obs.log import (
     TELEMETRY_DIRNAME,
@@ -55,28 +46,21 @@ from repro.obs.views import (
 )
 
 __all__ = [
-    "EMPTY_SNAPSHOT",
     "TELEMETRY_DIRNAME",
     "BatchProgress",
     "BenchDelta",
     "CampaignTimeline",
     "EventLog",
-    "HistogramSummary",
     "LauncherTimeline",
     "Log",
-    "MetricsRegistry",
-    "MetricsSnapshot",
     "PhaseTraceObserver",
     "SpanProfiler",
     "TraceSummary",
     "active_log",
-    "active_metrics",
     "active_profiler",
     "campaign_timeline",
-    "collecting",
     "compare_snapshots",
     "load_snapshot",
-    "merge_snapshots",
     "profiling",
     "read_log",
     "recording",

@@ -56,7 +56,7 @@ hold ``heartbeat`` records, a hello ``heartbeat_interval`` and a
 ``bye`` ``metrics`` payload; they read as any other record, and the
 folds ignore them.
 
-Like metrics and profiling, the log is ambient and opt-in: instrumented
+Like profiling, the log is ambient and opt-in: instrumented
 code asks :func:`active_log` once and does nothing when it is ``None``.
 This module sits below ``repro.core`` and imports nothing from it.
 """

@@ -100,7 +100,7 @@ def suspended() -> Iterator[None]:
     """Hide any ambient profiler for the enclosed block.
 
     Forked workers inherit a copy of the parent's profiler stack;
-    without suspension they aggregate span timings into a registry the
+    without suspension they aggregate span timings into a profiler the
     parent never reads.  The worker entry suspends profiling so
     :func:`active_profiler` reports that profiling is off here.
     """

@@ -4,7 +4,8 @@
 stream. This module folds that stream two ways:
 
 * :func:`summarize` — the trace summary behind ``div-repro trace
-  summarize``: per-phase steps and wall time, per-worker throughput,
+  summarize``: engine-run totals (steps, opinion changes, RNG blocks,
+  wall time), per-phase steps and wall time, per-worker throughput,
   and the check that every engine span's per-phase steps sum to its
   ``steps``;
 * :func:`campaign_timeline` — the campaign view behind ``div-repro
@@ -44,7 +45,7 @@ __all__ = [
 #: Span-name prefix shared by all engine-level spans.
 ENGINE_SPAN_PREFIX = "engine."
 
-#: Trailing seconds of log time that :meth:`CampaignTimeline.recent_rate`
+#: Trailing seconds before the clock that :meth:`CampaignTimeline.recent_rate`
 #: counts trials over.
 RATE_WINDOW = 10.0
 
@@ -61,10 +62,12 @@ class TraceSummary:
     campaigns: List[dict] = field(default_factory=list)
     engine_spans: int = 0
     total_steps: int = 0
+    total_opinion_changes: int = 0
+    total_rng_blocks: int = 0
     total_engine_seconds: float = 0.0
     #: Sum of squared per-span engine seconds — additive like the
-    #: histogram moments of :mod:`repro.obs.metrics`, so the stddev of
-    #: per-run wall time stays exact however many logs are folded.
+    #: other fields, so the stddev of per-run wall time stays exact
+    #: however many logs are folded.
     engine_seconds_sq: float = 0.0
     phase_transitions: int = 0
     #: support size -> steps, seconds, and number of spans that visited it
@@ -124,6 +127,8 @@ def _fold_engine_span(summary: TraceSummary, record: dict) -> None:
         )
     summary.engine_spans += 1
     summary.total_steps += steps
+    summary.total_opinion_changes += int(record.get("opinion_changes", 0))
+    summary.total_rng_blocks += int(record.get("rng_blocks", 0))
     seconds = float(record.get("seconds", 0.0))
     summary.total_engine_seconds += seconds
     summary.engine_seconds_sq += seconds * seconds
@@ -162,6 +167,8 @@ class LauncherTimeline:
     closed: bool = False
     #: Trials this launcher executed.
     executed: int = 0
+    #: Log time of each of those trials, in log order.
+    trial_times: List[float] = field(default_factory=list)
     #: Trial records dropped by the telemetry-drop fault (self-reported).
     self_dropped: int = 0
     #: Torn final lines the reader skipped.
@@ -223,8 +230,6 @@ class CampaignTimeline:
 
     launchers: Dict[str, LauncherTimeline] = field(default_factory=dict)
     batches: Dict[str, BatchProgress] = field(default_factory=dict)
-    #: Log time of every executed trial, in log order.
-    trial_times: List[float] = field(default_factory=list)
     #: Torn final lines skipped across logs.
     torn_lines: int = 0
 
@@ -244,31 +249,38 @@ class CampaignTimeline:
     def duplicates(self) -> int:
         return sum(b.duplicates for b in self.batches.values())
 
-    @property
-    def last_seen(self) -> float:
-        if not self.launchers:
-            return 0.0
-        return max(l.last_seen for l in self.launchers.values())
+    def recent_rate(self, now: float) -> float:
+        """Trials/sec of the running launcher over :data:`RATE_WINDOW`
+        before ``now``.
 
-    def recent_rate(self) -> float:
-        """Executed trials/sec over the trailing :data:`RATE_WINDOW`.
-
-        Measured against the newest record, not the clock, so it also
-        works on finished campaigns.
+        A launcher is running while it is unclosed and has a record in
+        the window; with none running the rate is 0. Otherwise only the
+        launcher that wrote the newest trial counts, from the later of
+        the window start and its own start, so neither a dead launcher
+        nor the idle gap before a resume enters the rate.
         """
-        horizon = self.last_seen - RATE_WINDOW
-        recent = [t for t in self.trial_times if t >= horizon]
-        if not recent:
+        start = now - RATE_WINDOW
+        launchers = self.launchers.values()
+        if not any(not l.closed and l.last_seen >= start for l in launchers):
             return 0.0
-        span = max(self.last_seen - min(recent), 1e-9)
-        return len(recent) / span
+        newest = max(
+            (l for l in launchers if l.trial_times),
+            key=lambda l: l.trial_times[-1],
+            default=None,
+        )
+        if newest is None:
+            return 0.0
+        start = max(start, newest.started)
+        recent = sum(1 for t in newest.trial_times if t >= start)
+        span = newest.trial_times[-1] - start
+        return recent / span if recent and span > 0.0 else 0.0
 
-    def eta_seconds(self) -> Optional[float]:
+    def eta_seconds(self, now: float) -> Optional[float]:
         """Seconds to drain the remaining trials at the recent rate."""
         remaining = sum(b.remaining for b in self.batches.values())
         if remaining == 0:
             return 0.0
-        rate = self.recent_rate()
+        rate = self.recent_rate(now)
         if rate <= 0.0:
             return None
         return remaining / rate
@@ -307,7 +319,7 @@ def campaign_timeline(log: Log) -> CampaignTimeline:
                     batch.completed_indices.add(index)
                 batch.launcher_indices.setdefault(name, set()).add(index)
                 launcher.executed += 1
-                timeline.trial_times.append(t)
+                launcher.trial_times.append(t)
             else:
                 batch.finished_by[name] = str(record.get("executor") or "?")
     return timeline

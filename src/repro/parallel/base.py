@@ -27,7 +27,6 @@ from repro.core.kernels import use_kernel
 from repro.errors import AnalysisError
 from repro.faults import FaultPlan
 from repro.obs.log import suspended as log_suspended
-from repro.obs.metrics import MetricsSnapshot, collecting
 from repro.obs.profile import suspended as profiling_suspended
 from repro.rng import make_rng
 
@@ -44,19 +43,12 @@ TrialTask = Tuple[int, tuple, np.random.SeedSequence]
 
 @dataclass(frozen=True)
 class TrialRecord:
-    """One executed trial: its outcome plus execution metadata.
-
-    ``metrics`` carries the trial's :class:`~repro.obs.metrics`
-    snapshot when the batch was dispatched with ``collect_metrics=True``
-    (the snapshot is picklable, so worker-side metrics survive the trip
-    back to the parent); ``None`` otherwise.
-    """
+    """One executed trial: its outcome plus execution metadata."""
 
     index: int
     outcome: object
     seconds: float
     worker: str
-    metrics: Optional[MetricsSnapshot] = None
 
 
 @dataclass(frozen=True)
@@ -223,7 +215,6 @@ def _run_task_chunk(
     trial: Callable,
     chunk: Sequence[TrialTask],
     fault_plan: Optional[FaultPlan] = None,
-    collect_metrics: bool = False,
     kernel: Optional[str] = None,
 ) -> List[TrialRecord]:
     """Execute a chunk of tasks, in-process or inside a pool worker.
@@ -234,11 +225,6 @@ def _run_task_chunk(
     plan may kill or stall the worker before a scripted trial index
     (never in the parent process), which is how the chaos drills
     exercise the retry/fallback paths.
-
-    With ``collect_metrics=True`` each trial runs under a fresh metrics
-    registry (shadowing the caller's, or anything inherited through
-    ``fork``) and its snapshot is attached to the record for
-    parent-side aggregation.
 
     ``kernel`` re-installs the parent's ambient execution-kernel choice
     (see :func:`repro.core.kernels.use_kernel`) inside the worker — the
@@ -252,20 +238,13 @@ def _run_task_chunk(
             if fault_plan is not None:
                 fault_plan.worker_fault(index)
             started = time.perf_counter()
-            snapshot = None
-            if collect_metrics:
-                with collecting() as registry:
-                    outcome = trial(*args, make_rng(trial_seed))
-                snapshot = registry.snapshot()
-            else:
-                outcome = trial(*args, make_rng(trial_seed))
+            outcome = trial(*args, make_rng(trial_seed))
             records.append(
                 TrialRecord(
                     index=index,
                     outcome=outcome,
                     seconds=time.perf_counter() - started,
                     worker=label,
-                    metrics=snapshot,
                 )
             )
     return records

@@ -80,7 +80,6 @@ def execute_tasks(
     max_retries: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     on_chunk: Optional[Callable[[Sequence[TrialRecord]], None]] = None,
-    collect_metrics: bool = False,
     kernel: Optional[str] = None,
     executor: Optional[str] = None,
 ) -> Tuple[List[TrialRecord], TrialTimings]:
@@ -119,10 +118,6 @@ def execute_tasks(
         path). The Monte-Carlo layer journals the chunk here in one
         write, then writes one event-log record per trial, so a
         killed campaign keeps every chunk that finished.
-    collect_metrics:
-        When true, each trial runs under a fresh worker-local metrics
-        registry and its snapshot rides back on the
-        :class:`~repro.parallel.base.TrialRecord`.
     kernel:
         Optional execution-kernel name installed ambiently wherever the
         trials run. Outcomes are identical either way — kernels are
@@ -153,7 +148,7 @@ def execute_tasks(
             on_chunk(chunk_records)
 
     def run_in_process(chunk: Sequence[TrialTask]) -> None:
-        deliver(_run_task_chunk(trial, chunk, fault_plan, collect_metrics, kernel))
+        deliver(_run_task_chunk(trial, chunk, fault_plan, kernel))
 
     retries = fallback_trials = 0
     started = time.perf_counter()
@@ -171,8 +166,7 @@ def execute_tasks(
             if round_index:
                 retries += 1
             pending = _run_round(
-                trial, pending, workers, timeout, fault_plan,
-                collect_metrics, kernel, deliver,
+                trial, pending, workers, timeout, fault_plan, kernel, deliver
             )
         if pending:
             fallback_trials = sum(len(chunk) for chunk in pending)
@@ -225,7 +219,6 @@ def _run_round(
     workers: int,
     timeout: Optional[float],
     fault_plan: Optional[FaultPlan],
-    collect_metrics: bool,
     kernel: Optional[str],
     deliver: Callable[[Sequence[TrialRecord]], None],
 ) -> List[Sequence[TrialTask]]:
@@ -246,14 +239,7 @@ def _run_round(
     try:
         futures = [
             (
-                pool.submit(
-                    _run_pooled_chunk,
-                    trial,
-                    chunk,
-                    fault_plan,
-                    collect_metrics,
-                    kernel,
-                ),
+                pool.submit(_run_pooled_chunk, trial, chunk, fault_plan, kernel),
                 chunk,
             )
             for chunk in chunks

@@ -2,8 +2,8 @@
 
 ``run_div_complete`` in :mod:`repro.core.fast_complete` draws the same
 two uniform blocks and must reproduce this model bit for bit: same
-steps, stop reason, counts, two-adjacent step, ``S(t)`` samples, trace
-span and metric counters. This model keeps the textbook form of the
+steps, stop reason, counts, two-adjacent step, ``S(t)`` samples and
+trace span. This model keeps the textbook form of the
 chain: per step, two float-accumulating linear scans over the counts
 pick the updating opinion ``i`` (``P = N_i / n``) and the observed
 opinion ``j`` (``P = (N_j - [j = i]) / (n - 1)``).
@@ -18,7 +18,6 @@ from typing import Dict, List, Optional
 
 from repro.core.fast_complete import _BLOCK, CompleteRunResult
 from repro.core.stopping import MAX_STEPS_REASON
-from repro.obs.metrics import active_metrics
 from repro.obs.log import active_log
 from repro.rng import make_rng
 
@@ -60,7 +59,6 @@ def reference_run_div_complete(
         return None
 
     log = active_log()
-    metrics = active_metrics()
     support = len(present)
     initial_support = support
     transitions: List[tuple] = []
@@ -163,12 +161,6 @@ def reference_run_div_complete(
             transitions=transitions,
         )
     stack.close()
-    if metrics is not None:
-        metrics.inc("engine.runs")
-        metrics.inc("engine.steps", step)
-        metrics.inc("engine.opinion_changes", changes)
-        metrics.inc("engine.rng_blocks", blocks)
-        metrics.observe("engine.run_seconds", 0.0)
 
     final_counts = {idx + offset: counts[idx] for idx in range(width) if counts[idx] > 0}
     return CompleteRunResult(

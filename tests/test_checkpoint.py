@@ -199,15 +199,6 @@ class TestChunkRecords:
         ]
         assert diff_journals(serial, pool) == []
 
-    def test_metrics_count_trials_and_time_writes(self, tmp_path):
-        from repro.obs.metrics import collecting
-
-        with collecting() as registry, campaign(_open(tmp_path)):
-            run_trials(10, draw_trial, seed=11, workers=2, chunk_size=4)
-        snapshot = registry.snapshot()
-        assert snapshot.counters["checkpoint.records"] == 10
-        assert snapshot.histograms["checkpoint.record_seconds"].count == 3
-
     @pytest.mark.parametrize("kind", ["corrupt", "truncate"])
     def test_damaged_pool_chunk_discarded_and_rerun(self, tmp_path, kind):
         reference = run_trials(12, draw_trial, seed=8).outcomes

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import time
 
 import pytest
 
@@ -306,6 +307,38 @@ class TestCampaignStatus:
         lines = capsys.readouterr().out.splitlines()
         assert lines[1] == "  telemetry: 0/5 trial(s), 0.0 trials/s recently, ETA ?"
         assert lines[2].startswith("  unclosed launcher solo: last record ")
+        # Dead: the only launcher ran three trials and fell silent 15 s
+        # ago, longer than the rate window, so it projects no ETA.
+        dead = tmp_path / "dead"
+        _open_journal(dead)
+        last = time.time() - 15.0
+        write_feed(
+            dead / TELEMETRY_DIRNAME,
+            "solo.jsonl",
+            [
+                {
+                    "seq": 0, "t": last - 1.0, "kind": "hello",
+                    "format": FEED_FORMAT, "launcher": "solo",
+                },
+                {
+                    "seq": 1, "t": last - 1.0, "kind": "batch.begin",
+                    "batch": "b0", "batch_kind": "trials", "size": 5, "cached": 0,
+                },
+                *(
+                    {
+                        "seq": 2 + index, "t": last - 0.5 * (2 - index),
+                        "kind": "trial", "batch": "b0", "index": index,
+                        "seconds": 0.5, "worker": "w",
+                    }
+                    for index in range(3)
+                ),
+            ],
+        )
+        assert main(["campaign", "status", str(dead)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  telemetry: 3/5 trial(s), 0.0 trials/s recently, ETA ?"
+        age = lines[2].removeprefix("  unclosed launcher solo: last record ")
+        assert 15.0 <= float(age.removesuffix("s ago")) < 75.0
 
     def test_damaged_record_listed_beside_intact_counts(
         self, tmp_path, capsys, monkeypatch

@@ -9,9 +9,8 @@ under the drivers. The four contracts:
 1. **Determinism** — no global-state randomness and no unseeded
    generator anywhere in the tree; literal seeds are reproducible.
 2. **Worker ambient state** — every trial runs under the parent's
-   kernel choice and a fresh metrics registry. An in-process trial also
-   runs under the launcher's event log and profiler; a pool worker
-   hides the copies it inherits.
+   kernel choice. An in-process trial also runs under the launcher's
+   event log and profiler; a pool worker hides the copies it inherits.
 3. **Kernel-agnostic drivers** — experiment drivers and baselines never
    import a kernel module or hard-code a backend.
 4. **Substrate declaration** — a dynamics with a kernel fast path
@@ -41,7 +40,6 @@ from repro.analysis.montecarlo import run_trials
 from repro.core.dynamics import BlockDynamics
 from repro.core.kernels import active_kernel, use_kernel
 from repro.obs.log import EventLog, active_log, recording
-from repro.obs.metrics import active_metrics, collecting
 from repro.obs.profile import active_profiler, profiling
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -177,17 +175,10 @@ class TestDeterminism:
 
 # -- 2. Worker ambient state ------------------------------------------------
 
-#: A counter only the parent's registry holds.
-PARENT_COUNTER = "contracts.parent_only"
-
-
 def ambient_probe(index: int, rng: np.random.Generator) -> List[str]:
     """A trial naming every piece of the parent's ambient state it sees."""
     ambient = {"log": active_log(), "profiler": active_profiler()}
     leaked = [name for name, live in ambient.items() if live is not None]
-    registry = active_metrics()
-    if registry is None or PARENT_COUNTER in registry.snapshot().counters:
-        leaked.append("metrics registry")
     if active_kernel() != "loop":
         leaked.append(f"kernel {active_kernel()!r}")
     return leaked
@@ -197,7 +188,6 @@ def probe_under_parent_state(tmp_path: Path, **dispatch) -> List[List[str]]:
     """Run the probe while the parent holds every ambient stack at once."""
     with contextlib.ExitStack() as stack:
         stack.enter_context(use_kernel("loop"))
-        stack.enter_context(collecting()).inc(PARENT_COUNTER)
         stack.enter_context(recording(EventLog(tmp_path / "telemetry")))
         stack.enter_context(profiling())
         return run_trials(4, ambient_probe, seed=0, **dispatch).outcomes

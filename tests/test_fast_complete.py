@@ -14,7 +14,7 @@ from repro.analysis.gof import chi_square_gof
 from repro.analysis.montecarlo import run_trials
 from repro.core.fast_complete import run_div_complete
 from repro.errors import ProcessError
-from repro.obs import EventLog, collecting, read_log, recording
+from repro.obs import EventLog, read_log, recording
 from tests.complete_reference import reference_run_div_complete
 
 
@@ -345,9 +345,9 @@ class TestDifferentialAgainstReference:
 
 
 def _traced(engine, kwargs):
-    """Run under an event log and a metrics registry; return what they saw."""
+    """Run under an event log; return the outcome and what the log saw."""
     with tempfile.TemporaryDirectory() as scratch:
-        with collecting() as registry, recording(EventLog(scratch)) as log:
+        with recording(EventLog(scratch)) as log:
             result = engine(**kwargs)
         records = read_log(log.path).records
     (span,) = [r for r in records if r.get("name") == "engine.run_complete"]
@@ -364,12 +364,7 @@ def _traced(engine, kwargs):
     }
     fields["phases"] = [(p["support"], p["steps"]) for p in span["phases"]]
     events = [tuple(transition) for transition in span["transitions"]]
-    counters = {
-        name: value
-        for name, value in registry.snapshot().counters.items()
-        if name.startswith("engine.")
-    }
-    return _outcome(result), fields, events, counters
+    return _outcome(result), fields, events
 
 
 class TestTracingParity:

@@ -10,7 +10,7 @@ from repro.core.div import run_div
 from repro.errors import AnalysisError
 from repro.graphs import complete_graph
 from repro.obs.log import EventLog, read_log, recording
-from repro.obs.metrics import collecting
+from repro.obs.views import summarize
 from repro.rng import derive_seed, iter_rngs, make_rng, spawn_rngs
 
 
@@ -88,15 +88,16 @@ class TestInProcessTracing:
         ids=["default", "one-worker", "serial"],
     )
     def test_every_engine_run_is_logged(self, tmp_path, dispatch):
-        with collecting() as registry, recording(EventLog(tmp_path)):
-            run_trials(4, div_trial, seed=0, **dispatch)
+        with recording(EventLog(tmp_path)):
+            trials = run_trials(4, div_trial, seed=0, **dispatch)
+        records = read_log(tmp_path).records
         spans = [
             record
-            for record in read_log(tmp_path).records
+            for record in records
             if record["kind"] == "span" and record["name"] == "engine.run"
         ]
-        assert registry.snapshot().counters["engine.runs"] == 4
         assert len(spans) == 4
+        assert summarize(records).total_steps == sum(trials.outcomes)
 
 
 class TestRunTrialsOver:

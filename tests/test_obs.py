@@ -1,24 +1,20 @@
 """Tests for the observability layer (`repro.obs`).
 
-Covers the metrics monoid (merge associativity, empty identity),
-phase tracing against a hand-built opinion trajectory with
+Covers phase tracing against a hand-built opinion trajectory with
 exactly-known transitions, the per-span phase invariant on both
 engines, the event-log reader's rules (today's logs, trace files in
 the older ``type`` format, torn and malformed lines), the non-positive
 observer-interval bugfix, and the CLI round-trip `run --trace-dir` ->
-`trace summarize`.
+`trace summarize`, whose engine totals match the spans' sums.
 """
 
 from __future__ import annotations
 
-import json
 from contextlib import contextmanager
 from types import SimpleNamespace
 
-import numpy as np
 import pytest
 
-from repro.analysis.montecarlo import run_trials
 from repro.cli import main
 from repro.core import (
     IncrementalVoting,
@@ -31,16 +27,11 @@ from repro.core.schedulers import VertexScheduler
 from repro.errors import EventLogError, ProcessError
 from repro.graphs import complete_graph
 from repro.obs import (
-    EMPTY_SNAPSHOT,
     EventLog,
-    MetricsRegistry,
     PhaseTraceObserver,
     SpanProfiler,
     active_log,
-    active_metrics,
     active_profiler,
-    collecting,
-    merge_snapshots,
     profiling,
     read_log,
     recording,
@@ -56,123 +47,6 @@ def logged(tmp_path):
     with recording(EventLog(tmp_path, "run")) as log:
         yield records
     records.extend(read_log(log.path).records)
-
-
-def _registry(counters=(), gauges=(), observations=()):
-    registry = MetricsRegistry()
-    for name, value in counters:
-        registry.inc(name, value)
-    for name, value in gauges:
-        registry.gauge(name, value)
-    for name, value in observations:
-        registry.observe(name, value)
-    return registry
-
-
-class TestMetricsRegistry:
-    def test_counters_gauges_histograms(self):
-        registry = MetricsRegistry()
-        registry.inc("runs")
-        registry.inc("runs", 2)
-        registry.gauge("workers", 4)
-        registry.gauge("workers", 2)
-        registry.observe("seconds", 1.0)
-        registry.observe("seconds", 3.0)
-        snapshot = registry.snapshot()
-        assert snapshot.counters["runs"] == 3
-        assert snapshot.gauges["workers"] == 2  # last write wins
-        hist = snapshot.histograms["seconds"]
-        assert hist.count == 2
-        assert hist.total == pytest.approx(4.0)
-        assert hist.minimum == pytest.approx(1.0)
-        assert hist.maximum == pytest.approx(3.0)
-        assert hist.mean == pytest.approx(2.0)
-
-    def test_timer_observes_elapsed(self):
-        registry = MetricsRegistry()
-        with registry.timer("tick"):
-            pass
-        hist = registry.snapshot().histograms["tick"]
-        assert hist.count == 1
-        assert hist.total >= 0.0
-
-    def test_inactive_by_default(self):
-        assert active_metrics() is None
-        with collecting() as registry:
-            assert active_metrics() is registry
-        assert active_metrics() is None
-
-
-class TestSnapshotMerge:
-    def test_empty_is_identity(self):
-        snapshot = _registry(
-            counters=[("a", 2)], gauges=[("g", 7)], observations=[("h", 0.5)]
-        ).snapshot()
-        left = merge_snapshots([EMPTY_SNAPSHOT, snapshot])
-        right = merge_snapshots([snapshot, EMPTY_SNAPSHOT])
-        assert left.to_dict() == snapshot.to_dict()
-        assert right.to_dict() == snapshot.to_dict()
-
-    def test_merge_is_associative(self):
-        a = _registry(counters=[("x", 1)], observations=[("h", 1.0)]).snapshot()
-        b = _registry(counters=[("x", 2), ("y", 5)], observations=[("h", 9.0)]).snapshot()
-        c = _registry(gauges=[("g", 3)], observations=[("h", 4.0)]).snapshot()
-        left = merge_snapshots([merge_snapshots([a, b]), c])
-        right = merge_snapshots([a, merge_snapshots([b, c])])
-        assert left.to_dict() == right.to_dict()
-        assert left.counters["x"] == 3
-        assert left.histograms["h"].count == 3
-        assert left.histograms["h"].maximum == pytest.approx(9.0)
-
-    def test_merge_skips_none(self):
-        snapshot = _registry(counters=[("x", 1)]).snapshot()
-        merged = merge_snapshots([None, snapshot, None])
-        assert merged.counters == {"x": 1}
-
-    def test_absorb_accumulates(self):
-        parent = MetricsRegistry()
-        parent.inc("x")
-        parent.absorb(_registry(counters=[("x", 2)], gauges=[("g", 1)]).snapshot())
-        snapshot = parent.snapshot()
-        assert snapshot.counters["x"] == 3
-        assert snapshot.gauges["g"] == 1
-
-
-class TestHistogramStddev:
-    def test_stddev_matches_numpy_population_stddev(self):
-        values = [0.5, 1.25, 3.0, 3.0, 7.5, 0.125]
-        registry = MetricsRegistry()
-        for value in values:
-            registry.observe("h", value)
-        hist = registry.snapshot().histograms["h"]
-        assert hist.stddev == pytest.approx(float(np.std(values)))
-
-    def test_stddev_is_exact_under_merge(self):
-        # The sum-of-squares moment is additive, so a merged histogram's
-        # stddev equals the stddev of the pooled observations — not an
-        # approximation from per-shard summaries.
-        shards = [[1.0, 2.0], [10.0], [0.25, 0.5, 4.0]]
-        snapshots = []
-        for shard in shards:
-            registry = MetricsRegistry()
-            for value in shard:
-                registry.observe("h", value)
-            snapshots.append(registry.snapshot())
-        merged = merge_snapshots(snapshots).histograms["h"]
-        pooled = [value for shard in shards for value in shard]
-        assert merged.stddev == pytest.approx(float(np.std(pooled)))
-
-    def test_empty_and_singleton_stddev(self):
-        registry = MetricsRegistry()
-        registry.observe("h", 4.2)
-        assert registry.snapshot().histograms["h"].stddev == pytest.approx(0.0)
-
-    def test_to_dict_carries_stddev(self):
-        registry = MetricsRegistry()
-        registry.observe("h", 2.0)
-        registry.observe("h", 4.0)
-        payload = registry.snapshot().to_dict()
-        assert payload["histograms"]["h"]["stddev"] == pytest.approx(1.0)
 
 
 class TestPhaseTraceObserver:
@@ -266,27 +140,6 @@ class TestObserverIntervalValidation:
             run_synchronous_div(graph, [1, 2, 3, 1, 2, 3], rng=0, observers=[bad])
 
 
-class TestParallelMetrics:
-    @staticmethod
-    def _trial(index, rng):
-        result = run_div_complete(40, {1: 20, 5: 20}, stop="two_adjacent", rng=rng)
-        return result.two_adjacent_step
-
-    def test_serial_and_parallel_counters_identical(self):
-        with collecting():
-            serial = run_trials(8, self._trial, seed=11)
-        with collecting():
-            parallel = run_trials(8, self._trial, seed=11, workers=2)
-        assert serial.outcomes == parallel.outcomes
-        assert serial.metrics is not None and parallel.metrics is not None
-        assert serial.metrics.counters == parallel.metrics.counters
-        assert serial.metrics.counters["engine.runs"] == 8
-
-    def test_no_registry_no_metrics(self):
-        batch = run_trials(4, self._trial, seed=11)
-        assert batch.metrics is None
-
-
 #: A trace written by ``run --trace-dir`` before the one event log:
 #: ``type`` records, serial trials as spans, pool trials and phase
 #: transitions as events. Seconds are rounded for readability.
@@ -310,7 +163,7 @@ _LEGACY_TRACE = [
 #: printed it (trailing blanks stripped).
 _LEGACY_SUMMARY = """\
 campaign E99 [quick] seed=0 workers=serial — 0.03s
-2 engine run(s), 248 steps, 0.001s engine wall time (0.50±0.10ms/run), 18 phase transition(s)
+2 engine run(s), 248 steps, 120 opinion change(s), 2 RNG block(s), 0.001s engine wall time (0.50±0.10ms/run), 18 phase transition(s)
 
 Per-phase breakdown (phase = number of distinct opinions)
 ---------------------------------------------------------
@@ -415,7 +268,6 @@ class TestProfiler:
 class TestCliRoundTrip:
     def test_run_trace_metrics_and_summarize(self, tmp_path, capsys):
         trace_dir = tmp_path / "trace"
-        metrics_out = tmp_path / "metrics.json"
         assert (
             main(
                 [
@@ -426,8 +278,6 @@ class TestCliRoundTrip:
                     "0",
                     "--trace-dir",
                     str(trace_dir),
-                    "--metrics-out",
-                    str(metrics_out),
                 ]
             )
             == 0
@@ -436,25 +286,30 @@ class TestCliRoundTrip:
         trace_file = trace_dir / "e10.jsonl"
         assert trace_file.is_file()
 
-        # The metrics counters and the trace agree on total work done.
-        summary = summarize(read_log(trace_dir).records)
-        metrics = json.loads(metrics_out.read_text(encoding="utf-8"))
-        assert metrics["counters"]["engine.steps"] == summary.total_steps
-        assert metrics["counters"]["engine.runs"] == summary.engine_spans
-
-        # Engine-span dispersion carries through both surfaces: the
-        # summary's moments are internally consistent, and --metrics-out
-        # now reports per-histogram stddev.
+        # The summary's totals are the sums over the engine spans.
+        records = read_log(trace_dir).records
+        spans = [
+            r for r in records
+            if r["kind"] == "span" and r["name"].startswith("engine.")
+        ]
+        summary = summarize(records)
+        assert summary.engine_spans == len(spans) > 0
+        assert summary.total_steps == sum(s["steps"] for s in spans)
+        changes = sum(s["opinion_changes"] for s in spans)
+        blocks = sum(s["rng_blocks"] for s in spans)
+        assert summary.total_opinion_changes == changes > 0
+        assert summary.total_rng_blocks == blocks > 0
         assert summary.mean_engine_seconds == pytest.approx(
             summary.total_engine_seconds / summary.engine_spans
         )
         assert summary.stddev_engine_seconds >= 0.0
-        run_hist = metrics["histograms"]["engine.run_seconds"]
-        assert run_hist["stddev"] is not None and run_hist["stddev"] >= 0.0
 
         assert main(["trace", "summarize", str(trace_dir)]) == 0
         out = capsys.readouterr().out
-        assert "engine run(s)" in out
+        assert (
+            f"{len(spans)} engine run(s), {summary.total_steps} steps, "
+            f"{changes} opinion change(s), {blocks} RNG block(s), "
+        ) in out
         assert "ms/run" in out
         assert "|support|" in out
         assert "campaign E10" in out

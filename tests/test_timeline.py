@@ -355,7 +355,7 @@ class TestTimelineAccounting:
                 },
             ],
         )
-        assert load_timeline(tmp_path).eta_seconds() == pytest.approx(0.0)
+        assert load_timeline(tmp_path).eta_seconds(1.3) == pytest.approx(0.0)
         # A campaign with remaining work but no executed trial has no
         # execution rate to extrapolate from.
         write_feed(
@@ -372,7 +372,37 @@ class TestTimelineAccounting:
                 },
             ],
         )
-        assert load_timeline(tmp_path / "stalled").eta_seconds() is None
+        assert load_timeline(tmp_path / "stalled").eta_seconds(1.3) is None
+        # Two launchers, each at 10 trials/s: "first" runs 25 s and dies;
+        # "second" resumes 5 s later and has run 2 s at ``now``. Only the
+        # launcher now running counts, from its own start, so neither
+        # the dead one's trials nor the gap dilute the rate.
+        relaunched = tmp_path / "relaunched" / TELEMETRY_DIRNAME
+        first_index = 0
+        for name, started, count in (("first", 100.0, 250), ("second", 130.0, 20)):
+            records = [
+                {
+                    "seq": 0, "t": started, "kind": "hello",
+                    "format": FEED_FORMAT, "launcher": name,
+                },
+                {
+                    "seq": 1, "t": started, "kind": "batch.begin", "batch": "b0",
+                    "batch_kind": "trials", "size": 300, "cached": first_index,
+                },
+            ]
+            for k in range(1, count + 1):
+                records.append(
+                    {
+                        "seq": k + 1, "t": started + k / 10, "kind": "trial",
+                        "batch": "b0", "index": first_index + k - 1,
+                        "seconds": 0.1, "worker": "w",
+                    }
+                )
+            write_feed(relaunched, f"{name}.jsonl", records)
+            first_index += count
+        timeline = load_timeline(tmp_path / "relaunched")
+        assert timeline.recent_rate(132.0) == pytest.approx(10.0)
+        assert timeline.eta_seconds(132.0) == pytest.approx(3.0)
 
     def test_cached_trials_count_toward_completion(self, tmp_path):
         write_feed(
@@ -673,23 +703,26 @@ class TestWatchAndReportCLI:
     def test_watch_once_renders_progress_and_stale_launcher(
         self, tmp_path, capsys
     ):
-        # Mid-batch: 3 of 4 trials done, beta never wrote its bye.
-        root = hand_built_campaign(tmp_path / "mid")
-        _open_journal(root)
-        assert cli_main(["campaign", "status", str(root)]) == 0
-        lines = capsys.readouterr().out.splitlines()
-        assert lines[0].endswith("— 0 journaled trial(s) in 0 batch(es)")
-        assert re.fullmatch(
-            r"  telemetry: 3/4 trial\(s\), [0-9.]+ trials/s recently, ETA \d+s",
-            lines[1],
-        ), lines[1]
-        unclosed = re.fullmatch(
-            r"  unclosed launcher beta: last record ([0-9.]+)s ago", lines[2]
-        )
-        assert unclosed, lines[2]
-        # beta's last record is 119.7 s old when the campaign is built.
-        assert 119.0 < float(unclosed.group(1)) < 180.0
-        assert len(lines) == 3
+        # Mid-batch: 3 of 4 trials done, beta never wrote its bye. Its
+        # last record is ``age - 0.3`` s old: within RATE_WINDOW beta
+        # is still running and gives an ETA; two minutes on it has none.
+        for age, eta in ((2.0, r"\d+s"), (120.0, r"\?")):
+            root = hand_built_campaign(tmp_path / f"mid-{age:.0f}", age=age)
+            _open_journal(root)
+            assert cli_main(["campaign", "status", str(root)]) == 0
+            lines = capsys.readouterr().out.splitlines()
+            assert lines[0].endswith("— 0 journaled trial(s) in 0 batch(es)")
+            assert re.fullmatch(
+                r"  telemetry: 3/4 trial\(s\), [0-9.]+ trials/s recently, "
+                rf"ETA {eta}",
+                lines[1],
+            ), lines[1]
+            unclosed = re.fullmatch(
+                r"  unclosed launcher beta: last record ([0-9.]+)s ago", lines[2]
+            )
+            assert unclosed, lines[2]
+            assert age - 1.0 < float(unclosed.group(1)) < age + 60.0
+            assert len(lines) == 3
 
     def test_watch_without_feeds_notes_missing_telemetry(
         self, tmp_path, capsys
@@ -715,15 +748,14 @@ class TestWatchAndReportCLI:
         assert cli_main(["campaign", "status", str(tmp_path / "camp")]) == 0
         lines = capsys.readouterr().out.splitlines()
         # The journal lines stay first; a finished, closed launcher adds
-        # one progress line and no unclosed-launcher line.
+        # one progress line, with no running launcher and so no rate,
+        # and no unclosed-launcher line.
         assert lines[0].endswith("E99 [quick] seed=0 — 16 journaled trial(s) "
                                  "in 1 batch(es)")
         assert lines[1] == "  b0000-trials-16: 16 trial(s)"
-        assert re.fullmatch(
-            r"  telemetry: 16/16 trial\(s\), [0-9.]+ trials/s recently, "
-            r"ETA done",
-            lines[2],
-        ), lines[2]
+        assert lines[2] == (
+            "  telemetry: 16/16 trial(s), 0.0 trials/s recently, ETA done"
+        )
         assert len(lines) == 3
 
 

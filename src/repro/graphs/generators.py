@@ -10,12 +10,10 @@ trees, barbell, lollipop) plus the two random families the paper's
 
 from __future__ import annotations
 
-from typing import List
-
 import numpy as np
 
 from repro.errors import GraphConstructionError
-from repro.graphs.graph import Edge, Graph
+from repro.graphs.graph import Graph
 from repro.rng import RngLike, make_rng
 
 
@@ -23,8 +21,7 @@ def complete_graph(n: int) -> Graph:
     """The complete graph ``K_n`` (λ = 1/(n-1))."""
     if n < 1:
         raise GraphConstructionError(f"K_n needs n >= 1, got {n}")
-    edges = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    return Graph(n, edges, name=f"K_{n}")
+    return Graph(n, np.stack(np.triu_indices(n, k=1), axis=1), name=f"K_{n}")
 
 
 def path_graph(n: int) -> Graph:
@@ -70,20 +67,11 @@ def grid_graph(rows: int, cols: int, periodic: bool = False) -> Graph:
     if periodic and (rows < 3 or cols < 3):
         raise GraphConstructionError("torus needs rows, cols >= 3 to stay simple")
 
-    def vid(r: int, c: int) -> int:
-        return r * cols + c
-
-    edges: List[Edge] = []
-    for r in range(rows):
-        for c in range(cols):
-            if c + 1 < cols:
-                edges.append((vid(r, c), vid(r, c + 1)))
-            elif periodic:
-                edges.append((vid(r, c), vid(r, 0)))
-            if r + 1 < rows:
-                edges.append((vid(r, c), vid(r + 1, c)))
-            elif periodic:
-                edges.append((vid(r, c), vid(0, c)))
+    ids = np.arange(rows * cols, dtype=np.int64).reshape(rows, cols)
+    pairs = [(ids[:, :-1], ids[:, 1:]), (ids[:-1], ids[1:])]
+    if periodic:
+        pairs += [(ids[:, -1], ids[:, 0]), (ids[-1], ids[0])]
+    edges = np.concatenate([np.stack([a.ravel(), b.ravel()], axis=1) for a, b in pairs])
     kind = "torus" if periodic else "grid"
     return Graph(rows * cols, edges, name=f"{kind}_{rows}x{cols}")
 
@@ -93,7 +81,10 @@ def hypercube_graph(dim: int) -> Graph:
     if dim < 1:
         raise GraphConstructionError(f"hypercube needs dim >= 1, got {dim}")
     n = 1 << dim
-    edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
+    vertex = np.arange(n, dtype=np.int64)[:, None]
+    flipped = vertex ^ (1 << np.arange(dim, dtype=np.int64))
+    above = vertex < flipped
+    edges = np.stack([np.broadcast_to(vertex, flipped.shape)[above], flipped[above]], axis=1)
     return Graph(n, edges, name=f"Q_{dim}")
 
 
@@ -152,6 +143,9 @@ def random_regular_graph(
     the distribution asymptotically uniform while avoiding the pairing
     model's exponentially small acceptance rate at large ``d``. The paper
     uses this family with λ = O(1/√d) w.h.p.
+
+    The generator draws one permutation per pairing attempt and one
+    integer per proposed swap, so a seed fixes the graph bit for bit.
     """
     if n < 1 or d < 0:
         raise GraphConstructionError("random regular graph needs n >= 1, d >= 0")
@@ -167,42 +161,45 @@ def random_regular_graph(
     for _ in range(max_attempts):
         perm = gen.permutation(stubs)
         edges = np.stack([perm[0::2], perm[1::2]], axis=1)
-        if _repair_multigraph(edges, gen):
-            lo = np.minimum(edges[:, 0], edges[:, 1])
-            hi = np.maximum(edges[:, 0], edges[:, 1])
-            return Graph(n, np.stack([lo, hi], axis=1), name=f"RR({n},{d})")
+        if _repair_multigraph(edges, n, gen):
+            return Graph(n, edges, name=f"RR({n},{d})")
     raise GraphConstructionError(
         f"failed to produce a simple {d}-regular graph on {n} vertices "
         f"after {max_attempts} pairing attempts"
     )
 
 
-def _repair_multigraph(edges: np.ndarray, gen: np.random.Generator) -> bool:
+def _repair_multigraph(edges: np.ndarray, n: int, gen: np.random.Generator) -> bool:
     """Remove loops/multi-edges from ``edges`` in place via edge swaps.
 
     Each swap replaces a bad edge ``(a, b)`` and a random edge ``(c, e)``
     by ``(a, e)`` and ``(c, b)`` when the replacements are simple and
     new. Returns ``False`` if the repair budget runs out (caller then
     redraws the pairing).
+
+    An edge is keyed by the int64 ``min·n + max``. One ``np.unique``
+    over the keys finds the loops and repeated edges in ascending edge
+    order; only the swaps run in Python, and each draws one integer
+    from ``gen``.
     """
     m = edges.shape[0]
-    if m < 2:
-        return not _bad_keys(edges)
+    lo = np.minimum(edges[:, 0], edges[:, 1])
+    hi = np.maximum(edges[:, 0], edges[:, 1])
+    uniq, inv, cnt = np.unique(lo * n + hi, return_inverse=True, return_counts=True)
+    bad = np.flatnonzero((lo == hi) | (cnt[inv] > 1)).tolist()
+    if not bad:
+        return True
+    counts = dict(zip(uniq.tolist(), cnt.tolist()))
 
-    counts: dict = {}
-    for a, b in edges:
-        counts[_key(int(a), int(b))] = counts.get(_key(int(a), int(b)), 0) + 1
-    bad = [
-        i
-        for i in range(m)
-        if edges[i, 0] == edges[i, 1] or counts[_key(*map(int, edges[i]))] > 1
-    ]
+    def key(u: int, v: int) -> int:
+        return u * n + v if u <= v else v * n + u
+
     budget = 200 * (len(bad) + 1)
     while bad and budget > 0:
         budget -= 1
         i = bad[-1]
         a, b = int(edges[i, 0]), int(edges[i, 1])
-        if a != b and counts[_key(a, b)] == 1:
+        if a != b and counts[key(a, b)] == 1:
             bad.pop()
             continue
         j = int(gen.integers(0, m))
@@ -212,39 +209,21 @@ def _repair_multigraph(edges: np.ndarray, gen: np.random.Generator) -> bool:
         # Propose (a, e) and (c, b).
         if a == e or c == b:
             continue
-        new1, new2 = _key(a, e), _key(c, b)
+        new1, new2 = key(a, e), key(c, b)
         if new1 == new2 or counts.get(new1, 0) > 0 or counts.get(new2, 0) > 0:
             continue
-        for key in (_key(a, b), _key(c, e)):
-            counts[key] -= 1
-            if counts[key] == 0:
-                del counts[key]
+        for old in (key(a, b), key(c, e)):
+            counts[old] -= 1
+            if counts[old] == 0:
+                del counts[old]
         counts[new1] = counts.get(new1, 0) + 1
         counts[new2] = counts.get(new2, 0) + 1
         edges[i] = (a, e)
         edges[j] = (c, b)
     return not bad or all(
-        edges[i, 0] != edges[i, 1] and counts[_key(*map(int, edges[i]))] == 1
+        edges[i, 0] != edges[i, 1] and counts[key(int(edges[i, 0]), int(edges[i, 1]))] == 1
         for i in bad
     )
-
-
-def _key(u: int, v: int) -> tuple:
-    return (u, v) if u <= v else (v, u)
-
-
-def _bad_keys(edges: np.ndarray) -> bool:
-    lo = np.minimum(edges[:, 0], edges[:, 1])
-    hi = np.maximum(edges[:, 0], edges[:, 1])
-    if np.any(lo == hi):
-        return True
-    keys = set()
-    for a, b in zip(lo, hi):
-        key = (int(a), int(b))
-        if key in keys:
-            return True
-        keys.add(key)
-    return False
 
 
 def gnp_random_graph(

@@ -26,8 +26,10 @@ class Graph:
     n:
         Number of vertices.
     edges:
-        Iterable of ``(u, v)`` pairs with ``u != v``. Each undirected edge
-        must appear exactly once (in either orientation).
+        Iterable of ``(u, v)`` pairs with ``u != v``, or an ``(m, 2)``
+        integer array, which is read as it is rather than through a list
+        of tuples. Each undirected edge must appear exactly once (in
+        either orientation); order and orientation do not matter.
     name:
         Optional human-readable label used in tables and ``repr``.
     """
@@ -46,7 +48,10 @@ class Graph:
     def __init__(self, n: int, edges: Iterable[Edge], name: str = "") -> None:
         if n < 1:
             raise GraphConstructionError(f"graph needs at least one vertex, got n={n}")
-        edge_list = np.asarray(list(edges), dtype=np.int64)
+        if isinstance(edges, np.ndarray):
+            edge_list = edges.astype(np.int64, copy=False)
+        else:
+            edge_list = np.asarray(list(edges), dtype=np.int64)
         if edge_list.size == 0:
             edge_list = edge_list.reshape(0, 2)
         if edge_list.ndim != 2 or edge_list.shape[1] != 2:
@@ -55,31 +60,24 @@ class Graph:
             raise GraphConstructionError(
                 f"edge endpoints must lie in [0, {n - 1}]"
             )
-        if edge_list.shape[0] and np.any(edge_list[:, 0] == edge_list[:, 1]):
+        u, v = edge_list[:, 0], edge_list[:, 1]
+        if np.any(u == v):
             raise GraphConstructionError("self-loops are not allowed")
 
-        # Canonicalize to u < v and reject duplicates.
-        lo = np.minimum(edge_list[:, 0], edge_list[:, 1])
-        hi = np.maximum(edge_list[:, 0], edge_list[:, 1])
-        keys = lo * n + hi
-        if keys.size != np.unique(keys).size:
+        # One sort of the doubled keys source·n + target yields the CSR
+        # order: each adjacency slice sorted, and the entries with
+        # source < target the edge list in lexicographic order.  An edge
+        # given twice, in either orientation, repeats a key.
+        keys = np.sort(np.concatenate([u * n + v, v * n + u]))
+        if np.any(keys[1:] == keys[:-1]):
             raise GraphConstructionError("duplicate edges are not allowed")
-
-        m = edge_list.shape[0]
-
-        # Build CSR: lexsort the doubled edge list by (source, target) so
-        # each adjacency slice comes out sorted without per-vertex sorts.
-        src = np.concatenate([lo, hi])
-        dst = np.concatenate([hi, lo])
-        order = np.lexsort((dst, src))
-        indices = dst[order]
-        degrees = np.bincount(src, minlength=n)
+        src, indices = np.divmod(keys, n)
         indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-
-        edge_array = np.stack([lo, hi], axis=1) if m else np.empty((0, 2), dtype=np.int64)
-        order = np.lexsort((edge_array[:, 1], edge_array[:, 0])) if m else np.array([], dtype=np.int64)
-        self._adopt(n, indptr, indices, edge_array[order], None, name or f"graph(n={n},m={m})")
+        np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
+        above = src < indices
+        edge_array = np.stack([src[above], indices[above]], axis=1)
+        m = edge_array.shape[0]
+        self._adopt(n, indptr, indices, edge_array, None, name or f"graph(n={n},m={m})")
 
     @classmethod
     def _from_csr(

@@ -12,13 +12,15 @@ size threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence, Tuple
+from typing import TYPE_CHECKING, Sequence, Tuple
 
 import numpy as np
-import scipy.sparse as sp
 
 from repro.errors import GraphError
 from repro.graphs.graph import Graph
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 #: Above this vertex count, eigenvalues are computed with sparse Lanczos.
 _DENSE_LIMIT = 1500
@@ -26,6 +28,10 @@ _DENSE_LIMIT = 1500
 
 def adjacency_matrix(graph: Graph) -> sp.csr_matrix:
     """The sparse adjacency matrix ``A`` of the graph."""
+    # Imported here, as in the functions below: scipy.sparse costs
+    # `import repro` about a quarter of a second.
+    import scipy.sparse as sp
+
     n = graph.n
     edges = graph.edge_array
     row = np.concatenate([edges[:, 0], edges[:, 1]])
@@ -49,6 +55,8 @@ def normalized_adjacency(graph: Graph) -> sp.csr_matrix:
     """The symmetric matrix ``N = D^{-1/2} A D^{-1/2}`` (same spectrum as P)."""
     _require_positive_degrees(graph)
     inv_sqrt = 1.0 / np.sqrt(graph.degrees.astype(np.float64))
+    import scipy.sparse as sp
+
     adjacency = adjacency_matrix(graph)
     scale = sp.diags(inv_sqrt)
     return scale @ adjacency @ scale
@@ -74,8 +82,6 @@ def second_eigenvalue(graph: Graph) -> float:
     if n <= _DENSE_LIMIT:
         spectrum = walk_spectrum(graph)
         return float(max(abs(spectrum[1]), abs(spectrum[-1])))
-    # Imported here: scipy.sparse.linalg is slow to import and only the
-    # Lanczos path needs it.
     from scipy.sparse.linalg import eigsh
 
     matrix = normalized_adjacency(graph)

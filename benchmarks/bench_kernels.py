@@ -9,6 +9,10 @@ bit-for-bit equivalent (see ``tests/test_kernels.py`` and
 a run to consensus under each backend asserts equal step counts as a
 cheap sanity check.  The compiled benches skip without numba — the
 backend would silently resolve to ``block`` and measure nothing new.
+
+The per-layer rows time the block kernel's two constant costs per
+8192-pair block: one ``solve_block`` (int32 event keys at n = 10⁴,
+int64 at n = 10⁵) and one scheduler draw of each neutral process.
 """
 
 import numpy as np
@@ -16,7 +20,7 @@ import pytest
 
 from repro.analysis import uniform_random_opinions
 from repro.core import IncrementalVoting, OpinionState, run_dynamics
-from repro.core.kernels import NUMBA_AVAILABLE
+from repro.core.kernels import NUMBA_AVAILABLE, solve_block
 from repro.core.schedulers import EdgeScheduler, VertexScheduler
 from repro.graphs import random_regular_graph
 
@@ -25,6 +29,8 @@ _D = 10
 _STEPS = 2_000_000
 #: Paper-scale size for the large-n sweep (ROADMAP: million-node runs).
 _N_LARGE = 100_000
+#: The kernels' default block size.
+_BLOCK = 8192
 
 
 def _run(graph, scheduler_cls, kernel, stop="never", max_steps=_STEPS):
@@ -117,3 +123,47 @@ def test_kernels_agree_to_consensus(benchmark):
         return block
 
     benchmark.pedantic(run_block, rounds=3, iterations=1)
+
+
+@pytest.mark.parametrize("n", [_N, _N_LARGE])
+def test_solve_block(benchmark, n):
+    """One DIV solve of an 8192-pair vertex-process block."""
+    graph = random_regular_graph(n, _D, rng=0)
+    values = uniform_random_opinions(n, 5, rng=0)
+    v, w = VertexScheduler(graph).draw_block(np.random.default_rng(1), _BLOCK)
+    rule = IncrementalVoting().step_block
+    benchmark.extra_info.update(
+        layer="solve_block",
+        n=n,
+        d=_D,
+        pairs=_BLOCK,
+        keys="int32" if n << (2 * _BLOCK).bit_length() < 2**31 else "int64",
+    )
+    _, _, after, _ = benchmark.pedantic(
+        lambda: solve_block(rule, True, values, v, w), rounds=30, iterations=5
+    )
+    opinions = values.tolist()
+    expected = []
+    for a, b in zip(v.tolist(), w.tolist()):
+        x, y = opinions[a], opinions[b]
+        opinions[a] = x + (y > x) - (y < x)
+        expected.append(opinions[a])
+    assert after.tolist() == expected
+
+
+@pytest.mark.parametrize(
+    "scheduler_cls, process", [(VertexScheduler, "vertex"), (EdgeScheduler, "edge")]
+)
+def test_draw_block(benchmark, scheduler_cls, process):
+    """One 8192-pair scheduler draw on RR(10⁴, 10)."""
+    graph = random_regular_graph(_N, _D, rng=0)
+    scheduler = scheduler_cls(graph)
+    generator = np.random.default_rng(1)
+    benchmark.extra_info.update(
+        layer="draw_block", process=process, n=_N, d=_D, pairs=_BLOCK
+    )
+    v, w = benchmark.pedantic(
+        lambda: scheduler.draw_block(generator, _BLOCK), rounds=30, iterations=10
+    )
+    assert v.shape == w.shape == (_BLOCK,)
+    assert all(graph.has_edge(a, b) for a, b in zip(v[:200].tolist(), w[:200].tolist()))

@@ -66,6 +66,7 @@ from repro.graphs import (
     complete_graph,
     cycle_graph,
     lollipop_graph,
+    path_graph,
     random_regular_graph,
     star_graph,
 )
@@ -669,8 +670,11 @@ class TestGrowingPrefixes:
 
 
 def sequential_block(dynamics, values, v_block, w_block, frozen=()):
-    """:func:`solve_block`'s result, from ``dynamics.step`` pair by pair."""
-    state = OpinionState(complete_graph(len(values)), values, frozen=list(frozen) or None)
+    """:func:`solve_block`'s result, from ``dynamics.step`` pair by pair.
+
+    A step reads and writes opinions only, so any graph on the vertex
+    set will do; a path keeps long value vectors cheap."""
+    state = OpinionState(path_graph(len(values)), values, frozen=list(frozen) or None)
     targets, before, after = [], [], []
     for v, w in zip(v_block, w_block):
         target = v if dynamics.writes == "v" else w
@@ -771,6 +775,50 @@ class TestSolveBlock:
                 frozen = set(rng.choice(12, size=2, replace=False).tolist())
                 assert_solves(dynamics, values, v_block, w_block)
                 assert_solves(dynamics, values, v_block, w_block, frozen)
+
+
+class TestKeyWidths:
+    """Event keys ``vertex << shift | 2t | is_write`` are int32 while
+    ``n << shift < 2**31`` and int64 from there on: at 8192 pairs
+    (shift 15) the switch is at n = 2**16."""
+
+    @pytest.mark.parametrize("n", [2**16 - 1, 2**16])
+    @pytest.mark.parametrize("dynamics", [IncrementalVoting(), PushVoting()])
+    def test_full_block_on_either_side_of_the_switch(self, n, dynamics):
+        rng = make_rng(5)
+        values = rng.integers(0, 6, size=n)
+        # A few hundred vertices, so most pairs link to an earlier write,
+        # and the largest vertex, whose keys are the widest.
+        v_block = rng.integers(n - 300, n, size=8192)
+        w_block = rng.integers(n - 300, n, size=8192)
+        v_block[0] = w_block[-1] = n - 1
+        assert_solves(dynamics, values, v_block, w_block)
+
+    @pytest.mark.parametrize(
+        "dynamics, scheduler_cls",
+        [(IncrementalVoting(), VertexScheduler), (PullVoting(), EdgeScheduler)],
+    )
+    def test_block_matches_loop_with_int64_keys(self, monkeypatch, dynamics, scheduler_cls):
+        sizes = solve_sizes(monkeypatch)
+        graph = random_regular_graph(2**16 + 4, 3, rng=0)
+        results = [
+            run_dynamics(
+                initial_state(graph, 3),
+                scheduler_cls(graph),
+                dynamics,
+                stop="never",
+                rng=4,
+                max_steps=2 * 8192 + 5,
+                kernel=kernel,
+            )
+            for kernel in ("loop", "block")
+        ]
+        assert sizes == [8192, 8192, 5]
+        assert graph.n << (2 * 8192).bit_length() >= 2**31
+        loop, block = results
+        assert block.steps == loop.steps == 2 * 8192 + 5
+        np.testing.assert_array_equal(block.state.values, loop.state.values)
+        assert not np.array_equal(block.state.values, initial_state(graph, 3).values)
 
 
 class TestBatchedStateOps:

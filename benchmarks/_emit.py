@@ -20,6 +20,7 @@ Run as a script to consolidate a records file into one snapshot JSON
     python benchmarks/_emit.py consolidate records.jsonl BENCH_20260806.json
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -62,6 +63,20 @@ def git_dirty():
     """
     status = _git("status", "--porcelain", "--untracked-files=no")
     return None if status is None else bool(status.strip())
+
+
+def source_sha256():
+    """SHA-256 over the bytes of ``src/**/*.py`` in sorted path order.
+
+    It names the code a snapshot measured without git, so it also works
+    on an exported tree, and it changes with uncommitted edits, which
+    the commit hash cannot show.
+    """
+    src = _REPO_ROOT / "src"
+    digest = hashlib.sha256()
+    for path in sorted(src.rglob("*.py"), key=lambda path: path.relative_to(src).as_posix()):
+        digest.update(path.read_bytes())
+    return digest.hexdigest()
 
 
 def emit(name, *, wall_seconds, mean_seconds=None, params=None, steps=None):
@@ -116,7 +131,8 @@ def consolidate(records_path, out_path):
 
     The header's ``select`` is the run's ``BENCH_SELECT`` (the whole
     ``benchmarks`` suite when unset), so ``div-repro bench compare``
-    can tell a subset snapshot from one that dropped a benchmark.
+    can tell a subset snapshot from one that dropped a benchmark, and
+    its ``source_sha256`` is :func:`source_sha256` of the measured tree.
     """
     source = Path(records_path)
     records = []
@@ -129,6 +145,7 @@ def consolidate(records_path, out_path):
         "generated": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
         "git_sha": git_sha(),
         "dirty": git_dirty(),
+        "source_sha256": source_sha256(),
         "select": " ".join(os.environ.get("BENCH_SELECT", "benchmarks").split()),
         "benchmarks": records,
     }

@@ -17,7 +17,10 @@
 # E17 (zealots: frozen vertices through every commit path) and E18
 # (edge churn: epoch-crossing runs with scheduler cache rebuilds) —
 # the kernel contract must hold on dynamic substrates too, not just
-# static graphs. E19 is the only experiment that draws from the
+# static graphs. E10 (a StageRecorder, a change observer that is not a
+# timeline observer) and E13 (an opaque epsilon stop) resolve every
+# request to loop before their runs start, so their reports must match
+# too. E19 is the only experiment that draws from the
 # state-bound schedulers (BiasedScheduler, AdversarialScheduler); its
 # report carries a per-row `kernel` column that names the backend, so
 # that one column is removed before the byte comparison and every other
@@ -45,8 +48,8 @@ fi
 # E1, E2 and E11: the static-substrate reference comparisons (count
 # engine, DIV across graph classes, and run_div on hubs). E17/E18:
 # zealots and edge churn — the scenario legs added with the substrate
-# contract.
-EXPERIMENTS="E1 E2 E11 E17 E18 E19"
+# contract. E10/E13: runs that resolve to loop whatever is asked.
+EXPERIMENTS="E1 E2 E10 E11 E13 E17 E18 E19"
 
 # Rewrite a report without its tables' `kernel` column (which must exist).
 strip_kernel_column() {

@@ -19,7 +19,11 @@
 #      summarize` renders the same log, so the engine spans of the trace
 #      summary equal the timeline's executed trials;
 #   5. `bench compare` passes on a snapshot against itself and catches a
-#      seeded >=50% regression with a nonzero exit (the CI perf gate).
+#      seeded >=50% regression with a nonzero exit (the CI perf gate);
+#   6. a traced E2 --quick under --kernel block stays on the block kernel
+#      (its phase trace is a timeline observer), and every engine span
+#      matches the --kernel loop trace in steps, stop reason, opinion
+#      changes and phase transitions.
 #
 # Usage: scripts/trace_drill.sh [OUT_DIR]   (override the CLI with DIV_REPRO=...)
 set -euo pipefail
@@ -154,5 +158,34 @@ if $RUN bench compare "$SNAPSHOT" "$WORK/regressed.json" > /dev/null; then
     exit 1
 fi
 say "OK: seeded regression caught with a nonzero exit"
+
+# ------------------------------------------------ traced kernels agree
+say "traced E2 --quick under --kernel block and --kernel loop"
+for kernel in block loop; do
+    $RUN run E2 --quick --seed 0 --kernel "$kernel" \
+        --trace-dir "$WORK/e2-$kernel" > /dev/null
+done
+python - "$WORK/e2-block" "$WORK/e2-loop" <<'EOF'
+import sys
+
+from repro.obs import read_log
+
+KEYS = ("steps", "stop_reason", "opinion_changes", "transitions")
+
+
+def engine_spans(path):
+    return [r for r in read_log(path).records if r.get("name") == "engine.run"]
+
+
+block, loop = engine_spans(sys.argv[1]), engine_spans(sys.argv[2])
+assert block and len(block) == len(loop), (len(block), len(loop))
+kernels = {span["kernel"] for span in block}
+assert kernels == {"block"}, kernels
+for index, (b, l) in enumerate(zip(block, loop)):
+    for key in KEYS:
+        assert b[key] == l[key], (index, key, b[key], l[key])
+print(f"[trace-drill] OK: {len(block)} engine spans on block match loop in "
+      f"{', '.join(KEYS)}")
+EOF
 
 say "all checks passed (trace kept in $OUT)"

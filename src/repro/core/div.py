@@ -103,10 +103,11 @@ def run_div(
     kernel:
         Execution backend (``"auto"``, ``"loop"``, ``"block"`` or
         ``"compiled"``); see :func:`repro.core.engine.run_dynamics`. ``run_div`` tracks the
-        two-adjacent hitting time with a :class:`FirstTimeTracker` mark,
-        which the block kernel reconstructs from its committed blocks,
-        so plain runs stay on its vectorized path (an opaque change
-        observer in ``observers`` still forces its replay mode).
+        two-adjacent hitting time with a :class:`FirstTimeTracker`, a
+        timeline observer the block kernel feeds from its committed
+        blocks, so plain runs stay on its vectorized path (a change
+        observer in ``observers`` that is not a timeline observer
+        resolves the run to the loop).
     frozen:
         Optional zealot specification — a boolean mask of length ``n``
         or a sequence of vertex ids whose opinions never change (see

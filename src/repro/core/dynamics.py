@@ -23,17 +23,10 @@ per-step loop kernel instead.
 
 Substrate contract (``docs/scenarios.md``): every dynamic treats a
 frozen (zealot) target as a no-change step — the scalar ``step`` checks
-:meth:`OpinionState.is_frozen` before writing, and the block kernel
-masks frozen targets out of every block it solves — so change
-counters, change observers and stopping checks stay bit-identical
-across execution kernels.  A dynamic that advertises the vectorized or
-compiled fast paths (``step_block`` / ``compiled_id``) must *declare*
-that it honours this contract via a class-level ``substrate_compat``
-tuple naming the scenario features it supports (``"frozen"``,
-``"churn"``); :func:`repro.core.kernels.resolve_kernel` degrades an
-undeclared dynamic to the reference loop whenever a scenario feature is
-active, and ``tests/test_contracts.py`` rejects fast-path dynamics
-with no declaration at all.
+:meth:`OpinionState.is_frozen` before writing, and the block and
+compiled kernels mask frozen targets out of every block they solve —
+so change counters, change observers and stopping checks stay
+bit-identical across execution kernels.
 """
 
 from __future__ import annotations
@@ -46,12 +39,6 @@ from repro.core.state import OpinionState
 from repro.errors import ProcessError
 
 
-#: The scenario features a fully substrate-aware dynamic declares: it
-#: masks frozen targets in every execution path ("frozen") and reads no
-#: cross-epoch topology snapshots ("churn").
-SUBSTRATE_FEATURES = ("frozen", "churn")
-
-
 class Dynamics(Protocol):
     """One asynchronous update rule."""
 
@@ -62,17 +49,6 @@ class Dynamics(Protocol):
     ) -> bool:
         """Apply one interaction where ``v`` observes ``w``."""
         ...  # pragma: no cover - protocol
-
-
-def supports_substrate(dynamics: Dynamics, feature: str) -> bool:
-    """Whether ``dynamics`` declares support for a scenario ``feature``.
-
-    Features are ``"frozen"`` (zealot masks) and ``"churn"`` (epoch
-    rewiring); see :data:`SUBSTRATE_FEATURES`.  Undeclared dynamics run
-    such scenarios on the reference loop kernel only — exact, just not
-    vectorized (see :func:`repro.core.kernels.resolve_kernel`).
-    """
-    return feature in getattr(dynamics, "substrate_compat", ())
 
 
 class BlockDynamics(Dynamics, Protocol):
@@ -112,8 +88,6 @@ class IncrementalVoting:
     compiled_id = 0
     #: The endpoint ``step_block`` writes.
     writes = "v"
-    #: Scenario features honoured on every execution path.
-    substrate_compat = SUBSTRATE_FEATURES
 
     def step(
         self, state: OpinionState, v: int, w: int, rng: np.random.Generator
@@ -137,7 +111,6 @@ class PullVoting:
     #: Compiled-kernel dispatch code: 1 = ``v`` adopts ``X_w``.
     compiled_id = 1
     writes = "v"
-    substrate_compat = SUBSTRATE_FEATURES
 
     def step(
         self, state: OpinionState, v: int, w: int, rng: np.random.Generator
@@ -161,7 +134,6 @@ class PushVoting:
     #: Compiled-kernel dispatch code: 2 = ``w`` adopts ``X_v``.
     compiled_id = 2
     writes = "w"
-    substrate_compat = SUBSTRATE_FEATURES
 
     def step(
         self, state: OpinionState, v: int, w: int, rng: np.random.Generator

@@ -51,17 +51,16 @@ class RunResult(BaseRunResult):
         The final :class:`OpinionState` (the same object that was passed
         in, mutated in place).
     kernel:
-        Name of the execution kernel that actually ran (``"loop"``,
-        ``"block"`` or ``"compiled"`` — the resolved backend, never
-        ``"auto"``; a kernel that delegated the run mid-execution
-        reports the delegate, see :class:`KernelRun`).
+        Name of the execution kernel that ran (``"loop"``, ``"block"``
+        or ``"compiled"`` — the backend resolved before the run, never
+        ``"auto"``).
     kernel_reason:
         Why that kernel ran: the origin of the choice (an explicit
         ``kernel=``, an ambient ``use_kernel``, or ``"auto"``) followed
         by each degradation applied, e.g.
         ``"auto: dynamics has step_block"`` or
-        ``"kernel='block'; dynamics has no step_block"``; see
-        :func:`repro.core.kernels.resolve_kernel`.
+        ``"auto: dynamics has step_block; stop publishes no StopTerm"``;
+        see :func:`repro.core.kernels.resolve_kernel`.
     """
 
     steps: int
@@ -115,10 +114,11 @@ def run_dynamics(
         ``"auto"`` (the default — honours the ambient
         :func:`repro.core.kernels.use_kernel` override, then runs
         ``"block"`` when the dynamics has ``step_block``, else
-        ``"loop"``). Unsatisfiable requests degrade
-        ``compiled -> block -> loop``; kernels are bit-identical; the
-        choice and its reason are recorded on the result; see
-        ``docs/kernels.md``.
+        ``"loop"``). Requests the run cannot satisfy degrade
+        ``compiled -> block -> loop`` before it starts (an opaque stop
+        or a non-timeline change observer runs on the loop); kernels
+        are bit-identical; the choice and its reason are recorded on
+        the result; see ``docs/kernels.md``.
     """
     dynamics = make_dynamics(dynamics)
     stop_condition: StopCondition = make_stop_condition(stop)
@@ -159,7 +159,9 @@ def run_dynamics(
     # ``interval`` attribute default to 1 here *and* at every re-arm.
     intervals = [resolve_interval(obs) for obs in sampled]
 
-    engine_kernel = resolve_kernel(kernel, dynamics, state=state, substrate=substrate)
+    engine_kernel = resolve_kernel(
+        kernel, dynamics, stop_condition=stop_condition, change_observers=change_observers
+    )
     ctx = KernelContext(
         state=state,
         scheduler=scheduler,
@@ -185,15 +187,11 @@ def run_dynamics(
 
         run = engine_kernel.execute(ctx)
 
-        executed_kernel = run.kernel or engine_kernel.name
-        kernel_reason = engine_kernel.reason
-        if executed_kernel != engine_kernel.name:
-            kernel_reason += f"; {engine_kernel.name} delegated to {executed_kernel}"
         if span is not None:
             span.update(
                 engine="generic",
-                kernel=executed_kernel,
-                kernel_reason=kernel_reason,
+                kernel=engine_kernel.name,
+                kernel_reason=engine_kernel.reason,
                 steps=run.steps,
                 stop_reason=run.stop_reason,
                 opinion_changes=run.changes,
@@ -205,6 +203,6 @@ def run_dynamics(
         steps=run.steps,
         stop_reason=run.stop_reason,
         state=state,
-        kernel=executed_kernel,
-        kernel_reason=kernel_reason,
+        kernel=engine_kernel.name,
+        kernel_reason=engine_kernel.reason,
     )

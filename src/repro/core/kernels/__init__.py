@@ -1,6 +1,6 @@
 """Backend-selectable execution kernels for the asynchronous engine.
 
-:func:`repro.core.engine.run_dynamics` delegates its hot loop to an
+:func:`repro.core.engine.run_dynamics` hands its hot loop to an
 *execution kernel*. Three ship with the package:
 
 ``"loop"``
@@ -8,15 +8,14 @@
     extracted verbatim). Works with every dynamic.
 ``"block"``
     Vectorized: each drawn scheduler block is solved as one fixed point
-    and committed in one batch. Only dynamics implementing
-    :meth:`Dynamics.step_block` (DIV, pull, push) can use it; for the
-    rest it transparently falls back to the loop.
+    and committed in one batch. Needs a dynamics implementing
+    :meth:`Dynamics.step_block` (DIV, pull, push); :func:`resolve_kernel`
+    says which other runs go to the loop.
 ``"compiled"``
     The per-pair recurrence as one numba ``@njit`` machine-code loop
     over the state's flat int64 buffers. Needs numba (an optional
     extra) and a dynamics publishing a ``compiled_id`` (DIV, pull,
-    push); otherwise it transparently falls back to the block kernel
-    (and through it to the loop).
+    push); :func:`resolve_kernel` says which other runs go to block.
 
 All kernels consume the RNG identically and fire stopping conditions
 and observers at the same steps, so results are bit-for-bit identical
@@ -33,17 +32,17 @@ default ``"auto"`` runs the block kernel wherever the dynamics has
 :meth:`Dynamics.step_block` and the loop otherwise: solving each run's
 first blocks in growing prefixes (see :mod:`repro.core.kernels.block`)
 made block the faster kernel on every graph measured, hubs and K_10
-included (``docs/kernels.md``). The resolved kernel carries a one-line
-``reason`` for its choice, which the engine records as
-``RunResult.kernel_reason``.
+included (``docs/kernels.md``). The choice is made once, before the
+run starts, and carries a one-line ``reason``, which the engine
+records as ``RunResult.kernel_reason``.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Sequence
 
-from repro.core.dynamics import Dynamics, supports_substrate
+from repro.core.dynamics import Dynamics
 from repro.core.kernels.base import (
     ExecutionKernel,
     KernelContext,
@@ -58,8 +57,11 @@ from repro.core.kernels.compiled import (
     compiled_runtime_available,
     interpreted_compiled,
     supports_compiled,
+    term_thresholds,
 )
 from repro.core.kernels.loop import LoopKernel
+from repro.core.observers import is_timeline_observer
+from repro.core.stopping import StopCondition, support_range_terms
 from repro.errors import ProcessError
 
 __all__ = [
@@ -139,10 +141,10 @@ def resolve_kernel(
     spec: str,
     dynamics: Dynamics,
     *,
-    state=None,
-    substrate=None,
+    stop_condition: Optional[StopCondition] = None,
+    change_observers: Sequence[object] = (),
 ) -> ExecutionKernel:
-    """Resolve a kernel spec against a concrete dynamics.
+    """Resolve a kernel spec for one run, once, before it starts.
 
     ``"auto"`` consults the ambient :func:`use_kernel` override first and
     otherwise runs the block kernel when the dynamics has
@@ -153,29 +155,23 @@ def resolve_kernel(
     opt-in: its speed-up depends on numba being installed, so ``"auto"``
     stays dependency-free and predictable.
 
-    Unsatisfiable requests degrade transparently down the chain
-    ``compiled -> block -> loop``: ``"compiled"`` without an importable
-    numba or without a ``compiled_id`` on the dynamics becomes
-    ``"block"``; ``"block"`` for a dynamics without :meth:`step_block`
-    (per-step RNG draws or whole-neighbourhood polls cannot be replayed
-    vectorized) becomes ``"loop"``.
-
-    ``state`` and ``substrate`` carry the run's scenario features: when
-    zealots are frozen on the state or the substrate churns, a dynamics
-    that does not *declare* the matching ``substrate_compat`` feature
-    (see :func:`repro.core.dynamics.supports_substrate`) degrades to the
-    reference loop — the loop's per-step :meth:`OpinionState.apply`
-    honours the mask regardless of the dynamics, so it is the one
-    backend that is exact for undeclared code (``tests/test_contracts.py``
-    requires the declaration of every fast-path dynamics).
+    Requests the run cannot satisfy degrade ``compiled -> block ->
+    loop``. ``"compiled"`` becomes ``"block"`` without numba, without a
+    ``compiled_id``, with any change observer, or with a stop term that
+    has no canonical thresholds. ``"block"`` becomes ``"loop"`` without
+    :meth:`step_block`, for a stop that publishes no
+    :class:`~repro.core.stopping.StopTerm`, and for a change observer
+    that is not a timeline observer
+    (:func:`~repro.core.observers.is_timeline_observer`). A
+    ``stop_condition`` of ``None`` is not checked.
 
     The returned kernel's ``reason`` says why it was chosen: the origin
     of the choice (``"kernel='block'"``, ``"use_kernel('loop')"`` or
     ``"auto: dynamics has step_block"``) followed by each degradation
-    applied, e.g. ``"kernel='block'; dynamics has no step_block"``. The engine
-    records the name as ``RunResult.kernel`` and the reason as
-    ``RunResult.kernel_reason``, so scenario runs never silently
-    diverge across kernels.
+    applied, e.g. ``"kernel='block'; stop publishes no StopTerm"``. The
+    engine records the name as ``RunResult.kernel`` and the reason as
+    ``RunResult.kernel_reason``, so runs never silently diverge across
+    kernels.
     """
     name, reason = spec, f"kernel={spec!r}"
     ambient = active_kernel()
@@ -185,26 +181,26 @@ def resolve_kernel(
         name, reason = "block", "auto: dynamics has step_block"
     elif name == "auto":
         name, reason = "loop", "auto: dynamics has no step_block"
-    if name != "loop":
-        needs = []
-        if state is not None and state.has_frozen:
-            needs.append("frozen")
-        if substrate is not None and not substrate.is_static:
-            needs.append("churn")
-        undeclared = [f for f in needs if not supports_substrate(dynamics, f)]
-        if undeclared:
-            name = "loop"
-            reason += f"; dynamics does not declare {'+'.join(undeclared)}"
-    if name == "compiled" and not compiled_runtime_available():
-        name = "block"
-        reason += "; numba is not available"
-    elif name == "compiled" and not supports_compiled(dynamics):
-        name = "block"
-        reason += "; dynamics has no compiled_id"
-    if name == "block" and not supports_block(dynamics):
-        name = "loop"
-        reason += "; dynamics has no step_block"
+    checked = stop_condition is not None
+    terms = support_range_terms(stop_condition) if checked else None
+    if name == "compiled":
+        unmet = [why for failed, why in (
+            (not compiled_runtime_available(), "numba is not available"),
+            (not supports_compiled(dynamics), "dynamics has no compiled_id"),
+            (bool(change_observers), "change observers need the block kernel"),
+            (checked and term_thresholds(terms) is None, "stop has no canonical thresholds"),
+        ) if failed]
+        if unmet:
+            name, reason = "block", f"{reason}; {unmet[0]}"
+    if name == "block":
+        unmet = [why for failed, why in (
+            (not supports_block(dynamics), "dynamics has no step_block"),
+            (checked and terms is None, "stop publishes no StopTerm"),
+            (not all(map(is_timeline_observer, change_observers)),
+             "change observer is not a timeline observer"),
+        ) if failed]
+        if unmet:
+            name, reason = "loop", f"{reason}; {unmet[0]}"
     kernel = make_kernel(name)
     kernel.reason = reason
     return kernel
-

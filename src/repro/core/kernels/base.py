@@ -9,7 +9,9 @@ kernel implements the same contract:
   stream — and therefore every outcome — is independent of the kernel;
 * it fires stopping conditions, sampled observers and change observers
   at the exact steps the reference loop would, including the implicit
-  step-0 sample and the final-step flush;
+  step-0 sample and the final-step flush (the block kernel hands change
+  observers whole committed stretches instead, see
+  :func:`~repro.core.observers.is_timeline_observer`);
 * it reports the same counters (steps, stop reason, opinion changes,
   RNG blocks) for observability.
 
@@ -23,7 +25,7 @@ argument.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Protocol, Sequence
+from typing import Optional, Protocol, Sequence
 
 import numpy as np
 
@@ -70,18 +72,13 @@ class KernelRun:
 
     ``steps`` and ``stop_reason`` become the :class:`RunResult`;
     ``blocks`` and ``changes`` feed the event-log span so all
-    kernels stay comparable in the observability layer. ``kernel``,
-    when set, names the backend that actually executed the run — a
-    kernel that delegates mid-execution (the compiled kernel hands
-    opaque stop conditions and change observers to the block kernel)
-    reports the delegate here so ``RunResult.kernel`` never lies.
+    kernels stay comparable in the observability layer.
     """
 
     steps: int
     stop_reason: str
     blocks: int
     changes: int
-    kernel: Optional[str] = None
 
 
 class ExecutionKernel(Protocol):

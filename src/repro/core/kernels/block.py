@@ -26,7 +26,8 @@ wrote that vertex, or the block-start state if none did. So
    changes, in step order. Their old and new values feed
    :meth:`OpinionState.support_range_timeline`, which reconstructs the
    exact step a stopping condition (:class:`~repro.core.stopping.
-   StopTerm`) or a *mark* first fires; one
+   StopTerm`) first fires, and is handed to each timeline observer
+   (:func:`~repro.core.observers.is_timeline_observer`); one
    :meth:`OpinionState.apply_block` then commits the last write of each
    vertex up to that step.
 
@@ -35,15 +36,14 @@ committed state: a run's first solve takes :data:`FIRST_PREFIX` pairs
 and each later one twice the last, up to the block size, so a run that
 stops a few dozen pairs in pays for about the pairs it used. The prefix
 does not reset between blocks; a long run pays about seven extra solves
-once. A block that cannot stop the run (no opaque stop, and
-:func:`_may_fire` rules out every stop term) is solved whole.
+once. A block that cannot stop the run (:func:`_may_fire` rules out
+every stop term) is solved whole.
 
 Sampled observers split the commit at their due steps, without changing
-the solve. Change observers that are not marks, and opaque stop
-callables that publish no :class:`StopTerm`, need the live state after
-every change: for them the kernel walks the same ordered change list
-through :meth:`OpinionState.apply`, calling observers and the stop
-condition after each — exact for any observer or condition.
+the solve. A run whose stop publishes no :class:`StopTerm`, or with a
+change observer that is not a timeline observer, needs the live state
+after every change; :func:`~repro.core.kernels.resolve_kernel` sends it
+to the loop kernel before it starts.
 """
 
 from __future__ import annotations
@@ -53,7 +53,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.kernels.base import KernelContext, KernelRun, epoch_window
-from repro.core.stopping import MAX_STEPS_REASON, StopTerm, support_range_terms
+from repro.core.observers import is_timeline_observer
+from repro.core.stopping import MAX_STEPS_REASON, StopTerm, first_fire, support_range_terms
 
 #: Pairs in a run's first solve; each later solve takes twice the last,
 #: up to the block size.
@@ -162,28 +163,6 @@ def solve_block(
     return targets, table.take(target_in), table[:size], next_write[:size]
 
 
-def _first_fire(
-    terms: Sequence[StopTerm],
-    support_sizes: np.ndarray,
-    range_widths: np.ndarray,
-) -> Tuple[Optional[int], Optional[str]]:
-    """First change index at which any term fires, with its reason.
-
-    Terms are evaluated in order and ties go to the earlier term —
-    exactly the sequential semantics of ``first_of``.
-    """
-    best: Optional[int] = None
-    best_reason: Optional[str] = None
-    for term in terms:
-        mask = term.fires(support_sizes, range_widths)
-        if mask.any():
-            index = int(mask.argmax())
-            if best is None or index < best:
-                best = index
-                best_reason = term.reason
-    return best, best_reason
-
-
 def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     """Whether any term could fire within ``pending_changes`` changes.
 
@@ -203,22 +182,9 @@ def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     return False
 
 
-def _is_mark(observer) -> bool:
-    """Whether ``observer`` follows the mark contract.
-
-    A mark publishes ``support_range_terms`` and a ``mark(step)`` hook
-    (see :class:`~repro.core.observers.FirstTimeTracker`): the kernel
-    reconstructs its first firing step from each committed block's
-    support/width timeline instead of replaying every change to it.
-    """
-    return support_range_terms(observer) is not None and callable(
-        getattr(observer, "mark", None)
-    )
-
-
-def _gate_terms(terms: Sequence[StopTerm], pending_marks) -> List[StopTerm]:
-    """The clauses a block must be able to fire to need its timeline."""
-    return list(terms) + [term for _, mark_terms in pending_marks for term in mark_terms]
+def _gate_terms(terms: Sequence[StopTerm], observers) -> List[StopTerm]:
+    """The clauses a commit must be able to fire to need its timeline."""
+    return list(terms) + [term for obs in observers for term in support_range_terms(obs)]
 
 
 class BlockKernel:
@@ -240,8 +206,8 @@ class BlockKernel:
         sampled = ctx.sampled
         intervals = ctx.intervals
         terms = support_range_terms(stop_condition)
-        marks = [obs for obs in ctx.change_observers if _is_mark(obs)]
-        replay = terms is None or len(marks) < len(ctx.change_observers)
+        # resolve_kernel admits only timeline observers here.
+        timeline = ctx.change_observers
 
         for obs in sampled:
             obs.sample(0, state)
@@ -249,14 +215,11 @@ class BlockKernel:
         next_due = list(intervals)
 
         # Unless a sampled observer can read the degree-weighted
-        # aggregates mid-run (marks read only support and width), their
-        # bookkeeping is deferred to the first read after the run
-        # (bit-identical, see apply_block).
-        defer_weights = all(_is_mark(obs) for obs in sampled)
-        # Unfired marks, each with its clauses; a mark leaves the list
-        # once its first firing step is recorded.
-        pending_marks = [(obs, support_range_terms(obs)) for obs in marks]
-        gate_terms = [] if replay else _gate_terms(terms, pending_marks)
+        # aggregates mid-run (timeline observers read only support and
+        # width), their bookkeeping is deferred to the first read after
+        # the run (bit-identical, see apply_block).
+        defer_weights = all(is_timeline_observer(obs) for obs in sampled)
+        gate_terms = _gate_terms(terms, timeline)
 
         reason = stop_condition(state)
         step = 0
@@ -277,7 +240,7 @@ class BlockKernel:
                 blocks += 1
                 drawn, used = remaining, 0
                 # A block that cannot stop the run is solved whole.
-                whole = not replay and not _may_fire(state, drawn, terms)
+                whole = not _may_fire(state, drawn, terms)
             size = drawn - used if whole else min(prefix, drawn - used)
             prefix = min(2 * prefix, block_size)
             v_part = v_block[used : used + size]
@@ -299,39 +262,30 @@ class BlockKernel:
                 upto = done + int(np.searchsorted(moved[done:], end))
                 at = moved[done:upto]  # this commit's changes, as pair indices
                 fire_index, fire_reason = None, None
-                if at.size and replay:
-                    fire_index, fire_reason = self._replay_changes(
-                        ctx, v_part, w_part, targets, after, at, base
-                    )
-                elif at.size and _may_fire(state, at.size, gate_terms):
+                if at.size and _may_fire(state, at.size, gate_terms):
                     support_sizes, range_widths = state.support_range_timeline(
                         before[at], after[at]
                     )
-                    fire_index, fire_reason = _first_fire(
+                    fire_index, fire_reason = first_fire(
                         terms, support_sizes, range_widths
                     )
-                    if pending_marks:
-                        # Marks see only the changes that commit; one
-                        # firing at the stop's own change is recorded,
-                        # as the loop calls on_change before the stop.
+                    if timeline:
+                        # Observers see only the changes that commit,
+                        # the stop's own change included, as the loop
+                        # calls on_change before the stop.
                         seen = at.size if fire_index is None else fire_index + 1
-                        unfired = []
-                        for obs, mark_terms in pending_marks:
-                            mark_index, _ = _first_fire(
-                                mark_terms, support_sizes[:seen], range_widths[:seen]
+                        steps = base + 1 + at[:seen]
+                        for obs in timeline:
+                            obs.on_timeline(
+                                steps, support_sizes[:seen], range_widths[:seen]
                             )
-                            if mark_index is None:
-                                unfired.append((obs, mark_terms))
-                            else:
-                                obs.mark(base + int(at[mark_index]) + 1)
-                        pending_marks = unfired
-                        gate_terms = _gate_terms(terms, pending_marks)
+                        gate_terms = _gate_terms(terms, timeline)
                 if fire_index is not None:
                     end = int(at[fire_index]) + 1
                     changes += fire_index + 1
                 else:
                     changes += int(at.size)
-                if at.size and not replay:
+                if at.size:
                     # The last write of each vertex in [pos, end) holds
                     # its value at ``end``; commit those that differ.
                     last = pos + np.flatnonzero(next_write[pos:end] >= end)
@@ -368,40 +322,3 @@ class BlockKernel:
                 last_sampled[id(obs)] = step
                 next_due[i] = step + intervals[i]
         return step
-
-    @staticmethod
-    def _replay_changes(
-        ctx: KernelContext,
-        v_block: np.ndarray,
-        w_block: np.ndarray,
-        targets: np.ndarray,
-        after: np.ndarray,
-        at: np.ndarray,
-        base: int,
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """Commit the changes at pair indices ``at`` one at a time.
-
-        Fires change observers and evaluates the stop condition after
-        each commit exactly like the loop kernel. Returns the index into
-        ``at`` of the change that stopped the run with its reason, or
-        ``(None, None)`` when every change was applied.
-        """
-        state = ctx.state
-        stop_condition = ctx.stop_condition
-        change_observers = ctx.change_observers
-        for j, (t, target, value, v, w) in enumerate(
-            zip(
-                at.tolist(),
-                targets[at].tolist(),
-                after[at].tolist(),
-                v_block[at].tolist(),
-                w_block[at].tolist(),
-            )
-        ):
-            state.apply(target, value)
-            for obs in change_observers:
-                obs.on_change(base + t + 1, v, w, state)
-            reason = stop_condition(state)
-            if reason is not None:
-                return j, reason
-        return None, None

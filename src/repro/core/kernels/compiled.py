@@ -27,13 +27,13 @@ Equivalence is structural rather than reconstructed:
 
 Anything outside that contract — change observers, opaque stop
 callables, terms without canonical thresholds, dynamics without a
-``compiled_id`` — delegates the whole run to the block kernel, which is
-exact for every case, and reports the delegation on
-:attr:`KernelRun.kernel`.
+``compiled_id`` — never reaches this kernel:
+:func:`~repro.core.kernels.resolve_kernel` resolves such a run to the
+block kernel (or on to the loop) before it starts.
 
 numba is an *optional* dependency (``pip install div-repro[compiled]``).
 Without it :func:`compiled_runtime_available` is false and
-``resolve_kernel("compiled")`` falls back to the block kernel, so CI
+``resolve_kernel("compiled")`` resolves to the block kernel, so CI
 and tier-1 stay dependency-free; the pure-Python twin of the jitted
 core (the same function object, undecorated) keeps the backend testable
 everywhere via :func:`interpreted_compiled`.
@@ -182,14 +182,14 @@ else:
     _consume_pairs_jit = None
 
 
-def _term_thresholds(
+def term_thresholds(
     terms: Optional[Sequence[StopTerm]],
 ) -> Optional[Tuple[List[str], np.ndarray, np.ndarray]]:
     """Canonical ``(reasons, support, width)`` thresholds, or ``None``.
 
     ``None`` means at least one term publishes no canonical conjunction
-    form (or the condition is opaque) and the run must go through the
-    block kernel's timeline reconstruction instead.
+    form (or the condition is opaque), so the compiled core cannot
+    check it.
     """
     if terms is None:
         return None
@@ -216,19 +216,9 @@ class CompiledKernel:
     reason = ""
 
     def execute(self, ctx: KernelContext) -> KernelRun:
-        thresholds = _term_thresholds(support_range_terms(ctx.stop_condition))
-        if (
-            thresholds is None
-            or ctx.change_observers
-            or not supports_compiled(ctx.dynamics)
-        ):
-            # Outside the canonical contract the block kernel is exact
-            # for every case; report the delegation so RunResult.kernel
-            # names the backend that actually ran.
-            run = BlockKernel().execute(ctx)
-            run.kernel = "block"
-            return run
-        reasons, term_support, term_width = thresholds
+        reasons, term_support, term_width = term_thresholds(
+            support_range_terms(ctx.stop_condition)
+        )
         core = _consume_pairs
         if _consume_pairs_jit is not None and not _INTERPRETED:
             core = _consume_pairs_jit

@@ -7,7 +7,8 @@ Two kinds of hook keep instrumented runs fast:
   step 0 and at the final step);
 * *change* observers implement ``on_change(step, v, w, state)`` and are
   called only on steps where an opinion actually changed, with the
-  interaction pair ``(v, w)`` of that step.
+  interaction pair ``(v, w)`` of that step; *timeline* observers also
+  take whole committed stretches (:func:`is_timeline_observer`).
 
 Un-instrumented runs pay nothing.
 """
@@ -20,7 +21,7 @@ from typing import Iterator, List, Optional, Protocol, Tuple, Union, runtime_che
 import numpy as np
 
 from repro.core.state import OpinionState
-from repro.core.stopping import support_range_terms
+from repro.core.stopping import first_fire, support_range_terms
 from repro.errors import ProcessError
 
 #: Interval so large that sampled hooks fire only at step 0 and the end.
@@ -161,6 +162,25 @@ class ChangeObserver(Protocol):
 #: What the engines accept in an ``observers`` sequence: anything
 #: implementing the sampled hook, the change hook, or both.
 EngineObserver = Union[SampledObserver, ChangeObserver]
+
+
+def is_timeline_observer(observer: object) -> bool:
+    """Whether ``observer`` is a *timeline* observer.
+
+    A timeline observer is a change observer that also publishes
+    ``support_range_terms`` and an
+    ``on_timeline(steps, support_sizes, range_widths)`` hook, which the
+    block kernel calls in place of ``on_change`` once per committed
+    stretch of changes: each change's step, and the support size and
+    range width just after it. The terms gate the hook: a stretch in
+    which none can fire may be skipped. The stretch that stops a run
+    ends at the stopping change, as the loop calls ``on_change`` before
+    the stop. Its hooks read only support and width, so the kernel may
+    defer degree-weight bookkeeping.
+    """
+    return support_range_terms(observer) is not None and callable(
+        getattr(observer, "on_timeline", None)
+    )
 
 
 class WeightTrace:
@@ -326,22 +346,9 @@ class FirstTimeTracker:
     counts as a hit.  Built from a stopping condition that publishes
     :class:`~repro.core.stopping.StopTerm` clauses (e.g.
     :func:`repro.core.stopping.two_adjacent`), the tracker is a
-    *mark*: it exposes those clauses as ``support_range_terms`` next
-    to its :meth:`mark` hook.  The mark contract, which the block
-    kernel relies on to keep such runs off its per-change replay path:
-
-    * the clauses fire exactly where ``predicate`` holds, so the
-      kernel can find the first firing change inside a committed
-      block from the support/width timeline and call ``mark(step)``
-      instead of ``on_change`` after every change;
-    * ``mark(step)`` records the step only if none was recorded yet
-      (the endpoint ``sample`` checks step 0, so a kernel may report
-      a later hit of an already-marked predicate);
-    * every hook reads only the state's support size and range width,
-      so the kernel may keep deferring degree-weight bookkeeping.
-
-    Kernels without a block fast path simply call ``on_change``, which
-    records the same step.
+    timeline observer (:func:`is_timeline_observer`): its terms are
+    those clauses until the first hit and ``()`` after it, so the block
+    kernel stops building timelines for it once it has fired.
     """
 
     interval = ENDPOINTS_ONLY
@@ -350,9 +357,14 @@ class FirstTimeTracker:
         self.predicate = predicate
         self.label = label
         self.first_step: Optional[int] = None
-        terms = support_range_terms(predicate)
-        if terms is not None:
-            self.support_range_terms = terms
+        self._terms = support_range_terms(predicate)
+
+    @property
+    def support_range_terms(self):
+        """The predicate's clauses until the first hit, then ``()``."""
+        if self._terms is None or self.first_step is None:
+            return self._terms
+        return ()
 
     def sample(self, step: int, state: OpinionState) -> None:
         self._check(step, state)
@@ -360,10 +372,14 @@ class FirstTimeTracker:
     def on_change(self, step: int, v: int, w: int, state: OpinionState) -> None:
         self._check(step, state)
 
-    def mark(self, step: int) -> None:
-        """Record ``step`` as the first hit unless one is recorded."""
+    def on_timeline(
+        self, steps: np.ndarray, support_sizes: np.ndarray, range_widths: np.ndarray
+    ) -> None:
+        """Record the step of the first change at which a clause fires."""
         if self.first_step is None:
-            self.first_step = step
+            index, _ = first_fire(self._terms, support_sizes, range_widths)
+            if index is not None:
+                self.first_step = int(steps[index])
 
     def _check(self, step: int, state: OpinionState) -> None:
         if self.first_step is None and self.predicate(state):

@@ -10,7 +10,9 @@ step 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple, Union
+from typing import Callable, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from repro.core.state import OpinionState
 from repro.errors import StoppingConditionError
@@ -60,8 +62,8 @@ class StopTerm:
         ``support <= 2 and width <= 1`` because width 0 forces support
         1. The compiled kernel checks these two integer thresholds
         inside its machine-code loop; a term publishing neither field
-        leaves ``fires`` as the only contract and routes the run to the
-        block kernel's timeline reconstruction instead.
+        leaves ``fires`` as the only contract, and a compiled request
+        resolves to the block kernel instead.
     """
 
     reason: str
@@ -75,13 +77,34 @@ def support_range_terms(condition: StopCondition) -> Optional[Tuple[StopTerm, ..
     """The :class:`StopTerm` clauses of ``condition``, or ``None``.
 
     ``None`` means the condition is an opaque callable the block kernel
-    cannot reconstruct mid-segment; the kernel then replays opinion
-    changes one at a time (still skipping the no-change steps) and
-    evaluates the condition on the live state, which is exact for any
-    callable. An empty tuple means the condition never fires
-    (:func:`never`).
+    cannot reconstruct mid-segment, so
+    :func:`~repro.core.kernels.resolve_kernel` runs it on the reference
+    loop, which evaluates it on the live state after every change. An
+    empty tuple means the condition never fires (:func:`never`).
     """
     return getattr(condition, "support_range_terms", None)
+
+
+def first_fire(
+    terms: Sequence[StopTerm],
+    support_sizes: np.ndarray,
+    range_widths: np.ndarray,
+) -> Tuple[Optional[int], Optional[str]]:
+    """First change index at which any term fires, with its reason.
+
+    Terms are evaluated in order and ties go to the earlier term —
+    exactly the sequential semantics of ``first_of``.
+    """
+    best: Optional[int] = None
+    best_reason: Optional[str] = None
+    for term in terms:
+        mask = term.fires(support_sizes, range_widths)
+        if mask.any():
+            index = int(mask.argmax())
+            if best is None or index < best:
+                best = index
+                best_reason = term.reason
+    return best, best_reason
 
 
 def consensus(state: OpinionState) -> Optional[str]:

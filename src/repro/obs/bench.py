@@ -80,15 +80,20 @@ def load_snapshot(path: Union[str, Path]) -> dict:
 
 
 def snapshot_origin(snapshot: dict) -> str:
-    """The tree a snapshot measured: its git sha and dirty flag.
+    """The tree a snapshot measured: its git sha, dirty flag and digest.
 
     ``dirty`` is true when the tree had uncommitted changes to tracked
     files, so the sha names the commit the change was made on, not the
     code measured; snapshots older than the flag read ``dirty unknown``.
+    ``source_sha256``, the digest of the measured ``src/**/*.py``
+    (``benchmarks/_emit.py``), names the code itself; its first 12 hex
+    digits follow when the snapshot has one.
     """
     dirty = snapshot.get("dirty")
     flag = {True: "dirty", False: "clean"}.get(dirty, "dirty unknown")
-    return f"{snapshot.get('git_sha') or 'unknown sha'} ({flag})"
+    origin = f"{snapshot.get('git_sha') or 'unknown sha'} ({flag})"
+    digest = snapshot.get("source_sha256")
+    return f"{origin} src {digest[:12]}" if digest else origin
 
 
 @dataclass(frozen=True)

@@ -58,7 +58,8 @@ folds ignore them.
 
 Like profiling, the log is ambient and opt-in: instrumented
 code asks :func:`active_log` once and does nothing when it is ``None``.
-This module sits below ``repro.core`` and imports nothing from it.
+This module sits below ``repro.core`` and imports nothing from it when
+it loads.
 """
 
 from __future__ import annotations
@@ -72,6 +73,8 @@ import warnings
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
+
+import numpy as np
 
 from repro.errors import EventLogError
 
@@ -345,11 +348,15 @@ class PhaseTraceObserver:
 
     A *phase* is a maximal step interval during which ``|support|`` is
     constant — the quantity Theorem 1's proof tracks: contraction to two
-    consecutive opinions, then the two-opinion endgame. The observer
-    implements both engine hooks (sampled at the endpoints, ``on_change``
-    for transitions) and charges every step and every wall-clock second
-    of the run to exactly one support size, so
-    ``sum(steps per phase) == total steps``.
+    consecutive opinions, then the two-opinion endgame. The observer is
+    sampled at the endpoints and sees transitions either change by
+    change (``on_change``, on the loop kernel) or one committed stretch
+    at a time (``on_timeline``, on the block kernel: it is a timeline
+    observer, see :func:`repro.core.observers.is_timeline_observer`).
+    It charges every step and every wall-clock second of the run to
+    exactly one support size, so ``sum(steps per phase) == total
+    steps``. Within one stretch the wall time is apportioned to the
+    phases by steps.
 
     The generic engine attaches one whenever a log is installed; the
     count engine, which sees support sizes directly, drives
@@ -359,6 +366,10 @@ class PhaseTraceObserver:
     interval = _ENDPOINTS_ONLY
 
     def __init__(self) -> None:
+        from repro.core.stopping import StopTerm  # repro.core sits above
+
+        # The support can grow as well as shrink: no support ceiling.
+        self.support_range_terms = (StopTerm("phase", lambda sizes, widths: sizes > 0),)
         self.initial_support: Optional[int] = None
         #: ``(step, new support size)`` per transition, in step order.
         self.transitions: List[tuple] = []
@@ -378,26 +389,36 @@ class PhaseTraceObserver:
     def on_change(self, step: int, v: int, w: int, state) -> None:
         self.advance(step, state.support_size)
 
+    def on_timeline(self, steps, support_sizes, range_widths) -> None:
+        """Note the transitions of one committed stretch of changes."""
+        moved = np.flatnonzero(np.diff(support_sizes, prepend=self._last_support))
+        # The wall time since the last boundary, spread evenly over the
+        # steps up to the stretch's last change.
+        start, start_time = self._last_step, self._last_time
+        per_step = (time.perf_counter() - start_time) / (int(steps[-1]) - start)
+        for step, support in zip(steps[moved].tolist(), support_sizes[moved].tolist()):
+            self.advance(step, support, start_time + per_step * (step - start))
+
     def begin(self, step: int, support: int) -> None:
         """Open the first phase at ``step``."""
         self.initial_support = self._last_support = support
         self._last_step = step
         self._last_time = time.perf_counter()
 
-    def advance(self, step: int, support: int) -> None:
-        """Note the support size after the change at ``step``."""
+    def advance(self, step: int, support: int, now: Optional[float] = None) -> None:
+        """Note the support size after the change at ``step``, made at
+        wall-clock time ``now`` (the clock's reading by default)."""
         if support != self._last_support:
-            self._accrue(step)
+            self._accrue(step, time.perf_counter() if now is None else now)
             self.transitions.append((step, support))
             self._last_support = support
 
     def end(self, step: int) -> None:
         """Close the open phase at the run's final ``step``."""
-        self._accrue(step)
+        self._accrue(step, time.perf_counter())
 
-    def _accrue(self, step: int) -> None:
+    def _accrue(self, step: int, now: float) -> None:
         """Charge the segment since the last boundary to the open phase."""
-        now = time.perf_counter()
         prev = self._last_support
         if step > self._last_step or prev not in self._phase_steps:
             self._phase_steps[prev] = (

@@ -2,11 +2,13 @@
 
 Hypothesis draws small runs — star, path, random regular and complete
 graphs; DIV, pull and push; optional zealots; block sizes 1, 7, 64 and
-8192; every stop specification, including an opaque callable; a mark,
-a change observer or a sampled observer — and runs each under both
-kernels. The block kernel solves every drawn block as one fixed point,
-so any dependency it misreads shows up as a different step count, stop
-reason, final opinion vector or observer record. A second property
+8192; every stop specification, including an opaque callable; a
+first-time tracker, a phase trace, a change log or sampled observers —
+and runs each under both kernels. The block kernel solves every drawn
+block as one fixed point, so any dependency it misreads shows up as a
+different step count, stop reason, final opinion vector or observer
+record. An opaque stop or a change log must resolve to the loop before
+the run starts, so those runs only check the resolved kernel. A second property
 feeds :func:`~repro.core.kernels.block.solve_block` raw pair lists over
 a handful of vertices, so repeated pairs, self pairs and long write
 chains are common, and checks it against the pair-by-pair reference.
@@ -41,7 +43,8 @@ from repro.core.stopping import (
     two_adjacent,
 )
 from repro.graphs import complete_graph, path_graph, random_regular_graph, star_graph
-from tests.test_kernels import assert_solves
+from repro.obs import PhaseTraceObserver
+from tests.test_kernels import NO_STOP_TERM, NOT_TIMELINE, assert_solves
 
 DYNAMICS = (IncrementalVoting, PullVoting, PushVoting)
 BLOCK_SIZES = (1, 7, 64, 8192)
@@ -55,7 +58,7 @@ STOPS = (
     "frozen_consensus",
     "opaque",
 )
-OBSERVERS = ("none", "mark", "change_log", "sampled")
+OBSERVERS = ("none", "mark", "phase_trace", "change_log", "sampled")
 
 
 def _graph(kind: str, n: int, seed: int):
@@ -85,6 +88,8 @@ def _stop(name: str, state: OpinionState):
 def _observers(name: str):
     if name == "mark":
         return [FirstTimeTracker(two_adjacent)]
+    if name == "phase_trace":
+        return [PhaseTraceObserver()]
     if name == "change_log":
         return [ChangeLog()]
     if name == "sampled":
@@ -95,6 +100,10 @@ def _observers(name: str):
 def _record(observer):
     if isinstance(observer, FirstTimeTracker):
         return observer.first_step
+    if isinstance(observer, PhaseTraceObserver):
+        # Per-phase seconds are wall time, not part of the record.
+        phases = [(phase["support"], phase["steps"]) for phase in observer.phases()]
+        return observer.initial_support, observer.transitions, phases
     return {
         key: list(value)
         for key, value in vars(observer).items()
@@ -151,8 +160,20 @@ class TestBlockMatchesLoop:
     )
     @given(runs())
     def test_run_is_bit_identical(self, case):
-        loop, loop_records = _run(case, "loop")
         block, block_records = _run(case, "block")
+        if case["stop"] == "opaque":
+            assert (block.kernel, block.kernel_reason) == (
+                "loop",
+                f"kernel='block'; {NO_STOP_TERM}",
+            )
+            return
+        if case["observers"] == "change_log":
+            assert (block.kernel, block.kernel_reason) == (
+                "loop",
+                f"kernel='block'; {NOT_TIMELINE}",
+            )
+            return
+        loop, loop_records = _run(case, "loop")
         assert block.kernel == "block"
         assert (block.steps, block.stop_reason) == (loop.steps, loop.stop_reason)
         np.testing.assert_array_equal(block.state.values, loop.state.values)

@@ -3,8 +3,8 @@
 The paper's estimates are only as good as two guarantees of the
 harness: every trial draws from a generator derived from the campaign
 seed, and a trial sees no stale ambient state from the process that
-launched it. Two more contracts keep the execution kernels swappable
-under the drivers. The four contracts:
+launched it. A third keeps the execution kernels swappable under the
+drivers. The three contracts:
 
 1. **Determinism** — no global-state randomness and no unseeded
    generator anywhere in the tree; literal seeds are reproducible.
@@ -13,8 +13,6 @@ under the drivers. The four contracts:
    event log and profiler; a pool worker hides the copies it inherits.
 3. **Kernel-agnostic drivers** — experiment drivers and baselines never
    import a kernel module or hard-code a backend.
-4. **Substrate declaration** — a dynamics with a kernel fast path
-   declares which scenario features that path honours.
 
 Each has a check, a test that the tree passes it, and a seeded
 violation the check must catch.
@@ -24,20 +22,14 @@ from __future__ import annotations
 
 import ast
 import contextlib
-import importlib
-import inspect
-import pkgutil
 from pathlib import Path
 from typing import List, Optional
 
 import numpy as np
 import pytest
 
-import repro.baselines
-import repro.core.dynamics
 import repro.parallel.base
 from repro.analysis.montecarlo import run_trials
-from repro.core.dynamics import BlockDynamics
 from repro.core.kernels import active_kernel, use_kernel
 from repro.obs.log import EventLog, active_log, recording
 from repro.obs.profile import active_profiler, profiling
@@ -284,46 +276,3 @@ class TestKernelAgnosticDrivers:
 
     def test_threaded_or_auto_kernel_passes(self):
         assert kernel_coupling("run_div(g, x, kernel=kernel)\nrun(kernel='auto')\n") == []
-
-
-# -- 4. Substrate declaration -----------------------------------------------
-
-
-def has_fast_path(cls: type) -> bool:
-    return not getattr(cls, "_is_protocol", False) and (
-        hasattr(cls, "step_block") or hasattr(cls, "compiled_id")
-    )
-
-
-def undeclared_fast_paths(classes) -> List[str]:
-    """Fast-path dynamics classes that declare no ``substrate_compat``."""
-    return sorted(
-        f"{cls.__module__}.{cls.__qualname__}"
-        for cls in classes
-        if has_fast_path(cls) and not hasattr(cls, "substrate_compat")
-    )
-
-
-def dynamics_classes() -> set:
-    modules = [repro.core.dynamics, repro.baselines] + [
-        importlib.import_module(info.name)
-        for info in pkgutil.walk_packages(repro.baselines.__path__, "repro.baselines.")
-    ]
-    return {obj for module in modules for obj in vars(module).values() if inspect.isclass(obj)}
-
-
-class TestSubstrateDeclaration:
-    def test_fast_path_dynamics_declare_substrate_compat(self):
-        classes = dynamics_classes()
-        assert sum(map(has_fast_path, classes)) >= 3
-        assert undeclared_fast_paths(classes) == []
-
-    def test_seeded_violation_is_caught(self):
-        class Undeclared:
-            compiled_id = 9
-
-        class Declared(Undeclared):
-            substrate_compat = ()
-
-        flagged = undeclared_fast_paths([Undeclared, Declared, BlockDynamics])
-        assert flagged == [f"{__name__}.{Undeclared.__qualname__}"]

@@ -13,6 +13,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from repro.cli import main
@@ -69,6 +70,20 @@ class TestPhaseTraceObserver:
         assert [p["support"] for p in phases] == [3, 2, 1]
         assert [p["steps"] for p in phases] == [22, 8, 0]
         assert sum(p["steps"] for p in phases) == 30
+
+    def test_timeline_matches_change_by_change(self):
+        # The same fabricated run as above, its changes handed over as
+        # two committed stretches: the same transitions and phase steps.
+        obs = PhaseTraceObserver()
+        obs.sample(0, SimpleNamespace(support_size=3))
+        obs.on_timeline(np.array([5, 12]), np.array([3, 2]), np.array([2, 1]))
+        obs.on_timeline(np.array([20, 30]), np.array([3, 1]), np.array([2, 0]))
+        obs.sample(30, SimpleNamespace(support_size=1))
+
+        assert obs.transitions == [(12, 2), (20, 3), (30, 1)]
+        phases = obs.phases()
+        assert [(p["support"], p["steps"]) for p in phases] == [(3, 22), (2, 8), (1, 0)]
+        assert all(p["seconds"] >= 0.0 for p in phases)
 
     def test_emit_writes_span_attributes_and_events(self, tmp_path):
         obs = PhaseTraceObserver()

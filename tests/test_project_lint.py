@@ -3,26 +3,19 @@
 ``tests/test_contracts.py`` checks the real tree; these cases pin the
 checks on small fixtures: unseeded generator construction (DET001),
 trials that cannot cross to worker processes (PAR003, enforced at
-dispatch time), kernel imports and literal backends in drivers
-(KER004), and the ``substrate_compat`` duty of fast-path dynamics
-(KER005).
+dispatch time), and kernel imports and literal backends in drivers
+(KER004).
 """
 
 from __future__ import annotations
 
 import textwrap
-from typing import Protocol
 
 import pytest
 
 from repro.analysis import run_trials
 from repro.errors import AnalysisError
-from tests.test_contracts import (
-    has_fast_path,
-    kernel_coupling,
-    randomness_violations,
-    undeclared_fast_paths,
-)
+from tests.test_contracts import kernel_coupling, randomness_violations
 
 
 def constant_trial(index, rng):
@@ -124,53 +117,3 @@ class TestKER004KernelAgnosticExperiments:
             )
         )
         assert problems == ["<source>:2: kernel='block'"]
-
-
-class TestKER005SubstrateDeclaration:
-    def test_fast_path_without_declaration_flagged(self):
-        class TurboDynamics:
-            compiled_id = 7
-
-            def step(self, state, v, w, rng):
-                return False
-
-            def step_block(self, xv, xw):
-                return xv
-
-        assert undeclared_fast_paths([TurboDynamics]) == [
-            f"{__name__}.{TurboDynamics.__qualname__}"
-        ]
-
-    def test_declared_and_inherited_declarations_are_fine(self):
-        class Declared:
-            substrate_compat = ("frozen", "churn")
-
-            def step(self, state, v, w, rng):
-                return False
-
-            def step_block(self, xv, xw):
-                return xv
-
-        class Faster(Declared):
-            compiled_id = 3
-
-        assert has_fast_path(Faster)
-        assert undeclared_fast_paths([Declared, Faster]) == []
-
-    def test_slow_path_dynamics_need_no_declaration(self):
-        class NoisyOnly:
-            def step(self, state, v, w, rng):
-                return False
-
-        assert not has_fast_path(NoisyOnly)
-        assert undeclared_fast_paths([NoisyOnly]) == []
-
-    def test_protocol_interfaces_are_exempt(self):
-        # A typing.Protocol describes the fast-path *interface*; the
-        # declaration duty falls on its concrete implementations.
-        class BlockCapable(Protocol):
-            def step_block(self, xv, xw):
-                ...
-
-        assert not has_fast_path(BlockCapable)
-        assert undeclared_fast_paths([BlockCapable]) == []

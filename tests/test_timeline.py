@@ -11,6 +11,7 @@ renders the timeline, is tested in ``tests/test_cli.py``.
 
 from __future__ import annotations
 
+import hashlib
 import importlib.util
 import json
 import re
@@ -907,6 +908,36 @@ class TestBenchCompare:
         monkeypatch.setenv("BENCH_SELECT", "  benchmarks/bench_kernels.py\n benchmarks/x.py ")
         payload = emit.consolidate(records, tmp_path / "subset.json")
         assert payload["select"] == "benchmarks/bench_kernels.py benchmarks/x.py"
+
+    def test_consolidate_stamps_source_digest(self, tmp_path, monkeypatch, capsys):
+        # An exported tree: src/ files and no git. The digest covers the
+        # bytes of src/**/*.py in sorted path order and nothing else.
+        source = Path(__file__).resolve().parent.parent / "benchmarks" / "_emit.py"
+        spec = importlib.util.spec_from_file_location("bench_emit", source)
+        emit = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(emit)
+        root = tmp_path / "tree"
+        (root / "src" / "pkg").mkdir(parents=True)
+        (root / "src" / "pkg" / "b.py").write_bytes(b"B = 2\n")
+        (root / "src" / "a.py").write_bytes(b"A = 1\n")
+        (root / "src" / "notes.txt").write_bytes(b"not code\n")
+        monkeypatch.setattr(emit, "_REPO_ROOT", root)
+        monkeypatch.setattr(emit, "_git", lambda *args: None)
+        records = tmp_path / "records.jsonl"
+        records.write_text(json.dumps({"name": "a", "mean_seconds": 1.0}) + "\n")
+        payload = emit.consolidate(records, tmp_path / "old.json")
+        digest = hashlib.sha256(b"A = 1\nB = 2\n").hexdigest()
+        assert payload["source_sha256"] == digest
+        assert payload["git_sha"] is None
+        (root / "src" / "a.py").write_bytes(b"A = 3\n")
+        assert emit.consolidate(records, tmp_path / "new.json")["source_sha256"] != digest
+        assert cli_main(
+            ["bench", "compare", str(tmp_path / "old.json"), str(tmp_path / "new.json")]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == (
+            f"old: unknown sha (dirty unknown) src {digest[:12]}  {tmp_path / 'old.json'}"
+        )
 
     def test_different_selections_skip_absent_benchmarks(self, tmp_path, capsys):
         full = dict(make_snapshot({"a": 1.0, "b": 2.0}), select="benchmarks")

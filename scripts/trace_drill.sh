@@ -13,11 +13,11 @@
 #      mean(transitions) + 1 <= mean(#stages);
 #   4. two --telemetry launchers in sequence on one campaign — the first
 #      aborted by an injected fault, the second resuming it — leave logs
-#      whose merged timeline reconciles exactly with the checkpoint
-#      journal; `campaign status` exits 0, reports 80/80 trials and
-#      names exactly one unclosed launcher (the aborted one); `trace
-#      summarize` renders the same log, so the engine spans of the trace
-#      summary equal the timeline's executed trials;
+#      whose trial records name exactly the (batch, index) pairs the
+#      checkpoint journal holds, with one engine span per trial record;
+#      `campaign status` exits 0, reports 80/80 trials from the journal
+#      and names exactly one unclosed launcher (the aborted one); a
+#      campaign run without --telemetry gets the same progress line;
 #   5. `bench compare` passes on a snapshot against itself and catches a
 #      seeded >=50% regression with a nonzero exit (the CI perf gate);
 #   6. a traced E2 --quick under --kernel block stays on the block kernel
@@ -88,7 +88,7 @@ $RUN run E10 --quick --seed 0 --checkpoint-dir "$WORK/ckpt" --telemetry \
 
 say "campaign status: 80/80 trials, one unclosed launcher"
 $RUN campaign status "$WORK/ckpt" | tee "$WORK/status.txt"
-if ! grep -q "telemetry: 80/80 trial(s)" "$WORK/status.txt"; then
+if ! grep -q "progress: 80/80 trial(s), .* ETA done" "$WORK/status.txt"; then
     say "FAIL: campaign status does not report 80/80 trials"
     exit 1
 fi
@@ -99,41 +99,51 @@ if [ "$UNCLOSED" != 1 ]; then
 fi
 $RUN trace summarize "$WORK/ckpt/e10" > /dev/null
 
-say "reconciling the merged timeline against the checkpoint journal"
+say "matching the logs' trial records against the checkpoint journal"
 python - "$WORK/ckpt/e10" <<'EOF'
 import sys
 from pathlib import Path
 
 from repro.checkpoint import CheckpointJournal
-from repro.obs import campaign_timeline, read_log, summarize
+from repro.obs import launcher_timelines, read_log, summarize
 
 campaign_dir = Path(sys.argv[1])
 log = read_log(campaign_dir)
-timeline = campaign_timeline(log)
+launchers = launcher_timelines(log)
 summary = summarize(log.records)
-journaled = sum(1 for _ in CheckpointJournal(campaign_dir).iter_records())
+logged = sorted((r["batch"], r["index"]) for r in log.records if r["kind"] == "trial")
+journal = CheckpointJournal(campaign_dir)
+journaled = sorted((batch, index) for batch, index, _ in journal.iter_records())
 
-assert len(timeline.launchers) == 2, sorted(timeline.launchers)
-# The aborted launcher never closed its feed; the resumer closed its own.
-aborted, resumer = sorted(timeline.launchers.values(), key=lambda l: l.started)
+assert len(launchers) == 2, sorted(launchers)
+# The aborted launcher never closed its log; the resumer closed its own.
+aborted, resumer = sorted(launchers.values(), key=lambda l: l.started)
 assert not aborted.closed, aborted.name
 assert resumer.closed, resumer.name
-assert journaled == 80, journaled  # E10 --quick trials
-# Journal truth and telemetry truth must agree exactly: every journaled
-# trial appears exactly once as timeline progress.
-assert timeline.completed == journaled, (timeline.completed, journaled)
-assert timeline.total == journaled, (timeline.total, journaled)
-assert timeline.executed >= timeline.completed - timeline.duplicates
-# E10 runs one engine run per trial, in process: the trace view of the
-# same log sees exactly the trials the timeline counts as executed.
-assert summary.engine_spans == timeline.executed, (
-    summary.engine_spans, timeline.executed)
+assert len(journaled) == 80, len(journaled)  # E10 --quick trials
+# The abort fires once its chunk is journaled and logged, so the two
+# logs together name each journaled trial exactly once.
+assert logged == journaled, (len(logged), len(journaled))
+# E10 runs one engine run per trial, in process: one engine span per
+# trial record.
+assert summary.engine_spans == len(logged), (summary.engine_spans, len(logged))
 
-print(f"[trace-drill] OK: {len(timeline.launchers)} launchers, "
-      f"{timeline.completed}/{timeline.total} trials reconciled, "
-      f"{timeline.duplicates} duplicate(s), {timeline.torn_lines} torn line(s), "
+print(f"[trace-drill] OK: {len(launchers)} launchers, {len(logged)} trial "
+      f"records equal the journal's {len(journaled)}, "
       f"{summary.engine_spans} engine spans")
 EOF
+
+say "campaign status without --telemetry: the same progress line"
+$RUN run E10 --quick --seed 0 --checkpoint-dir "$WORK/plain" > /dev/null
+$RUN campaign status "$WORK/plain" | tee "$WORK/plain-status.txt"
+if ! grep -q "progress: 80/80 trial(s), .* ETA done" "$WORK/plain-status.txt"; then
+    say "FAIL: campaign status without --telemetry prints no progress line"
+    exit 1
+fi
+if grep -q "unclosed launcher" "$WORK/plain-status.txt"; then
+    say "FAIL: a campaign without --telemetry names a launcher"
+    exit 1
+fi
 
 # ------------------------------------------------------ bench-compare gate
 say "bench-compare self-test: identity must pass, seeded regression must fail"

@@ -10,6 +10,8 @@ only the trials that never finished — and produces output
 Layout of a campaign directory::
 
     <dir>/manifest.json            campaign identity + config fingerprint
+    <dir>/trials/<batch>/          made when the batch begins; the key
+                                   ends in the batch size (b0000-grid-40)
     <dir>/trials/<batch>/t<i>.rec  one record file per journaled chunk,
                                    named after its first trial
     <dir>/telemetry/*.jsonl        event logs (``run --telemetry``)
@@ -99,6 +101,14 @@ _PICKLE_PROTOCOL = 4
 
 _HEADER_PREFIX = b"div-repro-record"
 
+#: A batch key as :meth:`CampaignSession.begin_batch` makes it; the last
+#: field is the batch size.
+_BATCH_KEY = re.compile(r"^b\d+-.+-(\d+)$")
+
+#: Trailing seconds of journal writes that :meth:`Census.recent_rate`
+#: counts.
+RATE_WINDOW = 10.0
+
 #: One frame's header line. One-trial files written before chunked
 #: journaling have no ``index`` or ``frames`` field.
 _HEADER = re.compile(
@@ -182,6 +192,60 @@ def _decode_payload(path: Path, index: int, payload: bytes) -> object:
         raise CheckpointCorruptError(
             f"{path}: undecodable payload of trial {index}"
         ) from exc
+
+
+@dataclass
+class Census:
+    """A journal's progress, read without unpickling a trial: a trial is
+    completed once an intact record holds it, and a batch counts toward
+    the total from the moment it begins."""
+
+    #: Intact trials of every begun batch (0 until its first chunk lands).
+    per_batch: Dict[str, int] = field(default_factory=dict)
+    #: Record files that fail their integrity check.
+    damaged: List[Path] = field(default_factory=list)
+    #: ``(write time, trials)`` of every intact record file.
+    writes: List[Tuple[float, int]] = field(default_factory=list)
+
+    @property
+    def completed(self) -> int:
+        return sum(self.per_batch.values())
+
+    @property
+    def total(self) -> int:
+        """The sizes of the begun batches, read off their keys. A key
+        without a size (older or hand-made journals) counts the trials
+        it holds."""
+        total = 0
+        for batch, count in self.per_batch.items():
+            match = _BATCH_KEY.match(batch)
+            total += max(int(match.group(1)) if match else 0, count)
+        return total
+
+    def recent_rate(self, now: float) -> float:
+        """Trials/sec journaled over :data:`RATE_WINDOW` before ``now``.
+
+        The trials of the record files written after the window's first
+        one, over the time from that write to the newest, so the idle
+        time before a campaign that started or resumed inside the window
+        does not dilute the rate. Fewer than two writes give 0.
+        """
+        start = now - RATE_WINDOW
+        recent = sorted(write for write in self.writes if write[0] >= start)
+        if len(recent) < 2:
+            return 0.0
+        span = recent[-1][0] - recent[0][0]
+        trials = sum(count for _, count in recent[1:])
+        return trials / span if span > 0.0 else 0.0
+
+    def eta_seconds(self, now: float) -> Optional[float]:
+        """Seconds to journal the remaining trials at the recent rate:
+        0 when none remain, ``None`` without a rate."""
+        remaining = self.total - self.completed
+        if remaining <= 0:
+            return 0.0
+        rate = self.recent_rate(now)
+        return remaining / rate if rate > 0.0 else None
 
 
 class CheckpointJournal:
@@ -287,6 +351,17 @@ class CheckpointJournal:
     def _record_path(self, batch: str, index: int) -> Path:
         return self._batch_dir(batch) / f"t{index}.rec"
 
+    def _batch_dirs(self) -> List[Path]:
+        trials_dir = self.directory / TRIALS_DIRNAME
+        if not trials_dir.is_dir():
+            return []
+        return [path for path in sorted(trials_dir.iterdir()) if path.is_dir()]
+
+    def begin(self, batch: str) -> None:
+        """Make the batch's directory, so it counts toward the campaign's
+        total before its first chunk is journaled."""
+        self._batch_dir(batch).mkdir(parents=True, exist_ok=True)
+
     def record(
         self,
         batch: str,
@@ -325,11 +400,7 @@ class CheckpointJournal:
         self, batch: Optional[str] = None
     ) -> Iterator[Tuple[str, int, Path]]:
         """``(batch, name index, path)`` of every record file, in order."""
-        trials_dir = self.directory / TRIALS_DIRNAME
-        if batch is not None:
-            batch_dirs = [self._batch_dir(batch)]
-        else:
-            batch_dirs = sorted(trials_dir.iterdir()) if trials_dir.is_dir() else []
+        batch_dirs = self._batch_dirs() if batch is None else [self._batch_dir(batch)]
         for batch_dir in batch_dirs:
             if not batch_dir.is_dir():
                 continue
@@ -372,23 +443,23 @@ class CheckpointJournal:
         """Whether any record file exists (damaged ones included)."""
         return next(self._record_files(), None) is not None
 
-    def census(self) -> Tuple[Dict[str, int], List[Path]]:
-        """Intact journaled trials per batch, and the damaged record files.
+    def census(self) -> Census:
+        """Intact trials per begun batch, damaged files and write times.
 
         Unlike :meth:`iter_records` this never raises on, or deletes, a
         damaged file: it lists it, as one whose chunk a resume with
         ``on_corrupt="discard"`` would delete and rerun.
         """
-        per_batch: Dict[str, int] = {}
-        damaged: List[Path] = []
+        census = Census(per_batch={path.name: 0 for path in self._batch_dirs()})
         for batch, name_index, path in self._record_files():
             try:
                 frames = _decode_frames(path, path.read_bytes(), name_index)
             except CheckpointCorruptError:
-                damaged.append(path)
+                census.damaged.append(path)
                 continue
-            per_batch[batch] = per_batch.get(batch, 0) + len(frames)
-        return per_batch, damaged
+            census.per_batch[batch] += len(frames)
+            census.writes.append((path.stat().st_mtime, len(frames)))
+        return census
 
     def iter_records(self) -> Iterator[Tuple[str, int, Path]]:
         """Yield ``(batch, index, path)`` for every journaled trial.
@@ -455,9 +526,12 @@ class CampaignSession:
     _next_batch: int = field(default=0, repr=False)
 
     def begin_batch(self, kind: str, size: int) -> str:
-        """Reserve the next batch key (``b0003-grid-360``)."""
+        """Reserve the next batch key (``b0003-grid-360``) and begin the
+        batch in the journal."""
         key = f"b{self._next_batch:04d}-{kind}-{size}"
         self._next_batch += 1
+        if self.journal is not None:
+            self.journal.begin(key)
         return key
 
     def completed(self, batch: str) -> Dict[int, object]:

@@ -16,11 +16,11 @@ Commands
     ``--executor serial|pool`` forces how trials run (default ``auto``:
     serial for one worker, a process pool otherwise).
 ``campaign status DIR``
-    Per-batch journaled-trial counts of a checkpointed campaign, and its
-    damaged record files (exit 1 when there are any). A campaign run
-    with ``--telemetry`` also gets a line with completed/total trials,
-    the recent rate and the ETA, and one line per launcher that never
-    closed its log. Follow a live campaign with
+    Per-batch journaled-trial counts of a checkpointed campaign, its
+    damaged record files (exit 1 when there are any), and a line with
+    completed/total trials, the recent rate and the ETA, all read from
+    the journal. A campaign run with ``--telemetry`` also gets one line
+    per launcher that never closed its log. Follow a live campaign with
     ``watch -n 2 div-repro campaign status DIR``.
 ``bench compare OLD.json NEW.json [--threshold R]``
     Diff two committed ``BENCH_*.json`` snapshots per benchmark; exits
@@ -148,9 +148,9 @@ def _build_parser() -> argparse.ArgumentParser:
         "--telemetry",
         action="store_true",
         help="write this launcher's event log under "
-        "<checkpoint dir>/<experiment>/telemetry/ for 'campaign status' "
-        "and 'trace summarize' (requires --checkpoint-dir; not with "
-        "--trace-dir)",
+        "<checkpoint dir>/<experiment>/telemetry/ for 'trace summarize' "
+        "and the unclosed launchers of 'campaign status' (requires "
+        "--checkpoint-dir; not with --trace-dir)",
     )
     run.add_argument(
         "--trace-dir",
@@ -212,8 +212,8 @@ def _build_parser() -> argparse.ArgumentParser:
     campaign_sub = campaign.add_subparsers(dest="campaign_command", required=True)
     status = campaign_sub.add_parser(
         "status",
-        help="per-batch journaled-trial counts and damaged record files "
-        "of a campaign directory, plus progress, ETA and unclosed "
+        help="per-batch journaled-trial counts, damaged record files, "
+        "progress and ETA of a campaign directory, plus unclosed "
         "launchers when it was run with --telemetry (follow it live with "
         "'watch -n 2 div-repro campaign status DIR')",
     )
@@ -472,56 +472,51 @@ def _cmd_trace_summarize(path: str) -> int:
 
 def _cmd_campaign_status(directory: str) -> int:
     """Print each campaign's journal: identity, intact trials per batch,
-    and the record files that fail their integrity check (the ones a
-    ``--discard-corrupt`` resume deletes and reruns). Exit 1 when any
-    file is damaged. A campaign with a ``telemetry/`` log gets its
-    progress line and its unclosed launchers below."""
+    the record files that fail their integrity check (the ones a
+    ``--discard-corrupt`` resume deletes and reruns), then its progress:
+    completed/total trials, recent rate and ETA. A campaign with a
+    ``telemetry/`` log also gets a line per launcher that never wrote
+    its ``bye``. Exit 1 when any file is damaged."""
     from repro.checkpoint import CheckpointJournal
     from repro.obs.log import TELEMETRY_DIRNAME, read_log
-    from repro.obs.views import campaign_timeline
+    from repro.obs.views import launcher_timelines
 
     any_damaged = False
+    now = time.time()
     for campaign_dir in _campaign_dirs(directory):
         journal = CheckpointJournal(campaign_dir)
         manifest = journal.read_manifest()
-        per_batch, damaged = journal.census()
+        census = journal.census()
         print(
             f"{campaign_dir}: {manifest.get('experiment_id', '?')} "
             f"[{manifest.get('scale', '?')}] seed={manifest.get('seed', '?')} "
-            f"— {sum(per_batch.values())} journaled trial(s) in "
-            f"{len(per_batch)} batch(es)"
+            f"— {census.completed} journaled trial(s) in "
+            f"{len(census.per_batch)} batch(es)"
         )
-        for batch in sorted(per_batch):
-            print(f"  {batch}: {per_batch[batch]} trial(s)")
-        for path in damaged:
+        for batch in sorted(census.per_batch):
+            print(f"  {batch}: {census.per_batch[batch]} trial(s)")
+        for path in census.damaged:
             print(
                 f"  damaged: {path} (--discard-corrupt deletes it and reruns "
                 "its trials)"
             )
-        any_damaged = any_damaged or bool(damaged)
-        if (campaign_dir / TELEMETRY_DIRNAME).is_dir():
-            _print_progress(campaign_timeline(read_log(campaign_dir)), time.time())
-    return 1 if any_damaged else 0
-
-
-def _print_progress(timeline, now: float) -> None:
-    """The telemetry lines of ``campaign status``: completed/total
-    trials, recent rate and ETA, then each launcher without a ``bye``."""
-    if not timeline.launchers:
-        return
-    eta = timeline.eta_seconds(now)
-    eta_text = "done" if eta == 0.0 else ("?" if eta is None else f"{eta:.0f}s")
-    print(
-        f"  telemetry: {timeline.completed}/{timeline.total} trial(s), "
-        f"{timeline.recent_rate(now):.1f} trials/s recently, ETA {eta_text}"
-    )
-    for name in sorted(timeline.launchers):
-        launcher = timeline.launchers[name]
-        if not launcher.closed:
+        any_damaged = any_damaged or bool(census.damaged)
+        if census.per_batch:
+            eta = census.eta_seconds(now)
+            eta_text = "done" if eta == 0.0 else ("?" if eta is None else f"{eta:.0f}s")
             print(
-                f"  unclosed launcher {name}: last record "
-                f"{max(0.0, now - launcher.last_seen):.1f}s ago"
+                f"  progress: {census.completed}/{census.total} trial(s), "
+                f"{census.recent_rate(now):.1f} trials/s recently, ETA {eta_text}"
             )
+        if (campaign_dir / TELEMETRY_DIRNAME).is_dir():
+            launchers = launcher_timelines(read_log(campaign_dir))
+            for name in sorted(launchers):
+                if not launchers[name].closed:
+                    print(
+                        f"  unclosed launcher {name}: last record "
+                        f"{max(0.0, now - launchers[name].last_seen):.1f}s ago"
+                    )
+    return 1 if any_damaged else 0
 
 
 def _cmd_bench_compare(

@@ -174,11 +174,6 @@ class ExperimentSpec:
                     recording(
                         EventLog(
                             journal.directory / TELEMETRY_DIRNAME,
-                            drop_indices=(
-                                fault_plan.telemetry_drop_indices()
-                                if fault_plan is not None
-                                else ()
-                            ),
                             experiment=self.experiment_id,
                             scale=scale,
                             seed=repr(seed),

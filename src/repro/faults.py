@@ -7,7 +7,7 @@ so they are *reproducible*: a :class:`FaultPlan` names faults by trial
 index, the same index used for per-trial seed derivation, so a chaos
 drill fails the same trial on every run.
 
-The plan is consulted in three places:
+The plan is consulted in two places:
 
 * **worker side** — :meth:`FaultPlan.worker_fault` runs inside a worker
   process just before a trial executes and can kill the worker
@@ -19,15 +19,12 @@ The plan is consulted in three places:
   ``truncate``) and :meth:`FaultPlan.maybe_abort` raises
   :class:`InjectedAbort` after the chunk holding a trial is recorded
   (``abort``), simulating process death mid-campaign deterministically.
-* **telemetry side** — :meth:`FaultPlan.telemetry_drop_indices` names
-  the trials whose record the launcher's ``--telemetry`` event log drops.
 
 SPEC grammar (``div-repro run --inject-faults SPEC``)::
 
     SPEC   := clause (";" clause)*
     clause := KIND "@" INDEX [":" ARG]
     KIND   := crash | hang | slow | corrupt | truncate | abort
-            | telemetry-drop
 
 ``crash@I[:N]`` kills the worker executing trial ``I`` (first ``N``
 attempts only, default every attempt); ``hang@I[:N]`` stalls it for
@@ -35,10 +32,7 @@ attempts only, default every attempt); ``hang@I[:N]`` stalls it for
 then runs normally; ``corrupt@I`` / ``truncate@I`` damage the
 checkpoint record file holding trial ``I`` (its whole chunk) after it
 is written; ``abort@I`` aborts the campaign in the parent right after
-the chunk holding trial ``I`` is journaled and logged;
-``telemetry-drop@I`` suppresses trial ``I``'s record in the launcher's
-``--telemetry`` event log (no argument), drilling the timeline's
-tolerance for logs with holes. Duplicate
+the chunk holding trial ``I`` is journaled and logged. Duplicate
 ``(KIND, INDEX)`` clauses are rejected — a doubled clause is always a
 typo, never a feature.
 """
@@ -59,11 +53,8 @@ WORKER_KINDS = ("crash", "hang", "slow")
 #: Fault kinds that damage a checkpoint record after it is written.
 RECORD_KINDS = ("corrupt", "truncate")
 
-#: Fault kinds applied to the launcher's --telemetry event log.
-TELEMETRY_KINDS = ("telemetry-drop",)
-
 #: All valid clause kinds.
-ALL_KINDS = WORKER_KINDS + RECORD_KINDS + ("abort",) + TELEMETRY_KINDS
+ALL_KINDS = WORKER_KINDS + RECORD_KINDS + ("abort",)
 
 #: Exit code of a worker killed by a ``crash`` fault.
 CRASH_EXIT_CODE = 23
@@ -160,8 +151,7 @@ class FaultPlan:
                     raise FaultSpecError(
                         f"clause {raw!r}: argument must be positive"
                     )
-            no_arg = RECORD_KINDS + ("abort",) + TELEMETRY_KINDS
-            if kind in no_arg and arg is not None:
+            if kind in RECORD_KINDS + ("abort",) and arg is not None:
                 raise FaultSpecError(
                     f"clause {raw!r}: {kind} takes no argument"
                 )
@@ -280,19 +270,6 @@ class FaultPlan:
     def worker_fault_indices(self) -> Tuple[int, ...]:
         return tuple(
             sorted({c.index for c in self.clauses if c.kind in WORKER_KINDS})
-        )
-
-    def telemetry_drop_indices(self) -> Tuple[int, ...]:
-        """Trial indices whose telemetry ``trial`` records are dropped.
-
-        Consulted when a ``--telemetry`` event log is opened (the obs
-        layer sits below this module, so it receives the plain index set
-        rather than the plan). A dropped record simulates a launcher
-        that died between journaling a trial and logging it — the
-        timeline must tolerate the hole.
-        """
-        return tuple(
-            sorted({c.index for c in self.clauses if c.kind in TELEMETRY_KINDS})
         )
 
     def summary(self) -> Dict[str, int]:

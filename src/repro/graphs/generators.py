@@ -155,6 +155,9 @@ def random_regular_graph(
         raise GraphConstructionError(f"n*d must be even (n={n}, d={d})")
     if d == 0:
         return Graph(n, [], name=f"RR({n},0)")
+    if d == n - 1:
+        # K_n is the only such graph; the pairing model rarely finds it.
+        return Graph(n, np.stack(np.triu_indices(n, k=1), axis=1), name=f"RR({n},{d})")
 
     gen = make_rng(rng)
     stubs = np.repeat(np.arange(n, dtype=np.int64), d)

@@ -10,9 +10,8 @@ The third cross-cutting layer (after parallelism and checkpointing):
   every engine run's steps, opinion changes, RNG blocks and seconds
   are attributes of its span;
 * :mod:`repro.obs.views` — the two folds over a read log: the trace
-  summary (``div-repro trace summarize``) and the campaign timeline
-  (the progress, ETA and unclosed-launcher lines of ``div-repro
-  campaign status``);
+  summary (``div-repro trace summarize``) and each launcher's timeline
+  (the unclosed-launcher lines of ``div-repro campaign status``);
 * :mod:`repro.obs.profile` — opt-in cProfile sections keyed by span;
 * :mod:`repro.obs.bench` — committed benchmark-snapshot comparison
   (``div-repro bench compare``).
@@ -37,19 +36,15 @@ from repro.obs.log import (
 )
 from repro.obs.profile import SpanProfiler, active_profiler, profiling
 from repro.obs.views import (
-    BatchProgress,
-    CampaignTimeline,
     LauncherTimeline,
     TraceSummary,
-    campaign_timeline,
+    launcher_timelines,
     summarize,
 )
 
 __all__ = [
     "TELEMETRY_DIRNAME",
-    "BatchProgress",
     "BenchDelta",
-    "CampaignTimeline",
     "EventLog",
     "LauncherTimeline",
     "Log",
@@ -58,8 +53,8 @@ __all__ = [
     "TraceSummary",
     "active_log",
     "active_profiler",
-    "campaign_timeline",
     "compare_snapshots",
+    "launcher_timelines",
     "load_snapshot",
     "profiling",
     "read_log",

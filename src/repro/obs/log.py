@@ -4,7 +4,7 @@ A traced run and a telemetered campaign record the same facts — which
 trials ran where, how long each engine run took, and how it split into
 the paper's phases. This module writes them once, into one log, and
 reads any number of logs back as one merged record stream. The two
-folds over that stream, the trace summary and the campaign timeline,
+folds over that stream, the trace summary and the launcher timelines,
 live in :mod:`repro.obs.views`.
 
 Destinations
@@ -30,7 +30,7 @@ each file, ``t`` is the epoch time of the write)::
     {"kind": "executor.resolved", "batch": ..., "executor": "pool", ...}
     {"kind": "batch.end", "batch": ..., "executor": "pool",
      "seconds": 1.73, "trials": 40}
-    {"kind": "bye", "dropped": 0}
+    {"kind": "bye"}
 
 A span is written when it closes. Engine spans (``engine.run``,
 ``engine.run_complete``) carry ``steps``, ``stop_reason``,
@@ -53,8 +53,8 @@ written before the one log (``{"type": "span"|"event", ...}``) load
 through the same reader: ``type`` becomes ``kind``, and an event's
 ``name`` becomes its kind. Logs written before heartbeats were dropped
 hold ``heartbeat`` records, a hello ``heartbeat_interval`` and a
-``bye`` ``metrics`` payload; they read as any other record, and the
-folds ignore them.
+``bye`` ``metrics`` payload, and older ``bye`` records a ``dropped``
+tally; they read as any other record, and the folds ignore them.
 
 Like profiling, the log is ambient and opt-in: instrumented
 code asks :func:`active_log` once and does nothing when it is ``None``.
@@ -72,7 +72,7 @@ import time
 import warnings
 from contextlib import contextmanager
 from pathlib import Path
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Union
+from typing import Dict, Iterator, List, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -143,10 +143,6 @@ class EventLog:
         The launcher name, which is also the file stem. Defaults to a
         fresh ``<host>-pid<pid>-F<seq>-<ns>``; ``--trace-dir`` passes the
         experiment id so a rerun replaces its trace.
-    drop_indices:
-        Trial indices whose ``trial`` records are dropped — the
-        launcher-side ``telemetry-drop`` fault of :mod:`repro.faults`.
-        Dropped records are tallied on ``dropped``.
     context:
         Extra fields for the ``hello`` record (experiment, seed, ...).
     """
@@ -155,15 +151,10 @@ class EventLog:
         self,
         directory: Union[str, Path],
         name: Optional[str] = None,
-        *,
-        drop_indices: Sequence[int] = (),
         **context: object,
     ) -> None:
         self.launcher = _launcher_name() if name is None else name
         self.path = Path(directory) / f"{self.launcher}.jsonl"
-        self.drop_indices = frozenset(int(i) for i in drop_indices)
-        #: Trial records suppressed by ``drop_indices``.
-        self.dropped = 0
         self._file = None
         self._seq = 0
         self._anonymous_batches = itertools.count()
@@ -274,9 +265,6 @@ class EventLog:
     def trial(self, index: int, seconds: float, worker: str) -> None:
         """Record one executed trial."""
         self._batch_trials += 1
-        if index in self.drop_indices:
-            self.dropped += 1
-            return
         self.event("trial", index=index, seconds=seconds, worker=worker)
 
     def close(self, bye: bool = True) -> None:
@@ -284,7 +272,7 @@ class EventLog:
         if self._file is None:
             return
         if bye:
-            self._write("bye", dropped=self.dropped)
+            self._write("bye")
         if self._file is not None:
             self._file.close()
             self._file = None
@@ -308,8 +296,8 @@ def recording(log: EventLog) -> Iterator[EventLog]:
 
     Only a block that completes writes the ``bye`` record. One that
     raises — an injected abort, a ctrl-C, a corrupt journal — closes
-    the file without it, as a killed launcher would, so the timeline
-    reports that launcher as one that never finished.
+    the file without it, as a killed launcher would, so ``campaign
+    status`` reports that launcher as one that never finished.
     """
     _ACTIVE.append(log)
     finished = False

@@ -236,14 +236,20 @@ def _run_round(
     # the budget that is still left, so draining a slow future first
     # cannot grant the later ones extra time.
     deadline = None if timeout is None else time.monotonic() + timeout
+    unsubmitted: Sequence[Sequence[TrialTask]] = ()
     try:
-        futures = [
-            (
-                pool.submit(_run_pooled_chunk, trial, chunk, fault_plan, kernel),
-                chunk,
-            )
-            for chunk in chunks
-        ]
+        futures = []
+        for position, chunk in enumerate(chunks):
+            try:
+                future = pool.submit(
+                    _run_pooled_chunk, trial, chunk, fault_plan, kernel
+                )
+            except (BrokenProcessPool, OSError):
+                # A worker died before the round was fully submitted: this
+                # chunk and every later one retry on the next round.
+                unsubmitted = chunks[position:]
+                break
+            futures.append((future, chunk))
         broken = False
         for future, chunk in futures:
             if broken:
@@ -267,6 +273,7 @@ def _run_round(
                 broken = True
                 continue
             deliver(chunk_records)
+        failed.extend(unsubmitted)
     finally:
         # Don't block on stragglers from a timed-out or broken round;
         # leftover worker processes exit once their queue drains.

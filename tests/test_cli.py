@@ -9,7 +9,7 @@ import pytest
 
 from repro.cli import _build_parser, main
 from repro.obs.log import FEED_FORMAT, TELEMETRY_DIRNAME
-from tests.test_timeline import _open_journal, write_feed
+from tests.test_timeline import _open_journal, plant_records, write_feed
 
 
 def command_paths(parser, prefix=()):
@@ -278,17 +278,22 @@ class TestCampaignStatus:
         )
         capsys.readouterr()
         assert main(["campaign", "status", str(ckpt)]) == 0
-        # Without a telemetry/ log, status prints the journal lines only.
-        assert capsys.readouterr().out.splitlines() == [
+        # Without a telemetry/ log, status prints the journal lines and
+        # the progress read from the journal, but no launcher lines.
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[:2] == [
             f"{ckpt / 'e10'}: E10 [quick] seed=5 — 6 journaled trial(s) in "
             "1 batch(es)",
             "  b0000-trials-6: 6 trial(s)",
         ]
+        assert lines[2].startswith("  progress: 6/6 trial(s), ")
+        assert lines[2].endswith(" trials/s recently, ETA done")
+        assert len(lines) == 3
 
     def test_status_without_a_rate_has_no_eta(self, tmp_path, capsys):
-        # Stalled: a batch opened, no trial ran, so no rate to project.
+        # Stalled: a batch began, no chunk landed, so no rate to project.
         stalled = tmp_path / "stalled"
-        _open_journal(stalled)
+        _open_journal(stalled).begin("b0000-trials-5")
         write_feed(
             stalled / TELEMETRY_DIRNAME,
             "solo.jsonl",
@@ -297,21 +302,20 @@ class TestCampaignStatus:
                     "seq": 0, "t": 1.0, "kind": "hello",
                     "format": FEED_FORMAT, "launcher": "solo",
                 },
-                {
-                    "seq": 1, "t": 1.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 5, "cached": 0,
-                },
             ],
         )
         assert main(["campaign", "status", str(stalled)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "  telemetry: 0/5 trial(s), 0.0 trials/s recently, ETA ?"
-        assert lines[2].startswith("  unclosed launcher solo: last record ")
-        # Dead: the only launcher ran three trials and fell silent 15 s
-        # ago, longer than the rate window, so it projects no ETA.
+        assert lines[1] == "  b0000-trials-5: 0 trial(s)"
+        assert lines[2] == "  progress: 0/5 trial(s), 0.0 trials/s recently, ETA ?"
+        assert lines[3].startswith("  unclosed launcher solo: last record ")
+        # Dead: three trials were journaled and the campaign fell silent
+        # 15 s ago, longer than the rate window, so it projects no ETA.
         dead = tmp_path / "dead"
-        _open_journal(dead)
         last = time.time() - 15.0
+        plant_records(
+            _open_journal(dead), "b0000-trials-5", [last - 0.5 * k for k in (2, 1, 0)]
+        )
         write_feed(
             dead / TELEMETRY_DIRNAME,
             "solo.jsonl",
@@ -321,23 +325,15 @@ class TestCampaignStatus:
                     "format": FEED_FORMAT, "launcher": "solo",
                 },
                 {
-                    "seq": 1, "t": last - 1.0, "kind": "batch.begin",
-                    "batch": "b0", "batch_kind": "trials", "size": 5, "cached": 0,
+                    "seq": 1, "t": last, "kind": "trial", "batch": "b0000-trials-5",
+                    "index": 2, "seconds": 0.5, "worker": "w",
                 },
-                *(
-                    {
-                        "seq": 2 + index, "t": last - 0.5 * (2 - index),
-                        "kind": "trial", "batch": "b0", "index": index,
-                        "seconds": 0.5, "worker": "w",
-                    }
-                    for index in range(3)
-                ),
             ],
         )
         assert main(["campaign", "status", str(dead)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert lines[1] == "  telemetry: 3/5 trial(s), 0.0 trials/s recently, ETA ?"
-        age = lines[2].removeprefix("  unclosed launcher solo: last record ")
+        assert lines[2] == "  progress: 3/5 trial(s), 0.0 trials/s recently, ETA ?"
+        age = lines[3].removeprefix("  unclosed launcher solo: last record ")
         assert 15.0 <= float(age.removesuffix("s ago")) < 75.0
 
     def test_damaged_record_listed_beside_intact_counts(
@@ -360,7 +356,8 @@ class TestCampaignStatus:
                 f"  damaged: {victim} (--discard-corrupt deletes it and reruns "
                 "its trials)" in out
             )
-            assert ("  telemetry: 6/6 trial(s)" in out) == bool(extra)
+            # The damaged trial is not completed: a resume reruns it.
+            assert "  progress: 5/6 trial(s)" in out
             assert victim.read_bytes() == b"garbage"  # inspection never deletes
 
     def test_status_of_non_campaign_exits_2(self, tmp_path, capsys):

@@ -1,6 +1,6 @@
 """Tests for deterministic fault injection (repro.faults).
 
-These exercise the PR 2 failure paths *in anger*: scripted worker
+These exercise the failure paths *in anger*: scripted worker
 crashes and chunk timeouts drive retry, retry exhaustion and the
 in-process fallback, and every scenario asserts the outcomes stay
 bit-for-bit identical to the plain serial run.
@@ -83,14 +83,20 @@ class TestSpecParsing:
             FaultPlan.parse("explode@1")
         with pytest.raises(FaultSpecError, match="duplicate clause 'crash@1'"):
             FaultPlan.parse("crash@1;crash@1")
+        with pytest.raises(FaultSpecError, match="abort takes no argument"):
+            FaultPlan.parse("abort@1:2")
+
+    def test_telemetry_drop_is_no_fault_kind(self):
+        # Campaign progress is read from the journal, so there is no
+        # gap in an event log left to drill.
         with pytest.raises(
-            FaultSpecError, match="telemetry-drop takes no argument"
+            FaultSpecError, match="unknown fault kind 'telemetry-drop'"
         ):
-            FaultPlan.parse("telemetry-drop@1:2")
+            FaultPlan.parse("telemetry-drop@1")
 
     def test_same_index_different_kinds_allowed(self):
-        plan = FaultPlan.parse("crash@1:1;corrupt@1;telemetry-drop@1")
-        assert plan.summary() == {"crash": 1, "corrupt": 1, "telemetry-drop": 1}
+        plan = FaultPlan.parse("crash@1:1;corrupt@1;abort@1")
+        assert plan.summary() == {"crash": 1, "corrupt": 1, "abort": 1}
 
     def test_bounded_clause_allocates_scratch(self, tmp_path):
         assert FaultPlan.parse("crash@1").scratch is None
@@ -147,6 +153,46 @@ class TestCrashRecovery:
             and "falling back to in-process" in str(w.message)
             for w in caught
         )
+
+    def test_pool_broken_during_submit_retries(self, monkeypatch):
+        """A worker that dies before the round is fully submitted makes
+        ``submit`` itself raise; the chunks not yet submitted retry on a
+        fresh pool like the ones the break lost."""
+        from concurrent.futures import Future
+        from concurrent.futures.process import BrokenProcessPool
+
+        from repro.parallel import dispatch
+
+        class BreaksAtThirdSubmit:
+            """Runs chunks in process; the first pool breaks at submit 3."""
+
+            pools = 0
+
+            def __init__(self, max_workers, initializer):
+                type(self).pools += 1
+                self.breaks = type(self).pools == 1
+                self.submitted = 0
+
+            def submit(self, fn, *args):
+                if self.breaks and self.submitted == 2:
+                    raise BrokenProcessPool("A child process terminated abruptly")
+                self.submitted += 1
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait, cancel_futures):
+                pass
+
+        serial = run_trials(8, draw_trial, seed=9)
+        monkeypatch.setattr(dispatch, "ProcessPoolExecutor", BreaksAtThirdSubmit)
+        faulted = run_trials(
+            8, draw_trial, seed=9, workers=2, chunk_size=2, max_retries=1
+        )
+        assert faulted.outcomes == serial.outcomes
+        assert faulted.timings.mode == "parallel"
+        assert faulted.timings.retries == 1
+        assert BreaksAtThirdSubmit.pools == 2
 
     def test_multiple_crashes_still_identical(self):
         serial = run_trials(10, draw_trial, seed=31)

@@ -28,15 +28,20 @@ def _digest(graph: Graph) -> str:
     return sha.hexdigest()[:16]
 
 
-#: (n, d, seed) -> (digest, pairing attempts)
+#: (n, d, seed) -> (digest, pairing attempts). An ``RR(n, n-1)`` cell
+#: is K_n, built without drawing a pairing; its digest is the one the
+#: pairing model gave on the seeds where it found K_n.
 RR_PINS = {
-    (4, 3, 0): ("b544fdf762383bd1", 1),
-    (4, 3, 4): ("b544fdf762383bd1", 3),
-    (6, 5, 4): ("a6cb792271499efb", 10),
+    (4, 3, 0): ("b544fdf762383bd1", 0),
+    (4, 3, 4): ("b544fdf762383bd1", 0),
+    (6, 5, 4): ("a6cb792271499efb", 0),
     (10, 3, 0): ("417ea46c8b180668", 1),
     (10, 3, 5): ("686a39c7ab395d16", 1),
-    (16, 15, 0): ("392ba2427301c250", 7),
-    (20, 19, 1): ("74c5ac1e3845725b", 19),
+    (16, 14, 0): ("867ee5776da759d3", 4),
+    (16, 15, 0): ("392ba2427301c250", 0),
+    (20, 19, 1): ("74c5ac1e3845725b", 0),
+    (22, 20, 0): ("b6a896f51bf9ebac", 3),
+    (30, 28, 0): ("16c13cd60ab2116c", 5),
     (56, 8, 0): ("b3518d9dc01545f7", 1),
     (56, 8, 1): ("d951544fe30a39be", 1),
     (150, 64, 0): ("2da035abff715c81", 1),
@@ -92,13 +97,17 @@ class TestRandomRegularPinned:
             graph = generators.random_regular_graph(n, d, rng=seed)
             assert _digest(graph) == digest, (n, d, seed)
             assert len(repair_log) == attempts, (n, d, seed)
-            assert [ok for _, ok in repair_log] == [False] * (attempts - 1) + [True]
+            assert [ok for _, ok in repair_log] == [
+                attempt == attempts - 1 for attempt in range(attempts)
+            ]
 
     def test_grid_covers_repair_and_redraw(self, repair_log):
         repaired, redrawn, clean = set(), set(), set()
         for cell in RR_PINS:
             repair_log.clear()
             generators.random_regular_graph(*cell[:2], rng=cell[2])
+            if not repair_log:  # K_n: no pairing drawn
+                continue
             if repair_log[-1][0]:
                 repaired.add(cell)
             else:
@@ -107,13 +116,22 @@ class TestRandomRegularPinned:
                 redrawn.add(cell)
         # Large cells must repair a pairing; some cells must redraw one.
         assert {(2000, 10, 0), (10000, 10, 0), (10000, 10, 1)} <= repaired
-        assert {(4, 3, 4), (6, 5, 4), (16, 15, 0), (20, 19, 1)} <= redrawn
-        assert clean == {(4, 3, 0), (10, 3, 5)}
+        assert {(16, 14, 0), (22, 20, 0), (30, 28, 0)} <= redrawn
+        assert clean == {(10, 3, 5)}
 
     def test_budget_exhaustion_is_pinned(self, repair_log):
-        with pytest.raises(GraphConstructionError, match="after 20 pairing attempts"):
-            generators.random_regular_graph(16, 15, rng=1)
-        assert repair_log == [(True, False)] * 20
+        # Seed 0 of RR(16,14) needs four pairings; allow three.
+        with pytest.raises(GraphConstructionError, match="after 3 pairing attempts"):
+            generators.random_regular_graph(16, 14, rng=0, max_attempts=3)
+        assert repair_log == [(True, False)] * 3
+
+    @pytest.mark.parametrize("n", [16, 20])
+    def test_degree_n_minus_1_is_complete_for_every_seed(self, repair_log, n):
+        for seed in range(6):
+            graph = generators.random_regular_graph(n, n - 1, rng=seed)
+            assert graph == generators.complete_graph(n)
+            assert graph.name == f"RR({n},{n - 1})"
+        assert repair_log == []
 
 
 @pytest.mark.parametrize("family, args", sorted(FAMILY_PINS))

@@ -172,7 +172,7 @@ def test_abandoned_journal_executor_campaign_resumes_and_renders(
     out = capsys.readouterr().out
     assert "6 journaled trial(s) in 1 batch(es)" in out
     assert f"  {batch}: 6 trial(s)" in out
-    assert "  telemetry: 6/6 trial(s), " in out
+    assert "  progress: 6/6 trial(s), " in out
     unclosed = [line for line in out.splitlines() if "unclosed launcher" in line]
     assert len(unclosed) == 1
     assert unclosed[0].startswith("  unclosed launcher oldhost-pid99-F0-1: ")

@@ -1,12 +1,14 @@
-"""Tests for the event log as a campaign feed, the campaign timeline
-folded from it, and the ``bench compare`` perf gate.
+"""Tests for the event log as a campaign feed, campaign progress read
+from the checkpoint journal, and the ``bench compare`` perf gate.
 
-Covers the accounting rules (completed vs executed vs duplicates),
-merge determinism over shuffled and torn logs, the telemetry-drop
-fault, the zero-overhead contract when no log is installed, an aborted
-and then resumed campaign reconciled against its journal, and the
-bench-compare perf gate's edge cases. ``campaign status``, which
-renders the timeline, is tested in ``tests/test_cli.py``.
+Covers the log's records and merge determinism over shuffled and torn
+logs, the launcher fold behind the unclosed-launcher lines, journal
+progress (completed and total trials, rate and ETA, a begun batch with
+no chunk yet, logs that are missing or torn), the zero-overhead
+contract when no log is installed, aborted and resumed campaigns whose
+logged trials equal their journal, and the bench-compare perf gate's
+edge cases. More of ``campaign status`` is tested in
+``tests/test_cli.py``.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ from __future__ import annotations
 import hashlib
 import importlib.util
 import json
+import os
 import re
 import time
 import warnings
@@ -22,10 +25,10 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.montecarlo import run_trials, run_trials_over
-from repro.checkpoint import CheckpointJournal, campaign
+from repro.checkpoint import Census, CheckpointJournal, campaign
+from repro.cli import main as cli_main
 from repro.errors import BenchCompareError, EventLogError, ExperimentError
 from repro.faults import FaultPlan, InjectedAbort
-from repro.cli import main as cli_main
 from repro.obs.bench import (
     BenchDelta,
     compare_snapshots,
@@ -41,11 +44,25 @@ from repro.obs.log import (
     recording,
     suspended,
 )
-from repro.obs.views import campaign_timeline
+from repro.obs.views import launcher_timelines
 
 
-def load_timeline(source):
-    return campaign_timeline(read_log(source))
+def load_launchers(source):
+    return launcher_timelines(read_log(source))
+
+
+def logged_trials(source):
+    """The ``(batch, index)`` of every ``trial`` record in the logs."""
+    return sorted(
+        (r["batch"], r["index"])
+        for r in read_log(source).records
+        if r["kind"] == "trial"
+    )
+
+
+def journaled_trials(directory):
+    """The ``(batch, index)`` of every trial the journal holds."""
+    return sorted((b, i) for b, i, _ in CheckpointJournal(directory).iter_records())
 
 
 def probe_trial(index, rng):
@@ -73,6 +90,14 @@ def _open_journal(directory):
     return journal
 
 
+def plant_records(journal, batch, times):
+    """Journal one one-trial chunk per entry of ``times`` (index order),
+    each with that write time."""
+    for index, written in enumerate(times):
+        path = journal.record(batch, {index: index})
+        os.utime(path, (written, written))
+
+
 def write_feed(directory, name, records):
     directory.mkdir(parents=True, exist_ok=True)
     path = directory / name
@@ -85,10 +110,10 @@ def write_feed(directory, name, records):
 def hand_built_campaign(root, age=120.0):
     """Two hand-written launcher feeds: alpha finished, beta went silent.
 
-    Batch ``b0`` has size 4; indices {0, 1, 2} are completed (beta ran
-    index 1 a second time, a duplicate), so the campaign reads 3/4 done
-    with one unclosed launcher. The hellos carry the ``heartbeat_interval``
-    field older logs wrote; the reader ignores it.
+    Alpha ran trials 0 and 1 of batch ``b0`` and wrote its ``bye``;
+    beta ran trials 2 and 1 and did not, so it is the one unclosed
+    launcher. The hellos carry the ``heartbeat_interval`` field and the
+    bye the ``dropped`` tally older logs wrote; the reader ignores both.
     """
     now = time.time()
     old = now - age
@@ -176,20 +201,6 @@ class TestFeed:
             "anon-0000-trials-8"
         }
 
-    def test_drop_indices_suppress_trial_records(self, tmp_path):
-        feed = EventLog(
-            tmp_path / TELEMETRY_DIRNAME, drop_indices=(1, 3)
-        )
-        with feed.batch("b0", "trials", 4):
-            for index in range(4):
-                feed.trial(index, 0.01, "w")
-        feed.close()
-        records, _ = read_log(feed.path)
-        trial_indices = [r["index"] for r in records if r["kind"] == "trial"]
-        assert trial_indices == [0, 2]
-        assert records[-1]["kind"] == "bye"
-        assert records[-1]["dropped"] == 2
-
     def test_failing_filesystem_disables_feed_with_warning(self, tmp_path):
         class FullDisk:
             def write(self, data):
@@ -243,24 +254,22 @@ class TestMergeDeterminism:
                 "\n".join(reversed(lines)) + "\n"
             )
         assert read_log(first).records == read_log(tmp_path / "two").records
-        one = load_timeline(first)
-        two = load_timeline(tmp_path / "two")
-        assert one.completed == two.completed == 3
-        assert one.duplicates == two.duplicates == 1
-        assert sorted(one.launchers) == sorted(two.launchers)
-        for name in one.launchers:
-            assert one.launchers[name].executed == two.launchers[name].executed
+        one = load_launchers(first)
+        assert one == load_launchers(tmp_path / "two")
+        assert sorted(one) == ["alpha", "beta"]
+        assert one["alpha"].closed and not one["beta"].closed
+        assert one["beta"].last_seen - one["beta"].started == pytest.approx(0.3)
 
     def test_torn_tail_dropped_and_counted(self, tmp_path):
         root = hand_built_campaign(tmp_path / "campaign")
         telemetry = root / TELEMETRY_DIRNAME
         victim = telemetry / "b-beta.jsonl"
+        intact = load_launchers(root)
         with open(victim, "a", encoding="utf-8") as handle:
             handle.write('{"seq": 4, "kind": "trial", "ind')  # killed mid-write
-        timeline = load_timeline(root)
-        assert timeline.torn_lines == 1
-        assert timeline.launchers["beta"].torn_lines == 1
-        assert timeline.completed == 3  # the tear costs nothing else
+        log = read_log(root)
+        assert log.torn == {"beta": 1}
+        assert load_launchers(root) == intact  # the tear costs nothing else
 
     def test_unknown_kinds_pass_and_malformed_lines_raise(self, tmp_path):
         telemetry = tmp_path / TELEMETRY_DIRNAME
@@ -272,37 +281,35 @@ class TestMergeDeterminism:
             {"seq": 1, "t": 2.0, "kind": "sparkle", "payload": 7},
         ]
         path = write_feed(telemetry, "feed.jsonl", records)
-        timeline = load_timeline(tmp_path)
-        assert timeline.torn_lines == 0
+        assert read_log(tmp_path).torn == {}
         # Unknown kinds survive into the record stream (forward compat),
-        # and the timeline fold skips them.
+        # and the launcher fold reads only their time.
         assert [r["kind"] for r in read_log(tmp_path).records] == [
             "hello", "sparkle"
         ]
-        assert list(timeline.launchers) == ["solo"]
+        (solo,) = load_launchers(tmp_path).values()
+        assert (solo.name, solo.started, solo.last_seen) == ("solo", 1.0, 2.0)
         # Only a cut final line is debris; a whole malformed line is
         # damage, reported with its file and line.
         with open(path, "a", encoding="utf-8") as handle:
             handle.write("not json at all\n")
         with pytest.raises(EventLogError, match="feed.jsonl:3: malformed"):
-            load_timeline(tmp_path)
+            load_launchers(tmp_path)
         write_feed(telemetry, "feed.jsonl", records + [{"t": 3.0, "no": "kind"}])
         with pytest.raises(EventLogError, match="feed.jsonl:3: not a log record"):
-            load_timeline(tmp_path)
+            load_launchers(tmp_path)
 
     def test_empty_telemetry_dir_is_empty_timeline(self, tmp_path):
         (tmp_path / TELEMETRY_DIRNAME).mkdir()
-        timeline = load_timeline(tmp_path)
-        assert timeline.launchers == {}
-        assert timeline.total == 0
+        assert load_launchers(tmp_path) == {}
 
     def test_missing_directory_raises(self, tmp_path):
         with pytest.raises(EventLogError, match="no such log file or directory"):
-            load_timeline(tmp_path / "nope")
+            load_launchers(tmp_path / "nope")
 
     def test_untelemetered_campaign_raises(self, tmp_path):
         with pytest.raises(EventLogError, match="has no telemetry/"):
-            load_timeline(tmp_path)
+            load_launchers(tmp_path)
 
     def test_foreign_format_feed_rejected(self, tmp_path):
         write_feed(
@@ -311,7 +318,7 @@ class TestMergeDeterminism:
             [{"seq": 0, "t": 1.0, "kind": "hello", "format": "otherproduct"}],
         )
         with pytest.raises(EventLogError, match="not a div-repro event log"):
-            load_timeline(tmp_path)
+            load_launchers(tmp_path)
 
     def test_resolve_accepts_telemetry_dir_itself(self, tmp_path):
         hand_built_campaign(tmp_path)
@@ -321,234 +328,117 @@ class TestMergeDeterminism:
 
 
 class TestTimelineAccounting:
-    def test_completed_executed_and_duplicates(self, tmp_path):
-        timeline = load_timeline(hand_built_campaign(tmp_path))
-        assert timeline.total == 4
-        assert timeline.completed == 3
-        assert timeline.duplicates == 1
-        assert timeline.executed == 4
-        alpha = timeline.launchers["alpha"]
-        beta = timeline.launchers["beta"]
-        assert alpha.executed == 2 and beta.executed == 2
-        assert alpha.closed and not beta.closed
-        batch = timeline.batches["b0"]
-        assert batch.completed_indices == {0, 1, 2}
-        assert batch.remaining == 1 and not batch.done
-        assert batch.finished_by == {"alpha": "pool"}
-
-    def test_eta_is_zero_when_done_none_when_rateless(self, tmp_path):
-        telemetry = tmp_path / TELEMETRY_DIRNAME
-        write_feed(
-            telemetry,
-            "feed.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "solo",
-                },
-                {
-                    "seq": 1, "t": 1.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 1, "cached": 0,
-                },
-                {
-                    "seq": 2, "t": 1.2, "kind": "trial", "batch": "b0",
-                    "index": 0, "seconds": 0.01, "worker": "w",
-                },
-            ],
-        )
-        assert load_timeline(tmp_path).eta_seconds(1.3) == pytest.approx(0.0)
-        # A campaign with remaining work but no executed trial has no
-        # execution rate to extrapolate from.
-        write_feed(
-            tmp_path / "stalled" / TELEMETRY_DIRNAME,
-            "feed.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "solo",
-                },
-                {
-                    "seq": 1, "t": 1.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 5, "cached": 0,
-                },
-            ],
-        )
-        assert load_timeline(tmp_path / "stalled").eta_seconds(1.3) is None
-        # Two launchers, each at 10 trials/s: "first" runs 25 s and dies;
-        # "second" resumes 5 s later and has run 2 s at ``now``. Only the
-        # launcher now running counts, from its own start, so neither
-        # the dead one's trials nor the gap dilute the rate.
-        relaunched = tmp_path / "relaunched" / TELEMETRY_DIRNAME
-        first_index = 0
-        for name, started, count in (("first", 100.0, 250), ("second", 130.0, 20)):
-            records = [
-                {
-                    "seq": 0, "t": started, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": name,
-                },
-                {
-                    "seq": 1, "t": started, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 300, "cached": first_index,
-                },
-            ]
-            for k in range(1, count + 1):
-                records.append(
-                    {
-                        "seq": k + 1, "t": started + k / 10, "kind": "trial",
-                        "batch": "b0", "index": first_index + k - 1,
-                        "seconds": 0.1, "worker": "w",
-                    }
-                )
-            write_feed(relaunched, f"{name}.jsonl", records)
-            first_index += count
-        timeline = load_timeline(tmp_path / "relaunched")
-        assert timeline.recent_rate(132.0) == pytest.approx(10.0)
-        assert timeline.eta_seconds(132.0) == pytest.approx(3.0)
+    """Campaign progress read from the journal alone."""
 
     def test_cached_trials_count_toward_completion(self, tmp_path):
-        write_feed(
-            tmp_path / TELEMETRY_DIRNAME,
-            "feed.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "resumed",
-                },
-                {
-                    "seq": 1, "t": 1.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 10, "cached": 7,
-                },
-                {
-                    "seq": 2, "t": 1.2, "kind": "trial", "batch": "b0",
-                    "index": 7, "seconds": 0.01, "worker": "w",
-                },
-            ],
-        )
-        timeline = load_timeline(tmp_path)
-        batch = timeline.batches["b0"]
-        assert batch.completed == 8
-        assert batch.remaining == 2
+        # An aborted campaign journaled trials 0..6 of 10; the resume
+        # runs the other three, and the journaled seven count from the
+        # start, with no event log anywhere.
+        directory = tmp_path / "camp"
+        with pytest.raises(InjectedAbort):
+            with campaign(_open_journal(directory), FaultPlan.parse("abort@6")):
+                run_trials(10, journal_trial, seed=5)
+        census = CheckpointJournal(directory).census()
+        assert census.per_batch == {"b0000-trials-10": 7}
+        assert (census.completed, census.total) == (7, 10)
+        with campaign(_open_journal(directory)):
+            run_trials(10, journal_trial, seed=5)
+        census = CheckpointJournal(directory).census()
+        assert (census.completed, census.total) == (10, 10)
+        assert len(census.writes) == 10
+        assert census.eta_seconds(time.time()) == 0.0
 
-    def test_peer_cached_trials_never_double_count(self, tmp_path):
-        # Launcher "late" opened the batch after "early" had journaled
-        # trial 0, so it reports cached=1 — but early's feed also holds
-        # the trial record, and both feeds hold trial 1. cached is a
-        # floor, not an additive term: completion must never exceed the
-        # batch size.
-        write_feed(
-            tmp_path / TELEMETRY_DIRNAME,
-            "early.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "early",
-                },
-                {
-                    "seq": 1, "t": 1.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 2, "cached": 0,
-                },
-                {
-                    "seq": 2, "t": 1.2, "kind": "trial", "batch": "b0",
-                    "index": 0, "seconds": 0.01, "worker": "w",
-                },
-                {
-                    "seq": 3, "t": 1.6, "kind": "trial", "batch": "b0",
-                    "index": 1, "seconds": 0.01, "worker": "w",
-                },
-            ],
-        )
-        write_feed(
-            tmp_path / TELEMETRY_DIRNAME,
-            "late.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.3, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "late",
-                },
-                {
-                    "seq": 1, "t": 1.4, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 2, "cached": 1,
-                },
-                {
-                    "seq": 2, "t": 1.7, "kind": "trial", "batch": "b0",
-                    "index": 1, "seconds": 0.0, "worker": "w",
-                },
-            ],
-        )
-        timeline = load_timeline(tmp_path)
-        batch = timeline.batches["b0"]
-        assert batch.completed == 2
-        assert batch.remaining == 0
-        assert timeline.completed == timeline.total == 2
+    def test_begun_empty_batch_counts_toward_total(self, tmp_path):
+        journal = _open_journal(tmp_path / "camp")
+        with campaign(journal) as session:
+            first = session.begin_batch("trials", 3)
+            session.record(first, {0: "a", 1: "b", 2: "c"})
+            second = session.begin_batch("grid", 40)
+        assert second == "b0001-grid-40"
+        census = journal.census()
+        assert census.per_batch == {first: 3, second: 0}
+        assert (census.completed, census.total) == (3, 43)
+        # A begun batch is no record: a fresh run may still reuse the dir.
+        empty = _open_journal(tmp_path / "empty")
+        with campaign(empty) as session:
+            session.begin_batch("trials", 5)
+        assert not empty.has_records()
+        assert (empty.census().completed, empty.census().total) == (0, 5)
+        assert empty.census().eta_seconds(time.time()) is None
 
-    def test_resumed_launcher_with_predecessor_feed_present(self, tmp_path):
-        # A crash-resumed campaign where run 1's feed survives: run 2's
-        # cached count covers exactly the trials run 1's feed records.
-        write_feed(
-            tmp_path / TELEMETRY_DIRNAME,
-            "run1.jsonl",
-            [
-                {
-                    "seq": 0, "t": 1.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "run1",
-                },
-                {
-                    "seq": 1, "t": 1.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 3, "cached": 0,
-                },
-                {
-                    "seq": 2, "t": 1.2, "kind": "trial", "batch": "b0",
-                    "index": 0, "seconds": 0.01, "worker": "w",
-                },
-            ],
+    def test_eta_is_zero_when_done_none_when_rateless(self, tmp_path):
+        # The write times of record files set the rate.
+        journal = _open_journal(tmp_path / "camp")
+        times = [100.0 + k / 10 for k in range(1, 251)]
+        plant_records(journal, "b0000-trials-300", times)
+        census = journal.census()
+        assert (census.completed, census.total) == (250, 300)
+        assert census.recent_rate(125.0) == pytest.approx(10.0)
+        assert census.eta_seconds(125.0) == pytest.approx(5.0)
+        # Silent for longer than the window: no rate, no ETA.
+        assert census.recent_rate(140.0) == 0.0
+        assert census.eta_seconds(140.0) is None
+        # Nothing left: done, whatever the rate.
+        done = Census(per_batch={"b0000-trials-2": 2}, writes=[(1.0, 1), (1.1, 1)])
+        assert done.eta_seconds(100.0) == 0.0
+        # A resume after a long pause: the window's first write starts
+        # the clock, so the pause does not dilute the rate.
+        resumed = Census(
+            per_batch={"b0000-trials-300": 270},
+            writes=[(100.0 + k / 10, 1) for k in range(1, 251)]
+            + [(1000.0 + k / 10, 1) for k in range(1, 21)],
         )
-        write_feed(
-            tmp_path / TELEMETRY_DIRNAME,
-            "run2.jsonl",
-            [
-                {
-                    "seq": 0, "t": 5.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "run2",
-                },
-                {
-                    "seq": 1, "t": 5.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 3, "cached": 1,
-                },
-                {
-                    "seq": 2, "t": 5.2, "kind": "trial", "batch": "b0",
-                    "index": 1, "seconds": 0.01, "worker": "w",
-                },
-            ],
-        )
-        timeline = load_timeline(tmp_path)
-        batch = timeline.batches["b0"]
-        # union {0, 1} and run2's floor 1 + |{1}| both say 2 of 3.
-        assert batch.completed == 2
-        assert batch.remaining == 1
+        assert resumed.recent_rate(1002.0) == pytest.approx(10.0)
+        assert resumed.eta_seconds(1002.0) == pytest.approx(3.0)
+        # One chunk of four in the window is no pace yet.
+        single = Census(per_batch={"b0000-trials-8": 4}, writes=[(1.0, 4)])
+        assert single.recent_rate(2.0) == 0.0
+        assert single.eta_seconds(2.0) is None
 
-    def test_cached_floor_survives_a_lost_predecessor_feed(self, tmp_path):
-        # Same resume, but run 1's feed was deleted: the union alone
-        # sees one trial, yet run 2's cached floor still proves two.
-        write_feed(
-            tmp_path / TELEMETRY_DIRNAME,
-            "run2.jsonl",
-            [
-                {
-                    "seq": 0, "t": 5.0, "kind": "hello",
-                    "format": FEED_FORMAT, "launcher": "run2",
-                },
-                {
-                    "seq": 1, "t": 5.1, "kind": "batch.begin", "batch": "b0",
-                    "batch_kind": "trials", "size": 3, "cached": 1,
-                },
-                {
-                    "seq": 2, "t": 5.2, "kind": "trial", "batch": "b0",
-                    "index": 1, "seconds": 0.01, "worker": "w",
-                },
-            ],
-        )
-        timeline = load_timeline(tmp_path)
-        assert timeline.batches["b0"].completed == 2
+    def test_resumed_launcher_with_predecessor_feed_present(self, tmp_path, capsys):
+        # Run 1 is aborted after trial 4 and never writes its bye; run 2
+        # resumes. Both logs are present, and status reads the progress
+        # from the journal and names run 1 as the one unclosed launcher.
+        directory = tmp_path / "camp"
+        first = EventLog(directory / TELEMETRY_DIRNAME)
+        with pytest.raises(InjectedAbort):
+            with recording(first):
+                with campaign(_open_journal(directory), FaultPlan.parse("abort@4")):
+                    run_trials(12, journal_trial, seed=2)
+        second = EventLog(directory / TELEMETRY_DIRNAME)
+        with recording(second):
+            with campaign(_open_journal(directory)):
+                run_trials(12, journal_trial, seed=2)
+        assert cli_main(["campaign", "status", str(directory)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[2].startswith("  progress: 12/12 trial(s), ")
+        assert lines[2].endswith(" trials/s recently, ETA done")
+        assert lines[3].startswith(f"  unclosed launcher {first.launcher}: ")
+        assert len(lines) == 4
+
+    def test_progress_exact_with_a_lost_or_torn_feed(self, tmp_path, capsys):
+        directory = tmp_path / "camp"
+        first = EventLog(directory / TELEMETRY_DIRNAME)
+        with pytest.raises(InjectedAbort):
+            with recording(first):
+                with campaign(_open_journal(directory), FaultPlan.parse("abort@4")):
+                    run_trials(12, journal_trial, seed=2)
+        # Run 1's log is lost; run 2 is killed mid-write of its last line.
+        first.path.unlink()
+        second = EventLog(directory / TELEMETRY_DIRNAME)
+        with pytest.raises(InjectedAbort):
+            with recording(second):
+                with campaign(_open_journal(directory), FaultPlan.parse("abort@8")):
+                    run_trials(12, journal_trial, seed=2)
+        with open(second.path, "a", encoding="utf-8") as handle:
+            handle.write('{"seq": 99, "kind": "tri')
+        assert logged_trials(directory) == [("b0000-trials-12", i) for i in range(5, 9)]
+        assert cli_main(["campaign", "status", str(directory)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[1] == "  b0000-trials-12: 9 trial(s)"
+        assert lines[2].startswith("  progress: 9/12 trial(s), ")
+        assert lines[3].startswith(f"  unclosed launcher {second.launcher}: ")
+        assert len(lines) == 4
 
 
 class TestAmbientIntegration:
@@ -563,21 +453,17 @@ class TestAmbientIntegration:
         feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
         with recording(feed):
             run_trials(8, journal_trial, seed=3)
-        timeline = load_timeline(tmp_path)
-        assert timeline.completed == 8
-        assert timeline.executed == 8
-        batch = timeline.batches["anon-0000-trials-8"]
-        assert batch.size == 8 and batch.done
-        assert batch.finished_by[feed.launcher] == "serial"
+        key = "anon-0000-trials-8"
+        assert logged_trials(tmp_path) == [(key, i) for i in range(8)]
+        (end,) = [r for r in read_log(tmp_path).records if r["kind"] == "batch.end"]
+        assert (end["batch"], end["executor"], end["trials"]) == (key, "serial", 8)
 
     def test_workers_do_not_double_report(self, tmp_path):
         feed = EventLog(tmp_path / TELEMETRY_DIRNAME)
         with recording(feed):
             batch = run_trials(8, probe_trial, seed=3, workers=2)
         assert all(saw is False for _, saw in batch.outcomes)
-        timeline = load_timeline(tmp_path)
-        assert timeline.completed == 8
-        assert timeline.duplicates == 0
+        assert logged_trials(tmp_path) == [("anon-0000-trials-8", i) for i in range(8)]
 
     def test_journal_campaign_reconciles_with_journal(self, tmp_path):
         journal = _open_journal(tmp_path / "camp")
@@ -585,16 +471,16 @@ class TestAmbientIntegration:
         with recording(feed):
             with campaign(journal):
                 run_trials(16, journal_trial, seed=7, workers=2, chunk_size=4)
-        timeline = load_timeline(tmp_path / "camp")
-        journaled = sum(1 for _ in journal.iter_records())
-        assert journaled == 16
-        assert timeline.completed == 16
-        assert timeline.executed == 16
-        batch = timeline.batches["b0000-trials-16"]
-        assert batch.done
-        assert batch.finished_by[feed.launcher] == "pool"
-        kinds = {r["kind"] for r in read_log(tmp_path / "camp").records}
-        assert "executor.resolved" in kinds
+        journaled = journaled_trials(tmp_path / "camp")
+        assert journaled == [("b0000-trials-16", i) for i in range(16)]
+        assert logged_trials(tmp_path / "camp") == journaled
+        census = journal.census()
+        assert census.completed == census.total == 16
+        assert len(census.writes) == 4  # one record file per chunk
+        records = read_log(tmp_path / "camp").records
+        (end,) = [r for r in records if r["kind"] == "batch.end"]
+        assert end["executor"] == "pool"
+        assert "executor.resolved" in {r["kind"] for r in records}
 
     def test_aborted_and_resumed_launchers_one_timeline(self, tmp_path):
         directory = tmp_path / "camp"
@@ -609,23 +495,19 @@ class TestAmbientIntegration:
         with recording(second):
             with campaign(_open_journal(directory)):
                 run_trials(40, journal_trial, seed=5, workers=2)
-        timeline = load_timeline(directory)
-        assert sorted(timeline.launchers) == sorted(
-            [first.launcher, second.launcher]
-        )
+        launchers = load_launchers(directory)
+        assert sorted(launchers) == sorted([first.launcher, second.launcher])
         # The aborted launcher never said goodbye; the resumer did.
-        assert not timeline.launchers[first.launcher].closed
-        assert timeline.launchers[second.launcher].closed
-        journaled = sum(
-            1 for _ in CheckpointJournal(directory).iter_records()
-        )
-        assert journaled == 40
-        # Every journaled trial appears exactly once as progress. The
-        # abort fires once trial 20 is both journaled and reported, so
-        # the two launchers executed all 40 between them.
-        assert timeline.completed == timeline.total == 40
-        assert timeline.duplicates == 0
-        assert timeline.executed == 40
+        assert not launchers[first.launcher].closed
+        assert launchers[second.launcher].closed
+        # The abort fires once the chunk holding trial 20 is both
+        # journaled and logged, so the two logs hold each journaled
+        # trial exactly once.
+        journaled = journaled_trials(directory)
+        assert len(journaled) == 40
+        assert logged_trials(directory) == journaled
+        census = CheckpointJournal(directory).census()
+        assert census.completed == census.total == 40
 
     @pytest.mark.parametrize("workers", [None, 2], ids=["serial", "pool"])
     @pytest.mark.parametrize("grid", [False, True], ids=["trials", "grid"])
@@ -643,9 +525,9 @@ class TestAmbientIntegration:
                         )
                     else:
                         run_trials(30, journal_trial, seed=4, workers=workers)
-        journaled = sum(1 for _ in CheckpointJournal(directory).iter_records())
-        assert journaled >= 14  # trials 0..13 at least
-        assert load_timeline(directory).executed == journaled
+        journaled = journaled_trials(directory)
+        assert len(journaled) >= 14  # trials 0..13 at least
+        assert logged_trials(directory) == journaled
 
     def test_registry_requires_checkpoint_dir(self):
         from repro.experiments.registry import get_experiment
@@ -659,10 +541,11 @@ class TestAmbientIntegration:
         get_experiment("E10").run_campaign(
             "quick", seed=0, checkpoint_dir=tmp_path, telemetry=True
         )
-        timeline = load_timeline(tmp_path / "e10")
-        assert timeline.total > 0
-        assert timeline.completed == timeline.total
-        (launcher,) = timeline.launchers.values()
+        census = CheckpointJournal(tmp_path / "e10").census()
+        assert census.total > 0
+        assert census.completed == census.total
+        assert logged_trials(tmp_path / "e10") == journaled_trials(tmp_path / "e10")
+        (launcher,) = load_launchers(tmp_path / "e10").values()
         assert launcher.closed
         hello = next(
             r for r in read_log(tmp_path / "e10").records if r["kind"] == "hello"
@@ -671,59 +554,36 @@ class TestAmbientIntegration:
         assert hello["scale"] == "quick"
 
 
-class TestTelemetryDropFault:
-    def test_parse_and_indices(self):
-        plan = FaultPlan.parse("telemetry-drop@5;telemetry-drop@2")
-        assert plan.telemetry_drop_indices() == (2, 5)
-
-    def test_drop_fault_starves_feed_not_journal(self, tmp_path):
-        from repro.experiments.registry import get_experiment
-
-        get_experiment("E10").run_campaign(
-            "quick",
-            seed=0,
-            checkpoint_dir=tmp_path,
-            telemetry=True,
-            fault_plan=FaultPlan.parse("telemetry-drop@2;telemetry-drop@5"),
-        )
-        timeline = load_timeline(tmp_path / "e10")
-        (launcher,) = timeline.launchers.values()
-        assert launcher.self_dropped == 2
-        # The feed lost two records; the journal lost none.
-        journaled = sum(
-            1 for _ in CheckpointJournal(tmp_path / "e10").iter_records()
-        )
-        assert timeline.completed == journaled - 2
-        for batch in timeline.batches.values():
-            assert {2, 5} & batch.completed_indices == set()
-
-
 class TestWatchAndReportCLI:
     """``campaign status`` on campaigns that keep a telemetry/ log."""
 
     def test_watch_once_renders_progress_and_stale_launcher(
         self, tmp_path, capsys
     ):
-        # Mid-batch: 3 of 4 trials done, beta never wrote its bye. Its
-        # last record is ``age - 0.3`` s old: within RATE_WINDOW beta
-        # is still running and gives an ETA; two minutes on it has none.
+        # Mid-batch: 3 of 4 trials journaled, beta never wrote its bye.
+        # The last journal write is ``age`` s old: within the rate window
+        # the campaign still has a pace and an ETA; two minutes on it
+        # has none.
         for age, eta in ((2.0, r"\d+s"), (120.0, r"\?")):
             root = hand_built_campaign(tmp_path / f"mid-{age:.0f}", age=age)
-            _open_journal(root)
+            now = time.time()
+            times = [now - age - 0.2 * k for k in (2, 1, 0)]
+            plant_records(_open_journal(root), "b0000-trials-4", times)
             assert cli_main(["campaign", "status", str(root)]) == 0
             lines = capsys.readouterr().out.splitlines()
-            assert lines[0].endswith("— 0 journaled trial(s) in 0 batch(es)")
+            assert lines[0].endswith("— 3 journaled trial(s) in 1 batch(es)")
+            assert lines[1] == "  b0000-trials-4: 3 trial(s)"
             assert re.fullmatch(
-                r"  telemetry: 3/4 trial\(s\), [0-9.]+ trials/s recently, "
+                r"  progress: 3/4 trial\(s\), [0-9.]+ trials/s recently, "
                 rf"ETA {eta}",
-                lines[1],
-            ), lines[1]
+                lines[2],
+            ), lines[2]
             unclosed = re.fullmatch(
-                r"  unclosed launcher beta: last record ([0-9.]+)s ago", lines[2]
+                r"  unclosed launcher beta: last record ([0-9.]+)s ago", lines[3]
             )
-            assert unclosed, lines[2]
+            assert unclosed, lines[3]
             assert age - 1.0 < float(unclosed.group(1)) < age + 60.0
-            assert len(lines) == 3
+            assert len(lines) == 4
 
     def test_watch_without_feeds_notes_missing_telemetry(
         self, tmp_path, capsys
@@ -748,15 +608,15 @@ class TestWatchAndReportCLI:
                 run_trials(16, journal_trial, seed=7, chunk_size=4)
         assert cli_main(["campaign", "status", str(tmp_path / "camp")]) == 0
         lines = capsys.readouterr().out.splitlines()
-        # The journal lines stay first; a finished, closed launcher adds
-        # one progress line, with no running launcher and so no rate,
-        # and no unclosed-launcher line.
+        # The journal lines stay first, then the progress line; a
+        # finished, closed launcher adds no unclosed-launcher line.
         assert lines[0].endswith("E99 [quick] seed=0 — 16 journaled trial(s) "
                                  "in 1 batch(es)")
         assert lines[1] == "  b0000-trials-16: 16 trial(s)"
-        assert lines[2] == (
-            "  telemetry: 16/16 trial(s), 0.0 trials/s recently, ETA done"
-        )
+        assert re.fullmatch(
+            r"  progress: 16/16 trial\(s\), [0-9.]+ trials/s recently, ETA done",
+            lines[2],
+        ), lines[2]
         assert len(lines) == 3
 
 

@@ -139,7 +139,7 @@ def test_solve_block(benchmark, n):
         pairs=_BLOCK,
         keys="int32" if n << (2 * _BLOCK).bit_length() < 2**31 else "int64",
     )
-    _, _, after, _ = benchmark.pedantic(
+    _, _, after, _, _ = benchmark.pedantic(
         lambda: solve_block(rule, True, values, v, w), rounds=30, iterations=5
     )
     opinions = values.tolist()

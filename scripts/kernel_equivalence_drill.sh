@@ -10,9 +10,12 @@
 # match the fixed legs byte for byte; E2 runs DIV on every graph class.
 # E1 runs on the count engine, so E11 (run_div on star and lollipop
 # graphs) adds a static-graph run_div report: under block (and auto)
-# its runs solve growing prefixes and commit whole windows around
-# run_div's two-adjacent mark, under loop they step one pair at a time,
-# and the reports must not differ.
+# its runs solve prefixes sized by their pass counts and commit whole
+# windows around run_div's two-adjacent mark, under loop they step one
+# pair at a time, and the reports must not differ. E7 (path graphs) and E12 (the λk
+# ablation's poorly connected graphs) are where long chains of changes
+# make the block kernel shrink its prefixes most, so they cover the
+# shrinking half of the prefix schedule.
 # Then repeats the comparison for the non-static substrate scenarios:
 # E17 (zealots: frozen vertices through every commit path) and E18
 # (edge churn: epoch-crossing runs with scheduler cache rebuilds) —
@@ -46,10 +49,11 @@ else
 fi
 
 # E1, E2 and E11: the static-substrate reference comparisons (count
-# engine, DIV across graph classes, and run_div on hubs). E17/E18:
+# engine, DIV across graph classes, and run_div on hubs). E7/E12:
+# chain-heavy graphs, where the prefixes shrink. E17/E18:
 # zealots and edge churn — the scenario legs added with the substrate
 # contract. E10/E13: runs that resolve to loop whatever is asked.
-EXPERIMENTS="E1 E2 E10 E11 E13 E17 E18 E19"
+EXPERIMENTS="E1 E2 E7 E10 E11 E12 E13 E17 E18 E19"
 
 # Rewrite a report without its tables' `kernel` column (which must exist).
 strip_kernel_column() {

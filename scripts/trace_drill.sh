@@ -21,9 +21,11 @@
 #   5. `bench compare` passes on a snapshot against itself and catches a
 #      seeded >=50% regression with a nonzero exit (the CI perf gate);
 #   6. a traced E2 --quick under --kernel block stays on the block kernel
-#      (its phase trace is a timeline observer), and every engine span
+#      (its phase trace is a timeline observer), every engine span
 #      matches the --kernel loop trace in steps, stop reason, opinion
-#      changes and phase transitions.
+#      changes and phase transitions, and every block span made at
+#      least one fixed-point solve (`solves` > 0, `passes` >= `solves`)
+#      where the loop spans made none.
 #
 # Usage: scripts/trace_drill.sh [OUT_DIR]   (override the CLI with DIV_REPRO=...)
 set -euo pipefail
@@ -194,8 +196,12 @@ assert kernels == {"block"}, kernels
 for index, (b, l) in enumerate(zip(block, loop)):
     for key in KEYS:
         assert b[key] == l[key], (index, key, b[key], l[key])
+    assert 0 < b["solves"] <= b["passes"], (index, b["solves"], b["passes"])
+    assert l["solves"] == l["passes"] == 0, (index, l["solves"], l["passes"])
+solves = sum(span["solves"] for span in block)
+passes = sum(span["passes"] for span in block)
 print(f"[trace-drill] OK: {len(block)} engine spans on block match loop in "
-      f"{', '.join(KEYS)}")
+      f"{', '.join(KEYS)}; {solves} solves in {passes} passes")
 EOF
 
 say "all checks passed (trace kept in $OUT)"

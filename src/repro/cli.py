@@ -421,10 +421,16 @@ def _cmd_trace_summarize(path: str) -> int:
             f"workers={workers if workers else 'serial'} "
             f"— {record.get('seconds', 0.0):.2f}s"
         )
+    # Only block-kernel runs solve; other traces print as they always did.
+    solves = (
+        f"{summary.total_solves} solve(s) in {summary.total_passes} pass(es), "
+        if summary.total_solves
+        else ""
+    )
     print(
         f"{summary.engine_spans} engine run(s), {summary.total_steps} steps, "
         f"{summary.total_opinion_changes} opinion change(s), "
-        f"{summary.total_rng_blocks} RNG block(s), "
+        f"{summary.total_rng_blocks} RNG block(s), {solves}"
         f"{summary.total_engine_seconds:.3f}s engine wall time "
         f"({1e3 * summary.mean_engine_seconds:.2f}"
         f"±{1e3 * summary.stddev_engine_seconds:.2f}ms/run), "

@@ -196,6 +196,8 @@ def run_dynamics(
                 stop_reason=run.stop_reason,
                 opinion_changes=run.changes,
                 rng_blocks=run.blocks,
+                solves=run.solves,
+                passes=run.passes,
                 n=state.n,
             )
             span.update(phase_obs.attrs())

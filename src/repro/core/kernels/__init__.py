@@ -30,9 +30,10 @@ whole campaign::
 mirroring how :mod:`repro.obs.log` scopes its active log. The
 default ``"auto"`` runs the block kernel wherever the dynamics has
 :meth:`Dynamics.step_block` and the loop otherwise: solving each run's
-first blocks in growing prefixes (see :mod:`repro.core.kernels.block`)
-made block the faster kernel on every graph measured, hubs and K_10
-included (``docs/kernels.md``). The choice is made once, before the
+first blocks in prefixes sized by their pass counts (see
+:mod:`repro.core.kernels.block`) made block the faster kernel on every
+graph measured but K_10, where it trails the loop by a small constant
+(``docs/kernels.md``). The choice is made once, before the
 run starts, and carries a one-line ``reason``, which the engine
 records as ``RunResult.kernel_reason``.
 """
@@ -149,11 +150,11 @@ def resolve_kernel(
     ``"auto"`` consults the ambient :func:`use_kernel` override first and
     otherwise runs the block kernel when the dynamics has
     :meth:`step_block` and the loop when it has not, whatever the graph
-    or scheduler: the block kernel solves a run's first pairs in growing
-    prefixes, so short runs and hub graphs no longer pay for a whole
-    block (``docs/kernels.md``, *Growing prefixes*). ``"compiled"`` is
-    opt-in: its speed-up depends on numba being installed, so ``"auto"``
-    stays dependency-free and predictable.
+    or scheduler: the block kernel solves a run's pairs in prefixes
+    sized by their pass counts, so short runs and hub graphs no longer
+    pay for a whole block (``docs/kernels.md``, *Prefix solves*).
+    ``"compiled"`` is opt-in: its speed-up depends on numba being
+    installed, so ``"auto"`` stays dependency-free and predictable.
 
     Requests the run cannot satisfy degrade ``compiled -> block ->
     loop``. ``"compiled"`` becomes ``"block"`` without numba, without a

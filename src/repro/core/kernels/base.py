@@ -72,13 +72,17 @@ class KernelRun:
 
     ``steps`` and ``stop_reason`` become the :class:`RunResult`;
     ``blocks`` and ``changes`` feed the event-log span so all
-    kernels stay comparable in the observability layer.
+    kernels stay comparable in the observability layer. ``solves`` and
+    ``passes`` count the block kernel's fixed-point solves and their
+    passes (0 on the kernels that solve nothing).
     """
 
     steps: int
     stop_reason: str
     blocks: int
     changes: int
+    solves: int = 0
+    passes: int = 0
 
 
 class ExecutionKernel(Protocol):

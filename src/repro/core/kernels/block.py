@@ -20,8 +20,10 @@ wrote that vertex, or the block-start state if none did. So
    ``t`` depends only on pairs before it, so after each pass everything
    up to the first entry that moved already solves the system; the next
    pass re-evaluates only the suffix behind it. The fixed point is
-   unique and *is* the sequential run; it takes about a dozen passes
-   on an 8192-pair block of a 10-regular expander;
+   unique and *is* the sequential run. The passes follow the longest
+   chain of changes: about a dozen on an 8192-pair block of a
+   10-regular expander, one per pair on a chain where each pair reads
+   the last pair's write;
 4. the pairs whose output differs from their input are the block's
    changes, in step order. Their old and new values feed
    :meth:`OpinionState.support_range_timeline`, which reconstructs the
@@ -31,13 +33,16 @@ wrote that vertex, or the block-start state if none did. So
    :meth:`OpinionState.apply_block` then commits the last write of each
    vertex up to that step.
 
-A block is drawn whole but solved in *growing prefixes*, each from the
-committed state: a run's first solve takes :data:`FIRST_PREFIX` pairs
-and each later one twice the last, up to the block size, so a run that
-stops a few dozen pairs in pays for about the pairs it used. The prefix
-does not reset between blocks; a long run pays about seven extra solves
-once. A block that cannot stop the run (:func:`_may_fire` rules out
-every stop term) is solved whole.
+A block is drawn whole but solved in *prefixes*, each from the
+committed state. A run's first solve takes :data:`FIRST_PREFIX` pairs;
+:func:`next_prefix` sizes each later one from the passes of the last:
+few passes grow the prefix toward the block size, many shrink it, so a
+chain-heavy graph (a path, a lollipop's tail, a star's hub) solves
+short prefixes in a few passes each instead of block-sized ones in
+hundreds, and a run that stops early pays for about the pairs it used.
+The prefix does not reset between blocks. A block that cannot stop the
+run (:func:`_may_fire` rules out every stop term) is solved whole and
+leaves the prefix as it was.
 
 Sampled observers split the commit at their due steps, without changing
 the solve. A run whose stop publishes no :class:`StopTerm`, or with a
@@ -56,9 +61,34 @@ from repro.core.kernels.base import KernelContext, KernelRun, epoch_window
 from repro.core.observers import is_timeline_observer
 from repro.core.stopping import MAX_STEPS_REASON, StopTerm, first_fire, support_range_terms
 
-#: Pairs in a run's first solve; each later solve takes twice the last,
-#: up to the block size.
-FIRST_PREFIX = 64
+#: Pairs in a run's first solve; :func:`next_prefix` sizes each later
+#: one from the passes of the last. Large enough that an expander's
+#: prefix reaches the block size within a few solves and a hub run of
+#: a few thousand steps makes few solves; small enough that a run ending
+#: within a few hundred steps solves about what it uses.
+FIRST_PREFIX = 256
+
+#: The smallest prefix a run of long solves shrinks to.
+MIN_PREFIX = 16
+
+
+def next_prefix(prefix: int, passes: int, block_size: int) -> int:
+    """The pair count of the solve after one of ``prefix`` pairs took
+    ``passes`` passes.
+
+    A solve's passes follow its longest chain of changes, and each pass
+    re-evaluates the whole unsolved suffix, so a prefix is worth
+    growing while its passes are few: fewer than 8 quadruple it, fewer
+    than 16 double it, 16 to 48 keep it, and more than 48 halve it,
+    down to :data:`MIN_PREFIX`. The result never exceeds the block size.
+    """
+    if passes < 8:
+        prefix *= 4
+    elif passes < 16:
+        prefix *= 2
+    elif passes > 48:
+        prefix = max(prefix // 2, MIN_PREFIX)
+    return min(prefix, block_size)
 
 
 def solve_block(
@@ -68,16 +98,18 @@ def solve_block(
     v_block: np.ndarray,
     w_block: np.ndarray,
     frozen: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, int]:
     """The sequential outcome of one block of pairs.
 
     ``rule(xv, xw)`` returns the written endpoint's new value
     (``writes_v``: ``v`` is written, else ``w``); ``values`` is the
     opinion vector at block start and ``frozen`` the zealot mask, whose
     vertices keep their values. Returns ``(targets, before, after,
-    next_write)``: per pair, the written vertex, its value just before
-    and just after the pair, and the index of the next pair writing the
-    same vertex (``len(v_block)`` when none does).
+    next_write, passes)``: per pair, the written vertex, its value just
+    before and just after the pair, and the index of the next pair
+    writing the same vertex (``len(v_block)`` when none does); then the
+    number of passes the fixed point took, which sizes the kernel's
+    next solve (:func:`next_prefix`).
 
     The event keys and the linking arithmetic are int32 when every key
     fits, ``values.size << shift < 2**31``, and int64 otherwise: the
@@ -147,8 +179,9 @@ def solve_block(
     next_write = np.full(2 * size, size, dtype=np.int64)
     next_write[target_in] = np.arange(size)
     keep = None if frozen is None else frozen[targets]
-    start = 0
+    start = passes = 0
     while start < size:
+        passes += 1
         before = table.take(target_in[start:])
         other = table.take(other_in[start:])
         after = rule(before, other) if writes_v else rule(other, before)
@@ -160,7 +193,7 @@ def solve_block(
             break
         table[start + first : size] = after[first:]
         start += first + 1
-    return targets, table.take(target_in), table[:size], next_write[:size]
+    return targets, table.take(target_in), table[:size], next_write[:size], passes
 
 
 def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
@@ -189,7 +222,7 @@ def _gate_terms(terms: Sequence[StopTerm], observers) -> List[StopTerm]:
 
 class BlockKernel:
     """Vectorized execution: each drawn block solved as fixed points of
-    growing prefixes."""
+    prefixes sized by their pass counts."""
 
     name = "block"
     reason = ""
@@ -223,8 +256,7 @@ class BlockKernel:
 
         reason = stop_condition(state)
         step = 0
-        blocks = 0
-        changes = 0
+        blocks = changes = solves = passes = 0
         drawn = used = 0  # pairs in the current block / solved from it
         prefix = FIRST_PREFIX
         while reason is None:
@@ -242,14 +274,17 @@ class BlockKernel:
                 # A block that cannot stop the run is solved whole.
                 whole = not _may_fire(state, drawn, terms)
             size = drawn - used if whole else min(prefix, drawn - used)
-            prefix = min(2 * prefix, block_size)
             v_part = v_block[used : used + size]
             w_part = w_block[used : used + size]
             used += size
             base = step  # steps completed before this solve
-            targets, before, after, next_write = solve_block(
+            targets, before, after, next_write, solve_passes = solve_block(
                 rule, writes_v, state.values, v_part, w_part, state.frozen_mask
             )
+            solves += 1
+            passes += solve_passes
+            if not whole:
+                prefix = next_prefix(prefix, solve_passes, block_size)
             moved = np.flatnonzero(before != after)
             pos = 0  # pairs of this solve committed so far
             done = 0  # entries of ``moved`` committed so far
@@ -310,7 +345,12 @@ class BlockKernel:
             if last_sampled[id(obs)] != step:
                 obs.sample(step, state)
         return KernelRun(
-            steps=step, stop_reason=reason, blocks=blocks, changes=changes
+            steps=step,
+            stop_reason=reason,
+            blocks=blocks,
+            changes=changes,
+            solves=solves,
+            passes=passes,
         )
 
     @staticmethod

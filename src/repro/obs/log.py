@@ -37,7 +37,8 @@ A span is written when it closes. Engine spans (``engine.run``,
 ``rng_blocks``, ``opinion_changes``, the phase totals of
 :class:`PhaseTraceObserver` — whose per-phase ``steps`` always sum to
 the span's ``steps`` — and the ``transitions`` list of
-``[step, support]`` pairs.
+``[step, support]`` pairs; ``engine.run`` also carries the block
+kernel's ``solves`` and ``passes`` (0 on the other kernels).
 
 Writing and reading
 -------------------

@@ -52,6 +52,10 @@ class TraceSummary:
     total_steps: int = 0
     total_opinion_changes: int = 0
     total_rng_blocks: int = 0
+    #: The block kernel's fixed-point solves and their passes (0 on
+    #: the other kernels and on spans written before they were logged).
+    total_solves: int = 0
+    total_passes: int = 0
     total_engine_seconds: float = 0.0
     #: Sum of squared per-span engine seconds — additive like the
     #: other fields, so the stddev of per-run wall time stays exact
@@ -117,6 +121,8 @@ def _fold_engine_span(summary: TraceSummary, record: dict) -> None:
     summary.total_steps += steps
     summary.total_opinion_changes += int(record.get("opinion_changes", 0))
     summary.total_rng_blocks += int(record.get("rng_blocks", 0))
+    summary.total_solves += int(record.get("solves", 0))
+    summary.total_passes += int(record.get("passes", 0))
     seconds = float(record.get("seconds", 0.0))
     summary.total_engine_seconds += seconds
     summary.engine_seconds_sq += seconds * seconds

@@ -53,6 +53,7 @@ from repro.core.kernels import (
     supports_compiled,
     use_kernel,
 )
+from repro.core.kernels.block import FIRST_PREFIX, next_prefix
 from repro.core.observers import (
     ChangeLog,
     FirstTimeTracker,
@@ -580,31 +581,79 @@ class TestMarkEquivalence:
         ]
 
 
-def solve_sizes(monkeypatch):
-    """Record the pair count of every :func:`solve_block` call."""
+def solve_sizes(monkeypatch, passes=None):
+    """Record the pair count of every :func:`solve_block` call, and its
+    pass count in ``passes`` when given."""
     sizes = []
 
     def spy(rule, writes_v, values, v_block, w_block, frozen=None):
+        solved = solve_block(rule, writes_v, values, v_block, w_block, frozen)
         sizes.append(int(v_block.size))
-        return solve_block(rule, writes_v, values, v_block, w_block, frozen)
+        if passes is not None:
+            passes.append(solved[-1])
+        return solved
 
     monkeypatch.setattr("repro.core.kernels.block.solve_block", spy)
     return sizes
 
 
+def chain_scheduler(links):
+    """A scheduler whose every block is a chain of ``links`` links,
+    repeated: pair t writes vertex ``1 + t % links`` from its
+    predecessor, so on a path with one extreme end each pair reads the
+    previous pair's write."""
+
+    class Chain:
+        graph = path_graph(links + 1)
+
+        def draw_block(self, rng, size):
+            w = np.arange(size, dtype=np.int64) % links
+            return w + 1, w
+
+    return Chain()
+
+
 class TestGrowingPrefixes:
-    """The block kernel solves a run's first pairs in prefixes of 64,
-    128, 256, ... pairs (cumulative boundaries at 64, 192, 448, ...);
-    every boundary case must match the loop bit for bit."""
+    """The block kernel solves a run's first :data:`FIRST_PREFIX` (256)
+    pairs, then sizes each prefix from the passes of the last
+    (:func:`next_prefix`). On K_28 with six opinions the first solve
+    takes 13-20 passes, so the second prefix is 256 pairs (boundary at
+    512) or 512 pairs (boundary at 768) by seed; the K_10 runs end
+    inside the first prefix. Every case must match the loop bit for
+    bit."""
 
     @pytest.mark.parametrize(
-        "seed, steps",
-        [(14, 30), (13, 64), (39, 65), (634, 192), (1255, 193)],
-        ids=["inside_first", "at_64", "after_64", "at_192", "after_192"],
+        "n, seed, steps",
+        [
+            (10, 14, 30),
+            (10, 13, 64),
+            (10, 39, 65),
+            (10, 634, 192),
+            (10, 1255, 193),
+            (28, 791, 256),
+            (28, 1243, 257),
+            (28, 782, 512),
+            (28, 3200, 513),
+            (28, 3449, 768),
+            (28, 872, 769),
+        ],
+        ids=[
+            "inside_first",
+            "at_64",
+            "after_64",
+            "at_192",
+            "after_192",
+            "at_256",
+            "after_256",
+            "at_512",
+            "after_512",
+            "at_768",
+            "after_768",
+        ],
     )
-    def test_consensus_around_prefix_boundaries(self, seed, steps):
+    def test_consensus_around_prefix_boundaries(self, n, seed, steps):
         results, observers = run_pair(
-            complete_graph(10),
+            complete_graph(n),
             IncrementalVoting(),
             VertexScheduler,
             stop="consensus",
@@ -613,7 +662,7 @@ class TestGrowingPrefixes:
         assert_equivalent(results, observers)
         assert (results[0].steps, results[0].stop_reason) == (steps, "consensus")
 
-    @pytest.mark.parametrize("interval", [64, 192])
+    @pytest.mark.parametrize("interval", [64, 192, 256])
     def test_sampled_observer_due_on_boundary(self, interval):
         results, observers = run_pair(
             complete_graph(21),
@@ -626,7 +675,7 @@ class TestGrowingPrefixes:
         assert_equivalent(results, observers)
         assert results[0].steps > 2 * interval
 
-    @pytest.mark.parametrize("max_steps", [1, 63, 65])
+    @pytest.mark.parametrize("max_steps", [1, 63, 65, 255, 256, 257])
     def test_max_steps_around_first_prefix(self, max_steps):
         results, observers = run_pair(
             random_regular_graph(64, 4, rng=1),
@@ -701,7 +750,8 @@ class TestGrowingPrefixes:
 
     @pytest.mark.parametrize("seed", [13, 39, 634, 1255, 7])
     def test_solved_pairs_track_steps_on_k10(self, monkeypatch, seed):
-        sizes = solve_sizes(monkeypatch)
+        passes = []
+        sizes = solve_sizes(monkeypatch, passes)
         graph = complete_graph(10)
         result = run_dynamics(
             initial_state(graph, seed),
@@ -711,8 +761,74 @@ class TestGrowingPrefixes:
             kernel="block",
         )
         assert result.stop_reason == "consensus"
-        assert sizes[: len(sizes) - 1] == [64 << i for i in range(len(sizes) - 1)]
-        assert sum(sizes) <= 2 * result.steps + 64
+        # Each of these runs ends inside the first prefix: one solve.
+        assert sizes == [FIRST_PREFIX]
+        assert 16 <= passes[0] <= 48
+        assert next_prefix(FIRST_PREFIX, passes[0], 8192) == FIRST_PREFIX
+        assert result.steps <= sum(sizes) <= result.steps + FIRST_PREFIX
+
+    def test_next_prefix_follows_the_pass_count(self):
+        grown = [next_prefix(256, passes, 8192) for passes in (1, 7, 8, 15, 16, 48, 49)]
+        assert grown == [1024, 1024, 512, 512, 256, 256, 128]
+        assert next_prefix(16, 100, 8192) == 16  # the floor
+        assert next_prefix(4096, 1, 8192) == 8192  # the block size caps it
+        assert next_prefix(16, 100, 7) == 7
+
+    def test_chain_takes_one_pass_per_link_and_halves_the_prefix(self, monkeypatch):
+        # Vertex 0 holds 5 and the rest 1, so every link of the chain
+        # moves its target: a solve of p pairs takes p passes.
+        passes = []
+        sizes = solve_sizes(monkeypatch, passes)
+        values = np.ones(FIRST_PREFIX + 1, dtype=np.int64)
+        values[0] = 5
+        results = [
+            run_dynamics(
+                OpinionState(path_graph(values.size), values),
+                chain_scheduler(FIRST_PREFIX),
+                IncrementalVoting(),
+                rng=0,
+                max_steps=448,
+                kernel=kernel,
+            )
+            for kernel in ("loop", "block")
+        ]
+        assert sizes == [256, 128, 64]
+        assert passes == sizes
+        loop, block = results
+        assert block.steps == loop.steps == 448
+        np.testing.assert_array_equal(block.state.values, loop.state.values)
+
+    @pytest.mark.parametrize("process", ["vertex", "edge"])
+    def test_lollipop_evaluates_each_step_a_bounded_number_of_times(
+        self, monkeypatch, process
+    ):
+        # Passes follow chains of changes through the clique's hub; a
+        # block-sized solve there re-evaluated each pair about 80 times.
+        evaluated = [0]
+        rule = IncrementalVoting.step_block
+
+        def counting(self, xv, xw):
+            evaluated[0] += len(xv)
+            return rule(self, xv, xw)
+
+        graph = lollipop_graph(12, 24)
+        opinions = np.ones(graph.n, dtype=np.int64)
+        opinions[:12] = 5
+        steps = 0
+        for seed in range(4):
+            loop = run_div(graph, opinions, process=process, rng=seed, kernel="loop")
+            with monkeypatch.context() as patch:
+                patch.setattr(IncrementalVoting, "step_block", counting)
+                block = run_div(graph, opinions, process=process, rng=seed, kernel="block")
+            assert block.stop_reason == "consensus"
+            assert (block.steps, block.winner, block.two_adjacent_step) == (
+                loop.steps,
+                loop.winner,
+                loop.two_adjacent_step,
+            )
+            np.testing.assert_array_equal(block.state.values, loop.state.values)
+            steps += block.steps
+        assert steps <= evaluated[0] <= 30 * steps
 
     def test_never_run_solves_each_block_whole(self, monkeypatch):
         sizes = solve_sizes(monkeypatch)
@@ -764,11 +880,14 @@ def assert_solves(dynamics, values, v_block, w_block, frozen=()):
     v_block = np.asarray(v_block, dtype=np.int64)
     w_block = np.asarray(w_block, dtype=np.int64)
     writes_v = dynamics.writes == "v"
-    solved = solve_block(dynamics.step_block, writes_v, values, v_block, w_block, mask)
+    *solved, passes = solve_block(
+        dynamics.step_block, writes_v, values, v_block, w_block, mask
+    )
     expected = sequential_block(
         dynamics, values.tolist(), v_block.tolist(), w_block.tolist(), frozen
     )
     assert [np.asarray(part).tolist() for part in solved] == list(expected)
+    assert 1 <= passes <= max(len(v_block), 1)
     return expected
 
 
@@ -1058,9 +1177,9 @@ def run_div_dynamics(graph, process="vertex", **kwargs):
 class TestAutoByCost:
     """``"auto"`` runs block wherever the dynamics has ``step_block``.
 
-    Growing prefixes made the block kernel the cheaper one on every
-    graph measured, hubs and K_10 included, so the graph and scheduler
-    no longer enter the choice.
+    Prefix solves made the block kernel the cheaper one on every graph
+    measured but K_10, where it trails the loop by a small constant, so
+    the graph and scheduler no longer enter the choice.
     """
 
     @pytest.mark.parametrize(

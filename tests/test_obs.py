@@ -128,6 +128,33 @@ class TestEnginePhaseInvariant:
         assert span["initial_support"] == 3
         assert span["phase_transitions"] == len(span["transitions"])
 
+    def test_engine_span_counts_block_solves_and_passes(self, tmp_path, capsys):
+        graph = complete_graph(12)
+        spans = {}
+        for kernel in ("block", "loop"):
+            with logged(tmp_path / kernel) as records:
+                run_dynamics(
+                    OpinionState(graph, [1, 2, 5] * 4),
+                    VertexScheduler(graph),
+                    IncrementalVoting(),
+                    rng=0,
+                    kernel=kernel,
+                )
+            (spans[kernel],) = [r for r in records if r.get("name") == "engine.run"]
+        block, loop = spans["block"], spans["loop"]
+        assert (loop["solves"], loop["passes"]) == (0, 0)
+        assert 0 < block["solves"] <= block["passes"]
+        summary = summarize(read_log(tmp_path / "block").records)
+        assert (summary.total_solves, summary.total_passes) == (
+            block["solves"],
+            block["passes"],
+        )
+        assert main(["trace", "summarize", str(tmp_path / "block")]) == 0
+        assert (
+            f"RNG block(s), {block['solves']} solve(s) in {block['passes']} pass(es), "
+            in capsys.readouterr().out
+        )
+
     def test_untraced_runs_emit_nothing(self):
         assert active_log() is None
         result = run_div_complete(12, {1: 6, 5: 6}, rng=0)

@@ -14,12 +14,15 @@ worker processes. Only trial execution moves, never seeding, so for
 the same master seed the outcomes are bit-for-bit identical for any
 worker count — parallelism is purely a wall-clock optimization.
 
-Inside an active checkpoint campaign (:func:`repro.checkpoint.campaign`)
-both drivers journal every finished chunk of trials and skip trials
-already journaled by an interrupted run. The full per-trial seed tree
-is always spawned — resume changes which trials *execute*, never how
-they are *seeded* — so resumed outcomes stay bit-for-bit identical to
-an uninterrupted run.
+How a batch runs beyond its worker count — executor, pool-round
+timeout, retry budget, scripted faults — is a campaign setting: both
+drivers read it from the ambient session (:func:`repro.checkpoint.campaign`)
+and use the dispatcher's defaults outside one. Inside a campaign with
+a journal they also journal every finished chunk of trials and skip
+trials already journaled by an interrupted run. The full per-trial
+seed tree is always spawned — resume changes which trials *execute*,
+never how they are *seeded* — so resumed outcomes stay bit-for-bit
+identical to an uninterrupted run.
 """
 
 from __future__ import annotations
@@ -31,9 +34,7 @@ from typing import Callable, Generic, List, Optional, Sequence, TypeVar
 import numpy as np
 
 from repro.checkpoint import CampaignSession, current_session
-from repro.core.kernels import active_kernel, use_kernel
 from repro.errors import AnalysisError
-from repro.faults import FaultPlan
 from repro.obs.log import EventLog, active_log
 from repro.parallel import TrialRecord, TrialTask, TrialTimings, execute_tasks
 from repro.rng import RngLike, make_rng, spawn_seed_sequences
@@ -85,46 +86,29 @@ def run_trials(
     trial: Trial,
     seed: RngLike = None,
     workers: Optional[int] = None,
-    *,
-    chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    kernel: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> TrialSet:
     """Run ``trial(index, rng)`` for ``trials`` independent generators.
 
     ``workers=None`` runs serially in-process; ``workers=N`` dispatches
     the same trials (same spawned seed sequences, hence identical
-    outcomes) across ``N`` worker processes. ``chunk_size``, ``timeout``
-    and ``max_retries`` tune the parallel layer (see
-    :func:`repro.parallel.execute_tasks`); ``fault_plan`` injects
-    scripted failures (see :mod:`repro.faults`). Inside a checkpoint
-    campaign, completed trials are journaled and skipped on resume.
-
-    ``kernel`` scopes an execution-kernel choice over the whole batch
-    (``"loop"``, ``"block"`` or ``"auto"``; see
-    :mod:`repro.core.kernels`) — installed ambiently around serial
-    trials and shipped to every worker on the parallel path, so engine
-    calls that leave ``kernel="auto"`` pick it up. Outcomes are
-    identical across kernels; this is a wall-clock knob only.
-
-    ``executor`` selects how the batch runs (``"auto"``, ``"serial"``
-    or ``"pool"``; see :func:`repro.parallel.execute_tasks`); unset, it
-    falls back to the ambient campaign session's choice and then to
-    ``"auto"``. Outcomes never depend on the executor. ``timings`` is
+    outcomes) across ``N`` worker processes. The executor, pool-round
+    timeout, retry budget and fault plan come from the ambient campaign
+    session (see :func:`repro.checkpoint.campaign`), whose journal also
+    records completed trials and skips them on resume; outside a
+    session the batch runs with :func:`repro.parallel.execute_tasks`'
+    defaults. Outcomes never depend on any of these. ``timings`` is
     attached only when ``workers`` or a non-``"auto"`` executor was
     asked for.
+
+    Engine calls inside ``trial`` that leave ``kernel="auto"`` pick up
+    the ambient :func:`repro.core.kernels.use_kernel` choice, on the
+    pool too.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
     trial_seeds = spawn_seed_sequences(seed, trials)
     tasks = [(i, (i,), trial_seeds[i]) for i in range(trials)]
-    (trial_set,) = _run_batch(
-        "trials", trial, tasks, trials, workers, chunk_size, timeout,
-        max_retries, fault_plan, kernel, executor,
-    )
+    (trial_set,) = _run_batch("trials", trial, tasks, trials, workers)
     return trial_set
 
 
@@ -134,13 +118,6 @@ def run_trials_over(
     trial: Callable,
     seed: RngLike = None,
     workers: Optional[int] = None,
-    *,
-    chunk_size: Optional[int] = None,
-    timeout: Optional[float] = None,
-    max_retries: Optional[int] = None,
-    fault_plan: Optional[FaultPlan] = None,
-    kernel: Optional[str] = None,
-    executor: Optional[str] = None,
 ) -> List[tuple]:
     """Run a trial batch per parameter value.
 
@@ -156,11 +133,8 @@ def run_trials_over(
     Checkpoint journaling keys trials by their flat grid index
     (``parameter_index * trials + trial_index``), so a campaign
     interrupted under one worker count resumes correctly under any
-    other.
-
-    ``kernel`` and ``executor`` behave as in :func:`run_trials`:
-    ambient/session-resolved, shipped to wherever trials execute,
-    outcome-neutral.
+    other. Dispatch settings come from the session, as in
+    :func:`run_trials`.
     """
     if trials < 1:
         raise AnalysisError(f"trials must be >= 1, got {trials}")
@@ -175,10 +149,7 @@ def run_trials_over(
             (p_index * trials + i, (parameter, i), trial_seeds[i])
             for i in range(trials)
         )
-    trial_sets = _run_batch(
-        "grid", trial, tasks, trials, workers, chunk_size, timeout,
-        max_retries, fault_plan, kernel, executor,
-    )
+    trial_sets = _run_batch("grid", trial, tasks, trials, workers)
     return list(zip(parameters, trial_sets))
 
 
@@ -188,45 +159,35 @@ def _run_batch(
     tasks: Sequence[TrialTask],
     trials: int,
     workers: Optional[int],
-    chunk_size: Optional[int],
-    timeout: Optional[float],
-    max_retries: Optional[int],
-    fault_plan: Optional[FaultPlan],
-    kernel: Optional[str],
-    executor: Optional[str],
 ) -> List[TrialSet]:
     """Run one flat batch of tasks; one :class:`TrialSet` per ``trials``.
 
     Opens the batch in the ambient campaign session (skipping journaled
-    trials), fills unset knobs from the session, brackets the batch in
-    the ambient event log and hands the rest to
-    :func:`repro.parallel.execute_tasks`. Task ``i`` of ``tasks`` must
-    carry flat index ``i``.
+    trials), takes its dispatch settings from that session (a default
+    one outside a campaign), brackets the batch in the ambient event
+    log and hands the rest to :func:`repro.parallel.execute_tasks`.
+    Task ``i`` of ``tasks`` must carry flat index ``i``.
     """
     session = current_session()
     batch, cached = _open_batch(session, kind, len(tasks))
-    fault_plan, timeout, max_retries, executor = _session_overrides(
-        session, fault_plan, timeout, max_retries, executor
-    )
-    instrumented = workers is not None or executor not in (None, "auto")
+    settings = session if session is not None else CampaignSession()
+    instrumented = workers is not None or settings.executor not in (None, "auto")
     log = active_log()
     bracket = (
         log.batch(batch, kind, len(tasks), len(cached))
         if log is not None
         else nullcontext({})
     )
-    with use_kernel(kernel), bracket as end:
+    with bracket as end:
         records, timings = execute_tasks(
             trial,
             [task for task in tasks if task[0] not in cached],
             1 if workers is None else workers,
-            chunk_size=chunk_size,
-            timeout=timeout,
-            max_retries=max_retries,
-            fault_plan=fault_plan,
+            timeout=settings.timeout,
+            max_retries=settings.max_retries,
+            fault_plan=settings.fault_plan,
             on_chunk=_deliverer(session, batch, log),
-            kernel=active_kernel(),
-            executor=executor,
+            executor=settings.executor,
         )
         end["executor"] = timings.executor
     executed = {r.index: r for r in records}
@@ -267,24 +228,6 @@ def _open_batch(
         return None, {}
     batch = session.begin_batch(kind, size)
     return batch, session.completed(batch)
-
-
-def _session_overrides(
-    session: Optional[CampaignSession],
-    fault_plan: Optional[FaultPlan],
-    timeout: Optional[float],
-    max_retries: Optional[int],
-    executor: Optional[str],
-) -> tuple:
-    """Fill unset per-call knobs from the ambient campaign session."""
-    if session is not None:
-        fault_plan = fault_plan if fault_plan is not None else session.fault_plan
-        timeout = timeout if timeout is not None else session.timeout
-        max_retries = (
-            max_retries if max_retries is not None else session.max_retries
-        )
-        executor = executor if executor is not None else session.executor
-    return fault_plan, timeout, max_retries, executor
 
 
 def _deliverer(

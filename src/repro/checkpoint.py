@@ -79,7 +79,6 @@ from repro.errors import (
 )
 from repro.faults import FaultPlan
 from repro.io import atomic_write_bytes, atomic_write_text
-from repro.obs.log import active_log
 
 PathLike = Union[str, Path]
 
@@ -511,9 +510,10 @@ class CampaignSession:
 
     Installed by :func:`campaign`; ``run_trials`` / ``run_trials_over``
     pick up the journal (skip + record trials), the fault plan and the
-    parallel-layer overrides without any experiment-driver signature
-    changes. Batch keys are handed out in call order, which is
-    deterministic for a given driver, so they are stable across resume.
+    dispatch settings (``timeout``, ``max_retries``, ``executor``) from
+    it alone, so no experiment driver threads them through. Batch keys
+    are handed out in call order, which is deterministic for a given
+    driver, so they are stable across resume.
     """
 
     journal: Optional[CheckpointJournal] = None
@@ -535,14 +535,8 @@ class CampaignSession:
         return key
 
     def completed(self, batch: str) -> Dict[int, object]:
-        if self.journal is None:
-            return {}
-        outcomes = self.journal.completed(batch)
-        if outcomes:
-            log = active_log()
-            if log is not None:
-                log.event("checkpoint.resume", batch=batch, cached=len(outcomes))
-        return outcomes
+        """Journaled outcomes of ``batch`` (none without a journal)."""
+        return {} if self.journal is None else self.journal.completed(batch)
 
     def record(self, batch: str, outcomes: Mapping[int, object]) -> None:
         """Journal one finished chunk in one write (a no-op without a journal)."""

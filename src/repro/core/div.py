@@ -55,6 +55,9 @@ class DIVResult(BaseRunResult):
         Opinions still present at the end of the run.
     state:
         The final :class:`OpinionState`.
+    kernel, kernel_reason:
+        The execution backend that ran and why, copied from the
+        engine's :class:`~repro.core.engine.RunResult`.
     """
 
     winner: Optional[int]
@@ -64,6 +67,8 @@ class DIVResult(BaseRunResult):
     initial_weighted_mean: float
     final_support: List[int]
     state: OpinionState
+    kernel: str = "loop"
+    kernel_reason: str = ""
 
 
 def run_div(
@@ -146,6 +151,8 @@ def run_div(
         initial_weighted_mean=initial_weighted_mean,
         final_support=state.support(),
         state=state,
+        kernel=result.kernel,
+        kernel_reason=result.kernel_reason,
     )
 
 

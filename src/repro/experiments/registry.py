@@ -166,7 +166,7 @@ class ExperimentSpec:
             )
         with ExitStack() as stack:
             # Ambient, not per-call: drivers thread kernel="auto" down to
-            # the engine, and the Monte-Carlo layer re-ships the ambient
+            # the engine, and the trial dispatcher ships the ambient
             # choice to worker processes.
             stack.enter_context(use_kernel(kernel))
             if telemetry:

@@ -26,7 +26,6 @@ each file, ``t`` is the epoch time of the write)::
      "worker": "pid-4242"}
     {"kind": "span", "id": 3, "parent": 2, "name": "engine.run",
      "seconds": 0.004, "steps": 412, "phases": [...], ...attributes}
-    {"kind": "checkpoint.resume", "batch": ..., "cached": 12}
     {"kind": "executor.resolved", "batch": ..., "executor": "pool", ...}
     {"kind": "batch.end", "batch": ..., "executor": "pool",
      "seconds": 1.73, "trials": 40}

@@ -9,8 +9,10 @@ makes the serial-equivalence guarantee hold for every path: each runs
 ``trial(*args, make_rng(seed))`` on the very seed sequence the parent
 spawned.
 
-In-process trials run under the launcher's own event log and profiler.
-Only a pool worker hides the copies it inherits through ``fork``.
+In-process trials run under the launcher's own event log, profiler and
+kernel choice. Only a pool worker hides the log and profiler copies it
+inherits through ``fork`` and installs the launcher's kernel choice,
+all in :func:`_run_pooled_chunk`.
 """
 
 from __future__ import annotations
@@ -215,7 +217,6 @@ def _run_task_chunk(
     trial: Callable,
     chunk: Sequence[TrialTask],
     fault_plan: Optional[FaultPlan] = None,
-    kernel: Optional[str] = None,
 ) -> List[TrialRecord]:
     """Execute a chunk of tasks, in-process or inside a pool worker.
 
@@ -225,40 +226,37 @@ def _run_task_chunk(
     plan may kill or stall the worker before a scripted trial index
     (never in the parent process), which is how the chaos drills
     exercise the retry/fallback paths.
-
-    ``kernel`` re-installs the parent's ambient execution-kernel choice
-    (see :func:`repro.core.kernels.use_kernel`) inside the worker — the
-    ambient stack is per-process, so it must be shipped explicitly.
-    Kernels are bit-identical, so this affects wall-clock only.
     """
     label = _worker_label()
     records = []
-    with use_kernel(kernel):
-        for index, args, trial_seed in chunk:
-            if fault_plan is not None:
-                fault_plan.worker_fault(index)
-            started = time.perf_counter()
-            outcome = trial(*args, make_rng(trial_seed))
-            records.append(
-                TrialRecord(
-                    index=index,
-                    outcome=outcome,
-                    seconds=time.perf_counter() - started,
-                    worker=label,
-                )
+    for index, args, trial_seed in chunk:
+        if fault_plan is not None:
+            fault_plan.worker_fault(index)
+        started = time.perf_counter()
+        outcome = trial(*args, make_rng(trial_seed))
+        records.append(
+            TrialRecord(
+                index=index,
+                outcome=outcome,
+                seconds=time.perf_counter() - started,
+                worker=label,
             )
+        )
     return records
 
 
-def _run_pooled_chunk(*args) -> List[TrialRecord]:
-    """Pool entry point: :func:`_run_task_chunk` with inherited state hidden.
+def _run_pooled_chunk(kernel: Optional[str], *args) -> List[TrialRecord]:
+    """Pool entry point: :func:`_run_task_chunk` with inherited state
+    hidden and the launcher's ``kernel`` choice installed.
 
     Forked workers inherit copies of the parent's ambient event log and
     profiler stacks; suspend both so instrumented code neither writes
     worker-pid records under the parent launcher's name nor profiles
-    sections no one will collect.
+    sections no one will collect. The kernel stack is per-process and
+    not every start method copies it, so the choice (see
+    :func:`repro.core.kernels.use_kernel`) arrives with every chunk.
     """
-    with log_suspended(), profiling_suspended():
+    with log_suspended(), profiling_suspended(), use_kernel(kernel):
         return _run_task_chunk(*args)
 
 

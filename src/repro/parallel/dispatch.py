@@ -49,6 +49,7 @@ from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
 from typing import Callable, List, Optional, Sequence, Tuple
 
+from repro.core.kernels import active_kernel
 from repro.errors import AnalysisError, ParallelExecutionError
 from repro.faults import FaultPlan
 from repro.obs.log import active_log
@@ -80,7 +81,6 @@ def execute_tasks(
     max_retries: Optional[int] = None,
     fault_plan: Optional[FaultPlan] = None,
     on_chunk: Optional[Callable[[Sequence[TrialRecord]], None]] = None,
-    kernel: Optional[str] = None,
     executor: Optional[str] = None,
 ) -> Tuple[List[TrialRecord], TrialTimings]:
     """Execute ``tasks`` serially or on a process pool; deterministic outcomes.
@@ -118,14 +118,15 @@ def execute_tasks(
         path). The Monte-Carlo layer journals the chunk here in one
         write, then writes one event-log record per trial, so a
         killed campaign keeps every chunk that finished.
-    kernel:
-        Optional execution-kernel name installed ambiently wherever the
-        trials run. Outcomes are identical either way — kernels are
-        bit-for-bit equivalent.
     executor:
         ``"auto"``/``None`` (resolve from ``workers``), ``"serial"`` or
         ``"pool"``. An unknown name raises
         :class:`~repro.errors.AnalysisError`.
+
+    The Monte-Carlo drivers pass the campaign session's settings (see
+    :func:`repro.checkpoint.campaign`) and the default ``chunk_size``.
+    The pool installs the caller's ambient kernel choice
+    (:func:`repro.core.kernels.use_kernel`) in every worker.
     """
     if workers < 1:
         raise AnalysisError(f"workers must be >= 1 (or None), got {workers}")
@@ -148,7 +149,7 @@ def execute_tasks(
             on_chunk(chunk_records)
 
     def run_in_process(chunk: Sequence[TrialTask]) -> None:
-        deliver(_run_task_chunk(trial, chunk, fault_plan, kernel))
+        deliver(_run_task_chunk(trial, chunk, fault_plan))
 
     retries = fallback_trials = 0
     started = time.perf_counter()
@@ -160,6 +161,7 @@ def execute_tasks(
     else:
         _validate_picklable(trial, tasks)
         pending = _chunk_tasks(tasks, workers, chunk_size)
+        kernel = active_kernel()
         for round_index in range(1 + max_retries):
             if not pending:
                 break
@@ -242,7 +244,7 @@ def _run_round(
         for position, chunk in enumerate(chunks):
             try:
                 future = pool.submit(
-                    _run_pooled_chunk, trial, chunk, fault_plan, kernel
+                    _run_pooled_chunk, kernel, trial, chunk, fault_plan
                 )
             except (BrokenProcessPool, OSError):
                 # A worker died before the round was fully submitted: this

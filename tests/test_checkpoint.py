@@ -187,13 +187,15 @@ class TestChunkRecords:
     def test_pool_chunks_diff_equal_to_serial_trials(self, tmp_path):
         serial = _open(tmp_path, name="serial")
         with campaign(serial):
-            run_trials(10, draw_trial, seed=11)
+            run_trials(16, draw_trial, seed=11)
         pool = _open(tmp_path, name="pool")
-        with campaign(pool):
-            run_trials(10, draw_trial, seed=11, workers=2, chunk_size=4)
-        assert len(list(serial.directory.rglob("*.rec"))) == 10
+        # One pool worker splits 16 trials into four chunks of four.
+        with campaign(pool, executor="pool"):
+            run_trials(16, draw_trial, seed=11, workers=1)
+        assert len(list(serial.directory.rglob("*.rec"))) == 16
         assert sorted(p.name for p in pool.directory.rglob("*.rec")) == [
             "t0.rec",
+            "t12.rec",
             "t4.rec",
             "t8.rec",
         ]
@@ -201,31 +203,33 @@ class TestChunkRecords:
 
     @pytest.mark.parametrize("kind", ["corrupt", "truncate"])
     def test_damaged_pool_chunk_discarded_and_rerun(self, tmp_path, kind):
-        reference = run_trials(12, draw_trial, seed=8).outcomes
-        with campaign(_open(tmp_path), FaultPlan.parse(f"{kind}@5")):
-            first = run_trials(12, draw_trial, seed=8, workers=2, chunk_size=4)
+        # One pool worker splits 16 trials into four chunks of four.
+        reference = run_trials(16, draw_trial, seed=8).outcomes
+        plan = FaultPlan.parse(f"{kind}@5")
+        with campaign(_open(tmp_path), plan, executor="pool"):
+            first = run_trials(16, draw_trial, seed=8, workers=1)
         assert first.outcomes == reference
         with pytest.raises(CheckpointCorruptError):
-            with campaign(_open(tmp_path, resume=True)):
-                run_trials(12, draw_trial, seed=8, workers=2, chunk_size=4)
+            with campaign(_open(tmp_path, resume=True), executor="pool"):
+                run_trials(16, draw_trial, seed=8, workers=1)
         lenient = _open(tmp_path, resume=True, on_corrupt="discard")
         # Trial 5's chunk (4..7) goes as a whole; the others stay cached.
-        assert sorted(lenient.completed("b0000-trials-12")) == [
-            0, 1, 2, 3, 8, 9, 10, 11,
+        assert sorted(lenient.completed("b0000-trials-16")) == [
+            0, 1, 2, 3, 8, 9, 10, 11, 12, 13, 14, 15,
         ]
-        with campaign(lenient):
-            resumed = run_trials(12, draw_trial, seed=8, workers=2, chunk_size=4)
+        with campaign(lenient, executor="pool"):
+            resumed = run_trials(16, draw_trial, seed=8, workers=1)
         assert resumed.outcomes == reference
         serial = _open(tmp_path, name="serial")
         with campaign(serial):
-            run_trials(12, draw_trial, seed=8)
+            run_trials(16, draw_trial, seed=8)
         assert diff_journals(serial, _open(tmp_path, resume=True)) == []
 
     def test_abort_fires_after_its_whole_chunk(self, tmp_path):
         journal = _open(tmp_path)
         with pytest.raises(InjectedAbort, match="after trial 5"):
-            with campaign(journal, FaultPlan.parse("abort@5")):
-                run_trials(12, draw_trial, seed=8, workers=2, chunk_size=4)
+            with campaign(journal, FaultPlan.parse("abort@5"), executor="pool"):
+                run_trials(16, draw_trial, seed=8, workers=1)
         # Chunks are handed on in submission order: 0..3, then 4..7.
         assert [i for _, i, _ in journal.iter_records()] == list(range(8))
 

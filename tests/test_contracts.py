@@ -30,6 +30,7 @@ import pytest
 
 import repro.parallel.base
 from repro.analysis.montecarlo import run_trials
+from repro.checkpoint import campaign
 from repro.core.kernels import active_kernel, use_kernel
 from repro.obs.log import EventLog, active_log, recording
 from repro.obs.profile import active_profiler, profiling
@@ -176,13 +177,16 @@ def ambient_probe(index: int, rng: np.random.Generator) -> List[str]:
     return leaked
 
 
-def probe_under_parent_state(tmp_path: Path, **dispatch) -> List[List[str]]:
+def probe_under_parent_state(
+    tmp_path: Path, workers: Optional[int] = None, executor: Optional[str] = None
+) -> List[List[str]]:
     """Run the probe while the parent holds every ambient stack at once."""
     with contextlib.ExitStack() as stack:
         stack.enter_context(use_kernel("loop"))
         stack.enter_context(recording(EventLog(tmp_path / "telemetry")))
         stack.enter_context(profiling())
-        return run_trials(4, ambient_probe, seed=0, **dispatch).outcomes
+        stack.enter_context(campaign(executor=executor))
+        return run_trials(4, ambient_probe, seed=0, workers=workers).outcomes
 
 
 class TestWorkerAmbientState:

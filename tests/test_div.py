@@ -7,6 +7,7 @@ import pytest
 
 from repro.core import WeightTrace, run_div
 from repro.core.div import counts_to_opinions, expected_consensus_average
+from repro.core.observers import ChangeLog
 from repro.errors import ProcessError
 from repro.graphs import complete_graph, star_graph
 
@@ -68,6 +69,24 @@ class TestRunDiv:
         assert len(trace.steps) >= 2
         # Weight changes by at most one per step (DIV moves ±1).
         assert np.all(np.abs(np.diff(trace.weights)) <= 1.0)
+
+    @pytest.mark.parametrize(
+        "options, kernel, reason",
+        [
+            ({"kernel": "loop"}, "loop", "kernel='loop'"),
+            ({}, "block", "auto: dynamics has step_block"),
+            (
+                {"observers": [ChangeLog()]},
+                "loop",
+                "change observer is not a timeline observer",
+            ),
+        ],
+        ids=["explicit-loop", "auto-block", "change-observer"],
+    )
+    def test_kernel_recorded(self, small_complete, options, kernel, reason):
+        result = run_div(small_complete, [1, 2, 3, 4] * 2, rng=5, **options)
+        assert result.kernel == kernel
+        assert result.kernel_reason.endswith(reason)
 
     def test_weighted_mean_reported(self):
         graph = star_graph(5)

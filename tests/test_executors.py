@@ -1,7 +1,7 @@
 """Tests for executor selection in ``repro.parallel.execute_tasks``.
 
 Name validation and explicit ``serial``/``pool`` selection through the
-Monte-Carlo drivers and the ambient campaign session.
+ambient campaign session, the one place the Monte-Carlo drivers read it.
 """
 
 from __future__ import annotations
@@ -34,13 +34,15 @@ class TestExecutorNames:
 
     def test_unknown_executor_rejected_from_driver(self):
         with pytest.raises(AnalysisError, match="unknown executor"):
-            run_trials(3, indexed_trial, seed=0, executor="warp")
+            with campaign(executor="warp"):
+                run_trials(3, indexed_trial, seed=0)
 
 
 class TestExplicitSelection:
     def test_explicit_serial_routes_through_dispatch(self):
         plain = run_trials(6, indexed_trial, seed=3)
-        explicit = run_trials(6, indexed_trial, seed=3, executor="serial")
+        with campaign(executor="serial"):
+            explicit = run_trials(6, indexed_trial, seed=3)
         assert explicit.outcomes == plain.outcomes
         assert explicit.executor == "serial"
         assert explicit.timings is not None  # instrumented, unlike plain
@@ -48,7 +50,8 @@ class TestExplicitSelection:
 
     def test_explicit_pool_without_workers(self):
         plain = run_trials(6, indexed_trial, seed=3)
-        pooled = run_trials(6, indexed_trial, seed=3, executor="pool")
+        with campaign(executor="pool"):
+            pooled = run_trials(6, indexed_trial, seed=3)
         assert pooled.outcomes == plain.outcomes
         assert pooled.executor == "pool"
 
@@ -61,9 +64,8 @@ class TestExplicitSelection:
 
     def test_run_trials_over_explicit_executor(self):
         plain = run_trials_over([2, 5], 4, parameter_trial, seed=1)
-        explicit = run_trials_over(
-            [2, 5], 4, parameter_trial, seed=1, executor="serial"
-        )
+        with campaign(executor="serial"):
+            explicit = run_trials_over([2, 5], 4, parameter_trial, seed=1)
         for (_, expected), (_, actual) in zip(plain, explicit):
             assert actual.outcomes == expected.outcomes
             assert actual.executor == "serial"

@@ -15,6 +15,7 @@ from dataclasses import replace
 import pytest
 
 from repro.analysis.montecarlo import run_trials, run_trials_over
+from repro.checkpoint import campaign
 from repro.errors import FaultSpecError
 from repro.faults import (
     CRASH_EXIT_CODE,
@@ -129,9 +130,8 @@ class TestCrashRecovery:
         plan = FaultPlan.parse("crash@2:1")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            faulted = run_trials(
-                8, draw_trial, seed=9, workers=2, fault_plan=plan, max_retries=2
-            )
+            with campaign(fault_plan=plan, max_retries=2):
+                faulted = run_trials(8, draw_trial, seed=9, workers=2)
         assert faulted.outcomes == serial.outcomes
         assert faulted.timings.mode == "parallel"  # retry recovered fully
         assert faulted.timings.retries >= 1
@@ -142,9 +142,8 @@ class TestCrashRecovery:
         plan = FaultPlan.parse("crash@2")
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            faulted = run_trials(
-                8, draw_trial, seed=9, workers=2, fault_plan=plan, max_retries=1
-            )
+            with campaign(fault_plan=plan, max_retries=1):
+                faulted = run_trials(8, draw_trial, seed=9, workers=2)
         assert faulted.outcomes == serial.outcomes
         assert faulted.timings.mode == "fallback"
         assert faulted.timings.fallback_trials > 0
@@ -186,9 +185,9 @@ class TestCrashRecovery:
 
         serial = run_trials(8, draw_trial, seed=9)
         monkeypatch.setattr(dispatch, "ProcessPoolExecutor", BreaksAtThirdSubmit)
-        faulted = run_trials(
-            8, draw_trial, seed=9, workers=2, chunk_size=2, max_retries=1
-        )
+        # The default split gives eight one-trial chunks on two workers.
+        with campaign(max_retries=1):
+            faulted = run_trials(8, draw_trial, seed=9, workers=2)
         assert faulted.outcomes == serial.outcomes
         assert faulted.timings.mode == "parallel"
         assert faulted.timings.retries == 1
@@ -197,9 +196,8 @@ class TestCrashRecovery:
     def test_multiple_crashes_still_identical(self):
         serial = run_trials(10, draw_trial, seed=31)
         plan = FaultPlan.parse("crash@1:1;crash@7:1")
-        faulted = run_trials(
-            10, draw_trial, seed=31, workers=2, fault_plan=plan, max_retries=3
-        )
+        with campaign(fault_plan=plan, max_retries=3):
+            faulted = run_trials(10, draw_trial, seed=31, workers=2)
         assert faulted.outcomes == serial.outcomes
 
 
@@ -208,15 +206,8 @@ class TestTimeoutRecovery:
         """Chunk timeout -> retry on a fresh pool -> identical outcomes."""
         serial = run_trials(6, draw_trial, seed=13)
         plan = _hang_quickly(FaultPlan.parse("hang@3:1"))
-        faulted = run_trials(
-            6,
-            draw_trial,
-            seed=13,
-            workers=2,
-            fault_plan=plan,
-            timeout=0.5,
-            max_retries=2,
-        )
+        with campaign(fault_plan=plan, timeout=0.5, max_retries=2):
+            faulted = run_trials(6, draw_trial, seed=13, workers=2)
         assert faulted.outcomes == serial.outcomes
         assert faulted.timings.retries >= 1
 
@@ -226,15 +217,8 @@ class TestTimeoutRecovery:
         plan = _hang_quickly(FaultPlan.parse("hang@1"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            faulted = run_trials(
-                6,
-                draw_trial,
-                seed=13,
-                workers=2,
-                fault_plan=plan,
-                timeout=0.3,
-                max_retries=0,
-            )
+            with campaign(fault_plan=plan, timeout=0.3, max_retries=0):
+                faulted = run_trials(6, draw_trial, seed=13, workers=2)
         assert faulted.outcomes == serial.outcomes
         assert faulted.timings.mode == "fallback"
         assert caught
@@ -242,7 +226,8 @@ class TestTimeoutRecovery:
     def test_slow_worker_changes_nothing(self):
         serial = run_trials(6, draw_trial, seed=13)
         plan = FaultPlan.parse("slow@0:0.05;slow@5:0.05")
-        faulted = run_trials(6, draw_trial, seed=13, workers=2, fault_plan=plan)
+        with campaign(fault_plan=plan):
+            faulted = run_trials(6, draw_trial, seed=13, workers=2)
         assert faulted.outcomes == serial.outcomes
         assert faulted.timings.mode == "parallel"
 
@@ -251,32 +236,17 @@ class TestGridFaults:
     def test_crash_and_timeout_on_grid_identical(self):
         serial = run_trials_over(["a", "b"], 4, parameter_trial, seed=3)
         plan = _hang_quickly(FaultPlan.parse("crash@1:1;hang@6:1"))
-        faulted = run_trials_over(
-            ["a", "b"],
-            4,
-            parameter_trial,
-            seed=3,
-            workers=2,
-            fault_plan=plan,
-            timeout=0.5,
-            max_retries=3,
-        )
+        with campaign(fault_plan=plan, timeout=0.5, max_retries=3):
+            faulted = run_trials_over(
+                ["a", "b"], 4, parameter_trial, seed=3, workers=2
+            )
         assert [(p, ts.outcomes) for p, ts in faulted] == [
             (p, ts.outcomes) for p, ts in serial
         ]
 
 
 class TestAbort:
-    def test_abort_requires_campaign(self):
-        # Without a campaign session the record hook never runs, so an
-        # abort clause is inert: it models death *between* journal writes.
-        plan = FaultPlan.parse("abort@1")
-        batch = run_trials(4, draw_trial, seed=1, fault_plan=plan)
-        assert len(batch.outcomes) == 4
-
     def test_abort_fires_inside_campaign(self):
-        from repro.checkpoint import campaign
-
         plan = FaultPlan.parse("abort@2")
         with pytest.raises(InjectedAbort, match="after trial 2"):
             with campaign(fault_plan=plan):

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from repro.analysis import run_trials, run_trials_over
+from repro.checkpoint import campaign
 from repro.core.div import run_div
 from repro.errors import AnalysisError
 from repro.graphs import complete_graph
@@ -83,13 +84,13 @@ def div_trial(index, rng):
 
 class TestInProcessTracing:
     @pytest.mark.parametrize(
-        "dispatch",
-        [{}, {"workers": 1}, {"executor": "serial"}],
+        "workers, executor",
+        [(None, None), (1, None), (None, "serial")],
         ids=["default", "one-worker", "serial"],
     )
-    def test_every_engine_run_is_logged(self, tmp_path, dispatch):
-        with recording(EventLog(tmp_path)):
-            trials = run_trials(4, div_trial, seed=0, **dispatch)
+    def test_every_engine_run_is_logged(self, tmp_path, workers, executor):
+        with recording(EventLog(tmp_path)), campaign(executor=executor):
+            trials = run_trials(4, div_trial, seed=0, workers=workers)
         records = read_log(tmp_path).records
         spans = [
             record

@@ -19,6 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis.montecarlo import run_trials, run_trials_over
+from repro.checkpoint import campaign
 from repro.core.fast_complete import run_div_complete
 from repro.errors import AnalysisError
 from repro.parallel import (
@@ -133,11 +134,11 @@ class TestSerialParallelEquivalence:
 
     def test_chunk_size_equivalence(self):
         serial = run_trials(10, draw_trial, seed=11)
+        seeds = spawn_seed_sequences(11, 10)
+        tasks = [(i, (i,), seeds[i]) for i in range(10)]
         for chunk_size in (1, 3, 10):
-            parallel = run_trials(
-                10, draw_trial, seed=11, workers=2, chunk_size=chunk_size
-            )
-            assert parallel.outcomes == serial.outcomes
+            records, _ = execute_tasks(draw_trial, tasks, 2, chunk_size=chunk_size)
+            assert [r.outcome for r in records] == serial.outcomes
 
     def test_workers_one_equivalence_in_process(self):
         serial = run_trials(6, draw_trial, seed=2)
@@ -206,7 +207,8 @@ class TestRobustness:
         trial = functools.partial(crashing_trial, os.getpid())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            batch = run_trials(6, trial, seed=0, workers=2, max_retries=1)
+            with campaign(max_retries=1):
+                batch = run_trials(6, trial, seed=0, workers=2)
         assert batch.outcomes == list(range(6))
         assert batch.timings.mode == "fallback"
         assert batch.timings.retries == 1
@@ -225,34 +227,27 @@ class TestRobustness:
         trial = functools.partial(sleepy_trial, os.getpid())
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            batch = run_trials(
-                2, trial, seed=0, workers=2, timeout=0.2, max_retries=0
-            )
+            with campaign(timeout=0.2, max_retries=0):
+                batch = run_trials(2, trial, seed=0, workers=2)
         assert batch.outcomes == [0, 1]
         assert batch.timings.mode == "fallback"
         assert batch.timings.executor == "pool->serial"
         assert caught
 
     def test_round_timeout_is_a_shared_deadline(self):
-        # Six one-task chunks of 5s sleepers on two workers with a 0.5s
-        # round budget: the round must give up ~0.5s after it starts
-        # (the in-process fallback is instant — sleepy_trial only
-        # sleeps in workers). The old per-future semantics handed every
-        # wait the full 0.5s budget again, so draining the six futures
-        # took ~3s before the fallback even began.
+        # Six one-task chunks (the default split of six tasks over two
+        # workers) of 5s sleepers with a 0.5s round budget: the round
+        # must give up ~0.5s after it starts (the in-process fallback
+        # is instant — sleepy_trial only sleeps in workers). The old
+        # per-future semantics handed every wait the full 0.5s budget
+        # again, so draining the six futures took ~3s before the
+        # fallback even began.
         trial = functools.partial(sleepy_trial, os.getpid())
         started = time.perf_counter()
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", RuntimeWarning)
-            batch = run_trials(
-                6,
-                trial,
-                seed=0,
-                workers=2,
-                chunk_size=1,
-                timeout=0.5,
-                max_retries=0,
-            )
+            with campaign(timeout=0.5, max_retries=0):
+                batch = run_trials(6, trial, seed=0, workers=2)
         elapsed = time.perf_counter() - started
         assert batch.outcomes == list(range(6))
         assert batch.timings.mode == "fallback"
@@ -359,12 +354,14 @@ class TestValidation:
             run_trials(4, draw_trial, seed=0, workers=0)
 
     def test_chunk_size_must_be_positive(self):
+        tasks = [(0, (0,), spawn_seed_sequences(0, 1)[0])]
         with pytest.raises(AnalysisError):
-            run_trials(4, draw_trial, seed=0, workers=2, chunk_size=0)
+            execute_tasks(draw_trial, tasks, 2, chunk_size=0)
 
     def test_max_retries_must_be_non_negative(self):
         with pytest.raises(AnalysisError):
-            run_trials(4, draw_trial, seed=0, workers=2, max_retries=-1)
+            with campaign(max_retries=-1):
+                run_trials(4, draw_trial, seed=0, workers=2)
 
     def test_timings_defaults(self):
         timings = TrialTimings(mode="serial", requested_workers=1, total_seconds=0.0)

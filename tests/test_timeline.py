@@ -469,8 +469,9 @@ class TestAmbientIntegration:
         journal = _open_journal(tmp_path / "camp")
         feed = EventLog(tmp_path / "camp" / TELEMETRY_DIRNAME)
         with recording(feed):
-            with campaign(journal):
-                run_trials(16, journal_trial, seed=7, workers=2, chunk_size=4)
+            # One pool worker splits 16 trials into four chunks of four.
+            with campaign(journal, executor="pool"):
+                run_trials(16, journal_trial, seed=7, workers=1)
         journaled = journaled_trials(tmp_path / "camp")
         assert journaled == [("b0000-trials-16", i) for i in range(16)]
         assert logged_trials(tmp_path / "camp") == journaled
@@ -605,7 +606,7 @@ class TestWatchAndReportCLI:
         journal = _open_journal(tmp_path / "camp")
         with recording(EventLog(tmp_path / "camp" / TELEMETRY_DIRNAME)):
             with campaign(journal):
-                run_trials(16, journal_trial, seed=7, chunk_size=4)
+                run_trials(16, journal_trial, seed=7)
         assert cli_main(["campaign", "status", str(tmp_path / "camp")]) == 0
         lines = capsys.readouterr().out.splitlines()
         # The journal lines stay first, then the progress line; a

@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.analysis import run_trials, skewed_opinions
 from repro.analysis.statistics import median_of, mode_of
-from repro.baselines import run_median_voting, run_pull_voting
 from repro.core import run_div
 from repro.graphs import complete_graph
 
@@ -35,19 +34,22 @@ def main() -> None:
     print(f"mode = {mode}, median = {median:g}, mean = {mean:.3f}\n")
 
     dynamics = {
-        "pull voting   (mode)": lambda i, rng: run_pull_voting(
-            graph, opinions, rng=rng).winner,
-        "median voting (median)": lambda i, rng: run_median_voting(
-            graph, opinions, rng=rng, max_steps=5_000_000).winner,
-        "DIV           (mean)": lambda i, rng: run_div(
-            graph, opinions, rng=rng).winner,
+        "pull voting   (mode)": ("pull", None),
+        "median voting (median)": ("median", 5_000_000),
+        "DIV           (mean)": ("div", None),
     }
     print(f"winner distribution over {TRIALS} runs each:")
     values = list(range(1, K + 1))
     header = "  ".join(f"{v:>5}" for v in values)
     print(f"{'dynamic':24}  {header}   mean winner")
-    for name, trial in dynamics.items():
-        winners = run_trials(TRIALS, trial, seed=1).outcomes
+    for name, (rule, budget) in dynamics.items():
+        winners = run_trials(
+            TRIALS,
+            lambda i, rng: run_div(
+                graph, opinions, dynamics=rule, rng=rng, max_steps=budget
+            ).winner,
+            seed=1,
+        ).outcomes
         histogram = Counter(winners)
         row = "  ".join(f"{histogram.get(v, 0) / TRIALS:>5.2f}" for v in values)
         print(f"{name:24}  {row}   {np.mean(winners):.2f}")

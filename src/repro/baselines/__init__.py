@@ -1,7 +1,12 @@
-"""Baseline dynamics the paper compares DIV against."""
+"""Baseline dynamics the paper compares DIV against.
 
-from repro.baselines.best_of_k import run_best_of_three, run_best_of_two
-from repro.baselines.common import VotingOutcome, run_baseline
+The plain comparison rules (pull, push, median, best-of-two,
+best-of-three) need no wrapper: pass their name to
+:func:`repro.core.div.run_div` as ``dynamics=``. The functions here add
+logic of their own: a step budget, a different stop or process, or a
+result type of their own.
+"""
+
 from repro.baselines.continuous_gossip import (
     GossipResult,
     run_continuous_gossip,
@@ -9,8 +14,6 @@ from repro.baselines.continuous_gossip import (
 )
 from repro.baselines.load_balancing import is_locally_balanced, run_load_balancing
 from repro.baselines.majority import run_local_majority
-from repro.baselines.median import run_median_voting
-from repro.baselines.pull import run_pull_voting, run_push_voting
 from repro.baselines.two_opinion import (
     TwoOpinionResult,
     opinions_from_set,
@@ -20,18 +23,11 @@ from repro.baselines.two_opinion import (
 __all__ = [
     "GossipResult",
     "TwoOpinionResult",
-    "VotingOutcome",
     "is_locally_balanced",
     "opinions_from_set",
-    "run_baseline",
-    "run_best_of_three",
-    "run_best_of_two",
     "run_continuous_gossip",
     "run_load_balancing",
     "run_local_majority",
-    "run_median_voting",
-    "run_pull_voting",
-    "run_push_voting",
     "run_two_opinion_voting",
     "spread_trace",
 ]

@@ -22,8 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.common import VotingOutcome, run_baseline
-from repro.core.dynamics import LoadBalancing
+from repro.core.div import DIVResult, run_div
 from repro.core.observers import EngineObserver
 from repro.core.state import OpinionState
 from repro.core.stopping import range_at_most
@@ -52,7 +51,7 @@ def run_load_balancing(
     max_steps: Optional[int] = None,
     observers: Sequence[EngineObserver] = (),
     kernel: str = "auto",
-) -> VotingOutcome:
+) -> DIVResult:
     """Run edge-averaging until the load range is at most ``target_width``.
 
     ``target_width=2`` matches the "three consecutive values" statement
@@ -65,10 +64,10 @@ def run_load_balancing(
     """
     if max_steps is None:
         max_steps = DEFAULT_MAX_STEPS_PER_VERTEX * graph.n
-    return run_baseline(
+    return run_div(
         graph,
         loads,
-        LoadBalancing(),
+        dynamics="load_balancing",
         process="edge",
         stop=range_at_most(target_width),
         rng=rng,

@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from repro.baselines.common import VotingOutcome, run_baseline
-from repro.core.dynamics import LocalMajority
+from repro.core.div import DIVResult, run_div
 from repro.core.observers import EngineObserver
 from repro.graphs.graph import Graph
 from repro.rng import RngLike
@@ -31,7 +30,7 @@ def run_local_majority(
     max_steps: Optional[int] = None,
     observers: Sequence[EngineObserver] = (),
     kernel: str = "auto",
-) -> VotingOutcome:
+) -> DIVResult:
     """Run local majority polling until consensus or the step budget.
 
     Unlike the sampling dynamics, local majority has stable
@@ -40,10 +39,10 @@ def run_local_majority(
     """
     if max_steps is None:
         max_steps = DEFAULT_MAX_STEPS_PER_VERTEX * graph.n
-    return run_baseline(
+    return run_div(
         graph,
         opinions,
-        LocalMajority(),
+        dynamics="local_majority",
         process=process,
         stop="consensus",
         rng=rng,

@@ -14,8 +14,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from repro.baselines.common import run_baseline
-from repro.core.dynamics import PullVoting
+from repro.core.div import run_div
 from repro.core.theory import two_opinion_win_probability
 from repro.errors import InvalidOpinionsError
 from repro.graphs.graph import Graph
@@ -61,10 +60,10 @@ def run_two_opinion_voting(
     if ones_idx.size == 0 or ones_idx.size == graph.n:
         raise InvalidOpinionsError("both opinions must be initially present")
     opinions = opinions_from_set(graph, ones_idx)
-    outcome = run_baseline(
+    outcome = run_div(
         graph,
         opinions,
-        PullVoting(),
+        dynamics="pull",
         process=process,
         stop="consensus",
         rng=rng,

@@ -3,15 +3,17 @@
 :func:`run_div` is the one-call public API: give it a graph, an initial
 opinion vector and a process name and it returns a :class:`DIVResult`
 with the winner, step counts and the two-adjacent stage time that
-Theorems 1 and 2 are about.
+Theorems 1 and 2 are about. Its ``dynamics`` parameter runs the paper's
+comparison rules (pull, median, best-of-k, ...) through the same
+engine, so their step counts are directly comparable with DIV's.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Union
 
-from repro.core.dynamics import IncrementalVoting
+from repro.core.dynamics import Dynamics, make_dynamics
 from repro.core.engine import run_dynamics
 from repro.core.observers import EngineObserver, FirstTimeTracker
 from repro.core.results import BaseRunResult
@@ -30,16 +32,19 @@ from repro.rng import RngLike
 
 @dataclass
 class DIVResult(BaseRunResult):
-    """Outcome of one DIV run.
+    """Outcome of one run of DIV or of a comparison dynamics.
 
     Attributes
     ----------
+    dynamics:
+        Name of the update rule that ran (``"div"``, ``"pull"``, ...).
     stop_reason:
         Why the run ended (``"consensus"``, ``"two_adjacent"``,
         ``"max_steps"``, ...).
     winner:
         The consensus opinion, or ``None`` when consensus was not reached
-        within the budget.
+        within the budget (some rules stop short of consensus, e.g. load
+        balancing at a floor/ceil mixture).
     steps:
         Asynchronous steps executed.
     two_adjacent_step:
@@ -60,6 +65,7 @@ class DIVResult(BaseRunResult):
         engine's :class:`~repro.core.engine.RunResult`.
     """
 
+    dynamics: str
     winner: Optional[int]
     steps: int
     two_adjacent_step: Optional[int]
@@ -75,6 +81,7 @@ def run_div(
     graph: SubstrateLike,
     opinions: Sequence[int],
     *,
+    dynamics: Union[str, Dynamics] = "div",
     process: str = "vertex",
     stop: StopLike = "consensus",
     rng: RngLike = None,
@@ -83,7 +90,7 @@ def run_div(
     kernel: str = "auto",
     frozen: Optional[Sequence[int]] = None,
 ) -> DIVResult:
-    """Run discrete incremental voting and summarize the outcome.
+    """Run discrete incremental voting (or another rule) and summarize.
 
     Parameters
     ----------
@@ -94,6 +101,11 @@ def run_div(
         (the scenario contract in ``docs/scenarios.md``).
     opinions:
         Initial integer opinion per vertex.
+    dynamics:
+        The update rule: a name for
+        :func:`~repro.core.dynamics.make_dynamics` (``"div"``, ``"pull"``,
+        ``"push"``, ``"median"``, ``"best_of_two"``, ...) or a
+        :class:`~repro.core.dynamics.Dynamics` instance.
     process:
         ``"vertex"`` (uniform vertex, uniform neighbour) or ``"edge"``
         (uniform edge, uniform endpoint).
@@ -131,11 +143,12 @@ def run_div(
         stop = frozen_consensus(state)
     initial_mean = state.mean()
     initial_weighted_mean = state.weighted_mean()
+    rule = make_dynamics(dynamics)
     tracker = FirstTimeTracker(two_adjacent, label="two_adjacent")
     result = run_dynamics(
         state,
         make_scheduler(substrate, process),
-        IncrementalVoting(),
+        rule,
         stop=make_stop_condition(stop),
         rng=rng,
         max_steps=max_steps,
@@ -143,6 +156,7 @@ def run_div(
         kernel=kernel,
     )
     return DIVResult(
+        dynamics=rule.name,
         winner=state.consensus_value(),
         steps=result.steps,
         stop_reason=result.stop_reason,

@@ -105,7 +105,14 @@ class IncrementalVoting:
 
 
 class PullVoting:
-    """Classic pull voting: ``v`` adopts ``w``'s opinion wholesale."""
+    """Classic pull voting: ``v`` adopts ``w``'s opinion wholesale.
+
+    The paper's "Mode" baseline. Under the vertex process the opinion
+    held by set ``A`` wins with probability ``d(A)/2m`` (Hassin & Peleg
+    [17]), so on regular graphs the winning distribution is the initial
+    empirical distribution: the mode is the single most likely winner,
+    unlike DIV's concentration on the mean.
+    """
 
     name = "pull"
     #: Compiled-kernel dispatch code: 1 = ``v`` adopts ``X_w``.
@@ -154,8 +161,12 @@ class MedianVoting:
     """Median voting (Doerr et al., SPAA 2011).
 
     ``v`` samples a second uniform neighbour ``u`` and replaces its value
-    by ``median(X_v, X_w, X_u)``. Converges to ≈ the median of the
-    initial values; the paper contrasts this with DIV's mean.
+    by ``median(X_v, X_w, X_u)``. On the complete graph the consensus
+    value's rank is within ``O(√(n log n))`` of ``n/2``: the process
+    approximates the *median* of the initial opinions, the middle member
+    of the paper's Mode/Median/Mean trichotomy. It can be slow through
+    low-conductance cuts, so give sparse-graph runs a ``max_steps``
+    budget.
     """
 
     name = "median"
@@ -181,7 +192,11 @@ class BestOfTwo:
     """Two-choices dynamics: adopt the sampled value iff two samples agree.
 
     ``v`` samples a second uniform neighbour ``u``; if ``X_w == X_u`` it
-    adopts that value, otherwise it keeps its own.
+    adopts that value, otherwise it keeps its own. Like
+    :class:`BestOfThree` it is one of the fast plurality-consensus
+    dynamics the paper surveys ([2, 10, 16], ...): a vertex moves only
+    when a small sample agrees, which amplifies the *plurality*, not the
+    mean.
     """
 
     name = "best_of_two"
@@ -207,7 +222,8 @@ class BestOfThree:
     ``v`` samples two additional uniform neighbours; if at least two of
     the three samples agree, ``v`` adopts that value, otherwise it adopts
     the first sample (the standard random tie-break of the 3-majority
-    literature).
+    literature). Like :class:`BestOfTwo` it amplifies the *plurality*,
+    not the mean.
     """
 
     name = "best_of_three"

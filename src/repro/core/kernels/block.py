@@ -199,7 +199,7 @@ def solve_block(
 def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     """Whether any term could fire within ``pending_changes`` changes.
 
-    Reaching a term's ``support_ceiling`` means emptying whole opinion
+    Reaching a term's ``support_at_most`` means emptying whole opinion
     classes, which takes at least
     :meth:`OpinionState.min_changes_to_support` changes; a block with
     fewer pending changes provably cannot fire the term. This skips the
@@ -209,7 +209,7 @@ def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     changes.
     """
     for term in terms:
-        ceiling = term.support_ceiling
+        ceiling = term.support_at_most
         if ceiling is None or state.min_changes_to_support(ceiling) <= pending_changes:
             return True
     return False

@@ -47,16 +47,14 @@ class StopTerm:
     fires:
         Vectorized predicate ``(support_sizes, range_widths) -> bool
         array``; both inputs are aligned per-opinion-change timelines.
-    support_ceiling:
-        Largest support size at which the clause can possibly fire, or
-        ``None`` when it can fire at any support size. Since one opinion
-        change removes at most one opinion class, a kernel may skip the
-        timeline reconstruction entirely while
-        ``current support - pending changes > support_ceiling``.
     support_at_most / width_at_most:
         The clause in *canonical conjunction form*: it fires exactly
         when ``support <= support_at_most AND width <= width_at_most``
-        (``None`` meaning unbounded). Every built-in condition is such
+        (``None`` meaning unbounded). ``support_at_most`` is thus also
+        the largest support size at which the clause can fire; the
+        block kernel skips the timeline reconstruction while emptying
+        enough opinion classes to reach it takes more changes than a
+        block has pending. Every built-in condition is such
         a conjunction — note ``two_adjacent`` (``support == 1`` or
         ``support == 2 and width == 1``) is equivalent to
         ``support <= 2 and width <= 1`` because width 0 forces support
@@ -68,7 +66,6 @@ class StopTerm:
 
     reason: str
     fires: Callable
-    support_ceiling: Optional[int] = None
     support_at_most: Optional[int] = None
     width_at_most: Optional[int] = None
 
@@ -116,7 +113,6 @@ consensus.support_range_terms = (
     StopTerm(
         reason="consensus",
         fires=lambda support, widths: support == 1,
-        support_ceiling=1,
         support_at_most=1,
     ),
 )
@@ -132,7 +128,6 @@ two_adjacent.support_range_terms = (
         reason="two_adjacent",
         fires=lambda support, widths: (support == 1)
         | ((support == 2) & (widths == 1)),
-        support_ceiling=2,
         support_at_most=2,
         width_at_most=1,
     ),
@@ -173,7 +168,6 @@ def support_at_most(size: int) -> StopCondition:
         StopTerm(
             reason=f"support<={size}",
             fires=lambda support, widths: support <= size,
-            support_ceiling=size,
             support_at_most=size,
         ),
     )
@@ -204,7 +198,6 @@ def frozen_consensus(state: OpinionState) -> StopCondition:
         StopTerm(
             reason="frozen_consensus",
             fires=lambda support, widths: support <= floor,
-            support_ceiling=floor,
             support_at_most=floor,
         ),
     )

@@ -23,8 +23,6 @@ from repro.analysis.statistics import (
     mode_of,
     total_variation_distance,
 )
-from repro.baselines.median import run_median_voting
-from repro.baselines.pull import run_pull_voting
 from repro.core.div import run_div
 from repro.experiments.tables import ExperimentReport, Table
 from repro.graphs import complete_graph
@@ -76,28 +74,24 @@ def run(config: Config = None, seed: RngLike = 0) -> ExperimentReport:
         ],
     )
 
-    def div_trial(index, rng):
-        return run_div(
-            graph, opinions, process="vertex", rng=rng, max_steps=config.max_steps
-        ).winner
-
-    def pull_trial(index, rng):
-        return run_pull_voting(
-            graph, opinions, process="vertex", rng=rng, max_steps=config.max_steps
-        ).winner
-
-    def median_trial(index, rng):
-        return run_median_voting(
-            graph, opinions, process="vertex", rng=rng, max_steps=config.max_steps
-        ).winner
-
     floor_mean, ceil_mean = math.floor(mean), math.ceil(mean)
     targets = {
         "pull": f"mode={mode}",
         "median": f"median={median:g}",
         "div": f"mean={mean:.2f}",
     }
-    for name, trial in (("pull", pull_trial), ("median", median_trial), ("div", div_trial)):
+    for name in ("pull", "median", "div"):
+
+        def trial(index, rng, name=name):
+            return run_div(
+                graph,
+                opinions,
+                dynamics=name,
+                process="vertex",
+                rng=rng,
+                max_steps=config.max_steps,
+            ).winner
+
         outcomes = run_trials(config.trials, trial, seed=seed)
         winners = [w for w in outcomes.outcomes if w is not None]
         distribution = empirical_distribution(winners)

@@ -2,11 +2,12 @@
 
 The event log (:mod:`repro.obs.log`) answers *where the steps went*;
 this module answers *where the CPU went* inside a span. A
-:class:`SpanProfiler` keeps one ``cProfile.Profile`` per section key
-("campaign", "trials.batch", "engine.run", ...) and switches between
-them as sections nest, so each key accumulates (approximately) its
-*self* time — the engine's profile is not double-counted into the
-batch that dispatched it.
+:class:`SpanProfiler` keeps one ``cProfile.Profile`` per section key.
+Two sections are opened today: ``"engine.run"`` around every generic
+engine run (:mod:`repro.core.engine`) and ``"engine.run_complete"``
+around the exact ``K_n`` count chain (:mod:`repro.core.fast_complete`).
+Were sections nested, the profiler would switch between them so that
+each key accumulates (approximately) its *self* time.
 
 Like the other observability hooks it is ambient and opt-in
 (:func:`active_profiler` returns ``None`` by default and instrumented

@@ -7,19 +7,18 @@ import pytest
 
 from repro.baselines import (
     opinions_from_set,
-    run_baseline,
-    run_best_of_three,
-    run_best_of_two,
     run_load_balancing,
-    run_median_voting,
-    run_pull_voting,
-    run_push_voting,
     run_two_opinion_voting,
 )
 from repro.baselines.load_balancing import is_locally_balanced
-from repro.core.dynamics import PullVoting
+from repro.core.div import run_div
+from repro.core.dynamics import PullVoting, make_dynamics
+from repro.core.engine import run_dynamics
+from repro.core.schedulers import make_scheduler
+from repro.core.state import OpinionState
+from repro.core.stopping import range_at_most
 from repro.errors import InvalidOpinionsError
-from repro.graphs import complete_graph, path_graph, star_graph
+from repro.graphs import complete_graph, path_graph, random_regular_graph, star_graph
 
 
 @pytest.fixture
@@ -34,19 +33,21 @@ def opinions(rng):
 
 class TestPullPush:
     def test_pull_reaches_consensus_on_initial_value(self, graph, opinions):
-        outcome = run_pull_voting(graph, opinions, rng=1)
+        outcome = run_div(graph, opinions, dynamics="pull", rng=1)
         assert outcome.stop_reason == "consensus"
         assert outcome.winner in set(opinions.tolist())
         assert outcome.dynamics == "pull"
 
     def test_push_reaches_consensus(self, graph, opinions):
-        outcome = run_push_voting(graph, opinions, rng=1)
+        outcome = run_div(graph, opinions, dynamics="push", rng=1)
         assert outcome.stop_reason == "consensus"
         assert outcome.winner in set(opinions.tolist())
 
     def test_pull_preserves_value_set_membership(self, graph):
         # Pull voting can only ever hold initially-present values.
-        outcome = run_pull_voting(graph, [1, 1, 1, 7, 7, 7, 9, 9, 9, 9], rng=2)
+        outcome = run_div(
+            graph, [1, 1, 1, 7, 7, 7, 9, 9, 9, 9], dynamics="pull", rng=2
+        )
         assert outcome.winner in (1, 7, 9)
 
 
@@ -81,7 +82,9 @@ class TestTwoOpinion:
 
 class TestMedian:
     def test_reaches_consensus(self, graph, opinions):
-        outcome = run_median_voting(graph, opinions, rng=1, max_steps=1_000_000)
+        outcome = run_div(
+            graph, opinions, dynamics="median", rng=1, max_steps=1_000_000
+        )
         assert outcome.stop_reason == "consensus"
         assert int(opinions.min()) <= outcome.winner <= int(opinions.max())
 
@@ -90,7 +93,9 @@ class TestMedian:
         opinions = np.array([1] * 20 + [2] * 25 + [9] * 15)
         winners = []
         for seed in range(20):
-            outcome = run_median_voting(graph, opinions, rng=seed, max_steps=2_000_000)
+            outcome = run_div(
+                graph, opinions, dynamics="median", rng=seed, max_steps=2_000_000
+            )
             winners.append(outcome.winner)
         # Median is 2; the heavy tail at 9 must not drag the result there.
         assert np.mean(winners) < 4
@@ -99,12 +104,16 @@ class TestMedian:
 
 class TestBestOfK:
     def test_best_of_two_consensus(self, graph, opinions):
-        outcome = run_best_of_two(graph, opinions, rng=1, max_steps=2_000_000)
+        outcome = run_div(
+            graph, opinions, dynamics="best_of_two", rng=1, max_steps=2_000_000
+        )
         assert outcome.stop_reason == "consensus"
         assert outcome.winner in set(opinions.tolist())
 
     def test_best_of_three_consensus(self, graph, opinions):
-        outcome = run_best_of_three(graph, opinions, rng=1, max_steps=2_000_000)
+        outcome = run_div(
+            graph, opinions, dynamics="best_of_three", rng=1, max_steps=2_000_000
+        )
         assert outcome.stop_reason == "consensus"
         assert outcome.winner in set(opinions.tolist())
 
@@ -114,7 +123,10 @@ class TestBestOfK:
         graph = complete_graph(40)
         opinions = [1] * 28 + [2] * 12
         wins = sum(
-            run_best_of_two(graph, opinions, rng=seed, max_steps=2_000_000).winner == 1
+            run_div(
+                graph, opinions, dynamics="best_of_two", rng=seed, max_steps=2_000_000
+            ).winner
+            == 1
             for seed in range(20)
         )
         assert wins >= 18
@@ -153,9 +165,57 @@ class TestLoadBalancing:
 
 class TestRunBaselineGeneric:
     def test_custom_dynamics_and_stop(self, graph, opinions):
-        outcome = run_baseline(
-            graph, opinions, PullVoting(), stop="never", max_steps=25, rng=1
+        outcome = run_div(
+            graph, opinions, dynamics=PullVoting(), stop="never", max_steps=25, rng=1
         )
         assert outcome.steps == 25
         assert outcome.winner is None or outcome.state.is_consensus
         assert outcome.initial_mean == pytest.approx(float(np.mean(opinions)))
+
+
+class TestRunDivDynamics:
+    # Each row is the engine call a comparison rule's runner makes: rule
+    # name, process, stop, step budget and the kernel ``auto`` resolves
+    # to (pull and push have ``step_block``). Local majority stalls short
+    # of consensus on this graph, so its small budget is what stops it.
+    CASES = [
+        ("pull", "vertex", "consensus", 1_000_000, "block"),
+        ("push", "vertex", "consensus", 1_000_000, "block"),
+        ("median", "vertex", "consensus", 1_000_000, "loop"),
+        ("best_of_two", "vertex", "consensus", 1_000_000, "loop"),
+        ("best_of_three", "vertex", "consensus", 1_000_000, "loop"),
+        ("local_majority", "vertex", "consensus", 5_000, "loop"),
+        ("load_balancing", "edge", range_at_most(2), 1_000_000, "loop"),
+    ]
+
+    @pytest.mark.parametrize("seed", [0, 7])
+    @pytest.mark.parametrize(
+        "name, process, stop, max_steps, kernel", CASES, ids=[c[0] for c in CASES]
+    )
+    def test_matches_direct_engine_run(self, name, process, stop, max_steps, kernel, seed):
+        graph = random_regular_graph(24, 4, rng=3)
+        opinions = np.random.default_rng(seed).integers(1, 6, size=graph.n)
+        state = OpinionState(graph, opinions)
+        direct = run_dynamics(
+            state,
+            make_scheduler(graph, process),
+            make_dynamics(name),
+            stop=stop,
+            rng=seed,
+            max_steps=max_steps,
+        )
+        outcome = run_div(
+            graph,
+            opinions,
+            dynamics=name,
+            process=process,
+            stop=stop,
+            rng=seed,
+            max_steps=max_steps,
+        )
+        assert outcome.dynamics == name
+        assert outcome.winner == state.consensus_value()
+        assert outcome.steps == direct.steps
+        assert outcome.stop_reason == direct.stop_reason
+        assert outcome.state.values.tolist() == state.values.tolist()
+        assert outcome.kernel == kernel

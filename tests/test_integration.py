@@ -18,7 +18,7 @@ from repro.analysis import (
     uniform_random_opinions,
     wilson_interval,
 )
-from repro.baselines import run_load_balancing, run_pull_voting
+from repro.baselines import run_load_balancing
 from repro.core import WeightTrace, run_div, run_div_complete
 from repro.core.theory import winning_probabilities
 from repro.graphs import complete_graph, random_regular_graph, star_graph
@@ -118,7 +118,7 @@ class TestPullVotingLaw:
         opinions = [1] * 35 + [9] * 15
 
         def trial(i, rng):
-            return run_pull_voting(graph, opinions, rng=rng).winner
+            return run_div(graph, opinions, dynamics="pull", rng=rng).winner
 
         outcomes = run_trials(300, trial, seed=7)
         share_9 = outcomes.frequency(lambda w: w == 9)

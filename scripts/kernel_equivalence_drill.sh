@@ -52,8 +52,10 @@ fi
 # engine, DIV across graph classes, and run_div on hubs). E7/E12:
 # chain-heavy graphs, where the prefixes shrink. E17/E18:
 # zealots and edge churn — the scenario legs added with the substrate
-# contract. E10/E13: runs that resolve to loop whatever is asked.
-EXPERIMENTS="E1 E2 E7 E10 E11 E12 E13 E17 E18 E19"
+# contract. E6/E8: pull voting to consensus on the block kernel, next to
+# median and DIV in E8. E10/E13: runs that resolve to loop whatever is
+# asked.
+EXPERIMENTS="E1 E2 E6 E7 E8 E10 E11 E12 E13 E17 E18 E19"
 
 # Rewrite a report without its tables' `kernel` column (which must exist).
 strip_kernel_column() {

@@ -14,8 +14,9 @@ voting, best-of-k).
 
 Dynamics whose update depends only on the pair ``(X_v, X_w)`` — DIV,
 pull and push — additionally implement :meth:`Dynamics.step_block`, the
-same rule as a pure function of opinion arrays, and declare which
-endpoint it writes (``writes = "v"`` or ``"w"``). The block execution
+same rule as a pure function of opinion arrays writing a value between
+its two inputs, and declare which endpoint it writes (``writes = "v"``
+or ``"w"``). The block execution
 kernel (:mod:`repro.core.kernels`) uses it to solve whole scheduler
 blocks in a few numpy passes; dynamics without it (those drawing
 per-step RNG or polling whole neighbourhoods) transparently run on the
@@ -60,9 +61,14 @@ class BlockDynamics(Dynamics, Protocol):
     RNG-free, read nothing but its arguments, and agree elementwise with
     :meth:`Dynamics.step` on a non-frozen target: an element whose result
     equals the written endpoint's input is a step that changes nothing.
-    The block kernel evaluates the rule over a whole drawn block at once
-    and solves the block's sequential dependencies itself, so the rule
-    never sees a state and has no conflict precondition.
+    Every result must lie between its two inputs,
+    ``min(xv, xw) <= out <= max(xv, xw)``, so that no step widens the
+    opinion range: the block kernel tests a range-decided stop term
+    (:attr:`~repro.core.stopping.StopTerm.range_ceiling`) on a commit's
+    end state alone and builds the support/width timeline only when it
+    holds there. The block kernel evaluates the rule over a whole drawn
+    block at once and solves the block's sequential dependencies itself,
+    so the rule never sees a state and has no conflict precondition.
     """
 
     writes: str

@@ -25,13 +25,23 @@ wrote that vertex, or the block-start state if none did. So
    10-regular expander, one per pair on a chain where each pair reads
    the last pair's write;
 4. the pairs whose output differs from their input are the block's
-   changes, in step order. Their old and new values feed
-   :meth:`OpinionState.support_range_timeline`, which reconstructs the
-   exact step a stopping condition (:class:`~repro.core.stopping.
+   changes, in step order. A commit whose changes can fire a stop or
+   observer term (:func:`_commit_fires`) feeds their old and new values
+   to :meth:`OpinionState.support_range_timeline`, which reconstructs
+   the exact step a stopping condition (:class:`~repro.core.stopping.
    StopTerm`) first fires, and is handed to each timeline observer
    (:func:`~repro.core.observers.is_timeline_observer`); one
    :meth:`OpinionState.apply_block` then commits the last write of each
-   vertex up to that step.
+   vertex up to that step. Every ``step_block`` rule writes a value
+   between its two inputs, so the range width never grows: a
+   range-decided term (``consensus``, ``two_adjacent``,
+   ``range_at_most``) fires within a commit exactly when it holds at the
+   commit's end, which :meth:`OpinionState.range_width_after` tests in
+   O(changes). A run to consensus thus builds a timeline only in the
+   commit that stops it (and the one that first reaches two adjacent
+   opinions, for ``run_div``'s τ tracker). Support-only ceilings of 2 or
+   more keep the :func:`_may_fire` bound: a middle class can empty and
+   refill within one commit.
 
 A block is drawn whole but solved in *prefixes*, each from the
 committed state. A run's first solve takes :data:`FIRST_PREFIX` pairs;
@@ -202,15 +212,36 @@ def _may_fire(state, pending_changes: int, terms: Sequence[StopTerm]) -> bool:
     Reaching a term's ``support_at_most`` means emptying whole opinion
     classes, which takes at least
     :meth:`OpinionState.min_changes_to_support` changes; a block with
-    fewer pending changes provably cannot fire the term. This skips the
-    timeline reconstruction for much of a run under the common
-    ``consensus`` / ``two_adjacent`` conditions — e.g. consensus stays
-    out of reach while the minority classes outnumber the block's
-    changes.
+    fewer pending changes provably cannot fire the term. The kernel asks
+    this of a block it has just drawn: one that cannot stop the run is
+    solved whole.
     """
     for term in terms:
         ceiling = term.support_at_most
         if ceiling is None or state.min_changes_to_support(ceiling) <= pending_changes:
+            return True
+    return False
+
+
+def _commit_fires(state, old: np.ndarray, new: np.ndarray, terms: Sequence[StopTerm]) -> bool:
+    """Whether any term could fire within a commit's changes ``old -> new``.
+
+    A range-decided term (:attr:`StopTerm.range_ceiling`) is answered
+    exactly from the commit's end state: no block rule widens the range,
+    so it fires somewhere in the commit iff it holds after the last
+    change. Any other term keeps the :func:`_may_fire` bound. Only a
+    commit for which this holds builds its support/width timeline.
+    """
+    width = None
+    for term in terms:
+        ceiling = term.range_ceiling
+        if ceiling is None:
+            if _may_fire(state, old.size, (term,)):
+                return True
+            continue
+        if width is None:
+            width = state.range_width_after(old, new)
+        if width <= ceiling:
             return True
     return False
 
@@ -297,7 +328,7 @@ class BlockKernel:
                 upto = done + int(np.searchsorted(moved[done:], end))
                 at = moved[done:upto]  # this commit's changes, as pair indices
                 fire_index, fire_reason = None, None
-                if at.size and _may_fire(state, at.size, gate_terms):
+                if at.size and _commit_fires(state, before[at], after[at], gate_terms):
                     support_sizes, range_widths = state.support_range_timeline(
                         before[at], after[at]
                     )

@@ -440,10 +440,11 @@ class OpinionState:
         commit in one pass (see :class:`~repro.core.stopping.StopTerm`).
 
         Cost is O(changes × current range width): the per-change count
-        deltas are scattered into a dense ``(changes, width)`` matrix
-        over the currently populated window and cumulatively summed. The
-        matrix is allocated per call and released with it, so a state a
-        caller keeps holds no block-sized buffers.
+        deltas are scattered into a dense ``(width, changes)`` matrix
+        over the currently populated window and cumulatively summed
+        along each row; support and width then reduce down the short
+        axis. The matrix is allocated per call and released with it, so
+        a state a caller keeps holds no block-sized buffers.
         """
         self._advance_extremes()
         old_idx = np.asarray(old_values, dtype=np.int64) - self._offset
@@ -459,20 +460,41 @@ class OpinionState:
         lo = min(self._min_idx, int(old_idx.min()), int(new_idx.min()))
         hi = max(self._max_idx, int(old_idx.max()), int(new_idx.max()))
         width = hi - lo + 1
-        rows = np.arange(changes)
-        delta = np.zeros((changes, width), dtype=np.int64)
-        # Per row the two touched columns are distinct (old != new) and
-        # rows are distinct, so fancy-indexed in-place adds never collide.
-        delta[rows, old_idx - lo] -= 1
-        delta[rows, new_idx - lo] += 1
-        np.cumsum(delta, axis=0, out=delta)
-        delta += self._counts[lo : hi + 1]
+        columns = np.arange(changes)
+        delta = np.zeros((width, changes), dtype=np.int64)
+        # Per column the two touched rows are distinct (old != new) and
+        # columns are distinct, so plain flat assignments never collide.
+        flat = delta.reshape(-1)
+        flat[(old_idx - lo) * changes + columns] = -1
+        flat[(new_idx - lo) * changes + columns] = 1
+        np.cumsum(delta, axis=1, out=delta)
+        delta += self._counts[lo : hi + 1, None]
         present = delta > 0
-        support_sizes = present.sum(axis=1, dtype=np.int64)
-        # width = (last present column) - (first present column)
-        last = width - 1 - np.argmax(present[:, ::-1], axis=1)
-        range_widths = last - np.argmax(present, axis=1)
+        support_sizes = present.sum(axis=0, dtype=np.int64)
+        # width = (last present row) - (first present row)
+        rank = np.arange(width, dtype=np.int64)[:, None]
+        last = np.where(present, rank, 0).max(axis=0)
+        range_widths = last - np.where(present, rank, width).min(axis=0)
         return support_sizes, range_widths
+
+    def range_width_after(self, old_values: np.ndarray, new_values: np.ndarray) -> int:
+        """The range width ``ℓ - s`` after a pending sequence of changes.
+
+        Takes the same per-change old and new opinions as
+        :meth:`support_range_timeline`, every value within the initial
+        opinion range, but returns only the end state's width, from the
+        net count change of the whole sequence: two ``bincount`` calls,
+        O(changes + k). The block kernel tests a range-decided stop term
+        (:attr:`~repro.core.stopping.StopTerm.range_ceiling`) on it,
+        since no block rule widens the range.
+        """
+        size = self._counts.size
+        old_idx = np.asarray(old_values, dtype=np.int64) - self._offset
+        new_idx = np.asarray(new_values, dtype=np.int64) - self._offset
+        counts = self._counts + np.bincount(new_idx, minlength=size)
+        counts -= np.bincount(old_idx, minlength=size)
+        present = np.flatnonzero(counts)
+        return int(present[-1] - present[0])
 
     def min_changes_to_support(self, target: int) -> int:
         """Lower bound on single-vertex changes before support can reach

@@ -62,12 +62,33 @@ class StopTerm:
         inside its machine-code loop; a term publishing neither field
         leaves ``fires`` as the only contract, and a compiled request
         resolves to the block kernel instead.
+
+    A term is *range-decided* (:attr:`range_ceiling` is not ``None``)
+    when it reduces to ``width <= w``: ``support_at_most == 1`` (width
+    0), or a ``width_at_most`` with no tighter support ceiling, since
+    width ``w`` allows at most ``w + 1`` opinions. No block rule widens
+    the range, so such a term fires somewhere in a stretch of changes
+    exactly when it holds after the stretch's last change, and the block
+    kernel tests that end state instead of building the timeline. A
+    support-only ceiling of 2 or more is not range-decided: a middle
+    class can empty and refill within one stretch.
     """
 
     reason: str
     fires: Callable
     support_at_most: Optional[int] = None
     width_at_most: Optional[int] = None
+
+    @property
+    def range_ceiling(self) -> Optional[int]:
+        """The width ``w`` with ``fires == (width <= w)``, or ``None``
+        when the term is not range-decided."""
+        if self.support_at_most == 1:
+            return 0
+        width = self.width_at_most
+        if width is not None and (self.support_at_most is None or self.support_at_most > width):
+            return width
+        return None
 
 
 def support_range_terms(condition: StopCondition) -> Optional[Tuple[StopTerm, ...]]:

@@ -157,7 +157,18 @@ def theorem1_step_budget(n: int, k: int, lam: float, pi_min: float) -> float:
     ``4(k-3)(T_1(ε_1) + T_p√ε_1) + 4(T_2(ε_2) + T_p√ε_2)`` with the
     ceiling-free ``T_p``. This is the fully-explicit (constants included)
     upper bound the proof derives before absorbing constants into O(·).
+
+    Defined only for ``0 <= λ < 1/(2√2)`` and ``π_min > 0``: the proof's
+    ``ε_2 = 2λ`` must stay below ``1/√2`` for ``T_2``'s log to be
+    positive. Outside that range it raises :class:`AnalysisError`.
     """
+    if not 0.0 <= lam < 1.0 / (2.0 * math.sqrt(2.0)):
+        raise AnalysisError(
+            f"eq. (19)'s budget needs 0 <= λ < 1/(2√2) ≈ 0.354, got λ = {lam}: "
+            "ε₂ = 2λ must stay below 1/√2"
+        )
+    if pi_min <= 0:
+        raise AnalysisError(f"π_min must be > 0, got {pi_min}")
     epsilon_1, epsilon_2 = reduction_epsilons(n, lam)
     tp = 64.0 * n / (math.sqrt(2.0) * (1.0 - lam) * pi_min)
     phase1 = t1_time(n, epsilon_1) + tp * math.sqrt(epsilon_1)

@@ -36,7 +36,9 @@ from repro.core import (
     make_scheduler,
     run_dynamics,
 )
+from repro.core import dynamics as dynamics_module
 from repro.core.div import run_div
+from repro.core.dynamics import make_dynamics
 from repro.core.kernels import (
     BlockKernel,
     CompiledKernel,
@@ -454,6 +456,21 @@ def run_div_all_kernels(graph_factory, process, case, seed):
     return outcomes, observer_sets
 
 
+def record_timelines(monkeypatch):
+    """The ``(support sizes, range widths)`` of every
+    :meth:`OpinionState.support_range_timeline` call from here on."""
+    timelines = []
+    timeline = OpinionState.support_range_timeline
+
+    def recording(self, old_values, new_values):
+        sizes, widths = timeline(self, old_values, new_values)
+        timelines.append((sizes.tolist(), widths.tolist()))
+        return sizes, widths
+
+    monkeypatch.setattr(OpinionState, "support_range_timeline", recording)
+    return timelines
+
+
 class TestMarkEquivalence:
     """``run_div``'s two-adjacent tracker is a timeline observer: the
     block kernel reconstructs its first firing step from committed
@@ -495,26 +512,66 @@ class TestMarkEquivalence:
         # Lone holders of 1 and 3 among 2s: the first to step inward
         # fires the mark, the other consensus; neither reads the other,
         # so both changes can commit in one window.
-        timelines = []
-        timeline = OpinionState.support_range_timeline
-
-        def recording(self, old_values, new_values):
-            sizes, widths = timeline(self, old_values, new_values)
-            timelines.append(sizes.tolist())
-            return sizes, widths
-
-        monkeypatch.setattr(OpinionState, "support_range_timeline", recording)
+        timelines = record_timelines(monkeypatch)
         graph = complete_graph(30)
         opinions = [1] + [2] * 28 + [3]
         loop = run_div(graph, opinions, rng=0, kernel="loop")
         block = run_div(graph, opinions, rng=0, kernel="block")
-        assert timelines == [[2, 1]]
+        assert [sizes for sizes, _ in timelines] == [[2, 1]]
         assert 0 < loop.two_adjacent_step < loop.steps
         assert (block.steps, block.two_adjacent_step, block.winner) == (
             loop.steps,
             loop.two_adjacent_step,
             loop.winner,
         )
+
+    @pytest.mark.parametrize(
+        "graph_factory",
+        [lambda: random_regular_graph(40, 4, rng=2), lambda: lollipop_graph(12, 24)],
+        ids=["rr40", "lollipop"],
+    )
+    @pytest.mark.parametrize("process", ["vertex", "edge"])
+    def test_timelines_only_where_a_term_fires(self, monkeypatch, graph_factory, process):
+        # consensus and the two-adjacent tracker are range-decided: a
+        # commit builds its timeline only if one of them fires in it.
+        graph = graph_factory()
+        opinions = make_rng(5).integers(0, 6, size=graph.n)
+        loop = run_div(graph, opinions, process=process, rng=6, kernel="loop")
+        timelines = record_timelines(monkeypatch)
+        block = run_div(graph, opinions, process=process, rng=6, kernel="block")
+        assert loop.stop_reason == "consensus" and loop.kernel == "loop"
+        assert block.kernel == "block"
+        assert (
+            block.steps,
+            block.winner,
+            block.two_adjacent_step,
+            block.state.values.tolist(),
+        ) == (loop.steps, loop.winner, loop.two_adjacent_step, loop.state.values.tolist())
+        # One firing commit for the tracker's first two-adjacent state,
+        # one for consensus; they may coincide.
+        assert 1 <= len(timelines) <= 2
+        assert all(min(widths) <= 1 for _, widths in timelines)
+        assert timelines[-1][0][-1] == 1
+
+    def test_support_ceiling_refilled_within_a_commit(self, monkeypatch):
+        # support <= 2 fires when the lone 1 between the 0s and 2s of a
+        # path steps aside; at seed 0 the 0|2 boundary refills class 1
+        # within the same commit, which ends at support 3 at step 166:
+        # only the commit's timeline finds the stop step.
+        graph = path_graph(61)
+        opinions = [0] * 30 + [1] + [2] * 30
+        stop = support_at_most(2)
+        loop = run_div(graph, opinions, stop=stop, rng=0, kernel="loop")
+        timelines = record_timelines(monkeypatch)
+        block = run_div(graph, opinions, stop=stop, rng=0, kernel="block")
+        assert (block.steps, block.stop_reason, block.state.values.tolist()) == (
+            loop.steps,
+            "support<=2",
+            loop.state.values.tolist(),
+        )
+        assert loop.steps == 166
+        [(sizes, _)] = timelines
+        assert min(sizes) == 2 and sizes[-1] == 3
 
     @pytest.mark.parametrize("process", ["vertex", "edge"])
     def test_plain_run_div_never_replays(self, monkeypatch, process):
@@ -847,6 +904,12 @@ class TestGrowingPrefixes:
         assert sizes == [256, 256, 256, 5]
 
 
+#: Every ``make_dynamics`` name whose rule has a ``step_block``.
+BLOCK_RULES = [
+    name for name in sorted(dynamics_module._NAMED) if supports_block(make_dynamics(name))
+]
+
+
 def sequential_block(dynamics, values, v_block, w_block, frozen=()):
     """:func:`solve_block`'s result, from ``dynamics.step`` pair by pair.
 
@@ -946,6 +1009,16 @@ class TestSolveBlock:
             _, before, after, next_write = assert_solves(dynamics, [3, 5], [0], [1])
             assert after == [expected] and next_write == [1]
 
+    @pytest.mark.parametrize("name", BLOCK_RULES)
+    def test_block_rules_write_between_their_inputs(self, name):
+        # The block kernel's end-of-commit stop test relies on it: no
+        # step widens the opinion range.
+        dynamics = make_dynamics(name)
+        xv, xw = (grid.ravel() for grid in np.meshgrid(np.arange(-4, 5), np.arange(-4, 5)))
+        out = dynamics.step_block(xv, xw)
+        assert out.shape == xv.shape
+        assert np.all(np.minimum(xv, xw) <= out) and np.all(out <= np.maximum(xv, xw))
+
     def test_random_blocks_match_sequential_reference(self):
         rng = make_rng(11)
         for dynamics in (IncrementalVoting(), PullVoting(), PushVoting()):
@@ -1038,6 +1111,26 @@ class TestBatchedStateOps:
             replay.apply(int(vertex), int(value))
             assert supports[i] == replay.support_size
             assert widths[i] == replay.max_opinion - replay.min_opinion
+
+    def test_range_width_after_matches_timeline_end(self):
+        # Sequences that change a vertex repeatedly, so classes empty
+        # and refill along the way.
+        graph = complete_graph(12)
+        for seed in range(20):
+            rng = make_rng(seed)
+            state = initial_state(graph, seed)
+            values = state.values.copy()
+            lo, hi = int(values.min()), int(values.max())
+            old_values, new_values = [], []
+            for vertex in rng.integers(0, graph.n, size=60):
+                new = min(max(values[vertex] + rng.choice([-1, 1]), lo), hi)
+                if new != values[vertex]:
+                    old_values.append(values[vertex])
+                    new_values.append(new)
+                    values[vertex] = new
+            _, widths = state.support_range_timeline(old_values, new_values)
+            assert state.range_width_after(old_values, new_values) == widths[-1]
+            assert int(values.max() - values.min()) == widths[-1]
 
 
 class TestKernelSelection:

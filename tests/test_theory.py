@@ -131,6 +131,20 @@ class TestTimeBounds:
         large = theorem1_step_budget(1000, 10, 0.01, 1 / 1000)
         assert 0 < small < large
 
+    def test_theorem1_budget_rejects_lambda_past_the_bound(self):
+        # λ = 0.45 is about what RR(500, 16) gives; ε₂ = 2λ = 0.9 > 1/√2.
+        with pytest.raises(AnalysisError, match=r"eq\. \(19\).*λ = 0\.45.*1/√2"):
+            theorem1_step_budget(500, 5, 0.45, 1 / 500)
+
+    def test_theorem1_budget_just_below_the_bound(self):
+        lam = math.nextafter(1 / (2 * math.sqrt(2)), 0.0)
+        budget = theorem1_step_budget(500, 5, lam, 1 / 500)
+        assert math.isfinite(budget) and budget > 0
+
+    def test_theorem1_budget_rejects_zero_pi_min(self):
+        with pytest.raises(AnalysisError, match="π_min"):
+            theorem1_step_budget(500, 5, 0.1, 0.0)
+
     def test_load_balancing_bound(self):
         assert load_balancing_time_bound(100, 8) == pytest.approx(
             100 * math.log(100) + 100 * math.log(8)
